@@ -11,7 +11,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import agenet, pipeline, synth
+from . import agenet, pipeline, reconstruct3d, synth
 from .errors import ConfigError, InputError, NumericalError, ReachkinError
 from .model_io import load_cohort, validate_session, write_joint_csv
 from .pipeline import PipelineConfig, StageFailure
@@ -162,11 +162,9 @@ def cmd_preprocess(args):
 
 
 def cmd_reconstruct(args):
-    from .reconstruct3d import load_calibration, triangulate_sequences
-
     config = _config_from_args(args)
     out = _out_dir(args, config)
-    cams = load_calibration(args.calibration)
+    cams = reconstruct3d.load_calibration(args.calibration)
     cohort = load_cohort(config.input_dir, config.bins)
     done = 0
     for session in cohort.sessions:
@@ -174,8 +172,8 @@ def cmd_reconstruct(args):
             continue
         seq1, seq2 = session.skeletons[:2]
         cam1, cam2 = cams[seq1.camera_id], cams[seq2.camera_id]
-        seq3d = triangulate_sequences(seq1, seq2, cam1, cam2,
-                                      config.confidence_threshold)
+        seq3d = reconstruct3d.triangulate_sequences(
+            seq1, seq2, cam1, cam2, config.confidence_threshold)
         dest = os.path.join(out, session.participant_id)
         os.makedirs(dest, exist_ok=True)
         with open(os.path.join(dest, "joints_3d.csv"), "w") as fh:

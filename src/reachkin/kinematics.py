@@ -57,16 +57,13 @@ def segment_reaches(seq: SkeletonSequence, targets: TargetLog,
     """
     segments = []
     dt = 1.0 / seq.sample_rate
-    arrays = {}
-    for side, joint in HAND_JOINT.items():
-        frames, times, pos, _ = seq.joint_arrays(joint)
-        arrays[side] = (times, pos)
+    arrays = {side: seq.joint_arrays(joint) for side, joint in HAND_JOINT.items()}
 
     for left, right in targets.pairs():
         for ev in (left, right):
             if not ev.collected:
                 continue
-            times, pos = arrays[ev.side]
+            _, times, pos, _ = arrays[ev.side]
             sel = (times >= ev.t_appear - dt / 2) & (times <= ev.t_hit + dt / 2)
             if sel.sum() < 2:
                 raise NoFramesInWindow(

@@ -10,8 +10,12 @@ A session on disk is one directory per participant holding three files:
 Reconstructed 3D joint files use the columns
 ``participant_id,frame,time_s,joint,x,y,z`` (no camera, no confidence).
 
-All types are plain immutable values; parsers and writers are pure functions
-apart from filesystem access.
+In memory a ``SkeletonSequence`` maps each joint, in sorted order, to a
+``JointStream`` of arrays ``frames (N,)``, ``times (N,)``, ``pos (N, D)`` and
+``conf (N,)`` in frame order; its per-row ``samples`` are a derived view.
+
+All types are plain values that are never mutated; parsers and writers are
+pure functions apart from filesystem access.
 """
 
 from __future__ import annotations
@@ -19,8 +23,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +56,7 @@ CORE_JOINTS = WRIST_JOINTS + SHOULDER_JOINTS
 
 @dataclass(frozen=True)
 class JointSample:
+    """One row of a joint stream, as read from ``SkeletonSequence.samples``."""
     frame_index: int
     time: float
     joint: str
@@ -55,35 +64,64 @@ class JointSample:
     confidence: float = 1.0
 
 
-@dataclass(frozen=True)
+class JointStream(NamedTuple):
+    """One joint's samples in frame order."""
+    frames: np.ndarray   # (N,) int
+    times: np.ndarray    # (N,) seconds
+    pos: np.ndarray      # (N, D) pixels or shoulder-width units
+    conf: np.ndarray     # (N,) in [0, 1]
+
+
+class SampleRows(Sequence):
+    """Read-only rows by (joint, frame), built on iteration or indexing."""
+
+    def __init__(self, streams):
+        self._streams = streams
+
+    def __len__(self):
+        return sum(len(s.frames) for s in self._streams.values())
+
+    def __iter__(self):
+        for joint, s in self._streams.items():
+            for f, t, p, c in zip(s.frames.tolist(), s.times.tolist(),
+                                  s.pos.tolist(), s.conf.tolist()):
+                yield JointSample(f, t, joint, tuple(p), c)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
+@dataclass(frozen=True, eq=False)
 class SkeletonSequence:
     participant_id: str
     camera_id: str
     sample_rate: float
-    samples: tuple  # of JointSample, sorted by (joint, frame_index)
+    streams: dict  # joint -> JointStream
+
+    def __post_init__(self):
+        object.__setattr__(self, "streams", dict(sorted(self.streams.items())))
 
     @property
     def joints(self):
-        return tuple(dict.fromkeys(s.joint for s in self.samples))
+        return tuple(self.streams)
 
     @property
     def dims(self):
-        return len(self.samples[0].position) if self.samples else 0
+        return max((s.pos.shape[1] for s in self.streams.values()), default=0)
+
+    @property
+    def samples(self):
+        return SampleRows(self.streams)
 
     def joint_arrays(self, joint):
-        """Return (frames, times, positions, confidences) arrays for one joint."""
-        rows = [s for s in self.samples if s.joint == joint]
-        if not rows:
+        """Return the (frames, times, positions, confidences) of one joint."""
+        try:
+            return self.streams[joint]
+        except KeyError:
             raise InputError(f"joint {joint!r} not present in sequence")
-        frames = np.array([s.frame_index for s in rows], dtype=int)
-        times = np.array([s.time for s in rows], dtype=float)
-        pos = np.array([s.position for s in rows], dtype=float)
-        conf = np.array([s.confidence for s in rows], dtype=float)
-        return frames, times, pos, conf
-
-    def with_samples(self, samples, sample_rate=None):
-        return replace(self, samples=tuple(samples),
-                       sample_rate=self.sample_rate if sample_rate is None else sample_rate)
 
 
 @dataclass(frozen=True)
@@ -181,106 +219,103 @@ class ValidationReport:
 
 def _float(value, column, row):
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ParseError(f"column {column!r}: not a number: {value!r}", row=row)
+    if not math.isfinite(x):
+        raise ParseError(f"column {column!r}: not finite: {value!r}", row=row)
+    return x
 
 
-def _read_header(reader, expected, what):
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyFile(f"empty {what} file")
-    header = [h.strip() for h in header]
-    missing = [c for c in expected if c not in header]
-    if missing:
-        raise MissingColumn(f"{what}: missing column(s) {missing}", row=1)
-    return header
-
-
-def parse_joint_csv(stream) -> SkeletonSequence:
-    """Parse a joints.csv character stream (2D or reconstructed 3D schema)."""
+def _read_table(stream, what, expected):
+    """Read a CSV stream into ({column: index}, data rows, their row numbers);
+    ``expected(header)`` names the columns the header must hold."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
     try:
-        first = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
-        raise EmptyFile("empty joints file")
-    header = [h.strip() for h in first]
-    is_3d = "z" in header
-    expected = JOINTS_3D_HEADER if is_3d else JOINTS_2D_HEADER
-    missing = [c for c in expected if c not in header]
+        raise EmptyFile(f"empty {what} file")
+    names = expected(header)
+    missing = [c for c in names if c not in header]
     if missing:
-        raise MissingColumn(f"joints: missing column(s) {missing}", row=1)
-    col = {name: header.index(name) for name in expected}
-
-    samples = []
-    participant_id = None
-    camera_id = "" if is_3d else None
+        raise MissingColumn(f"{what}: missing column(s) {missing}", row=1)
+    rows, rownums = [], []
     for rownum, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=rownum)
-        participant_id = row[col["participant_id"]]
-        frame = int(_float(row[col["frame"]], "frame", rownum))
-        time = _float(row[col["time_s"]], "time_s", rownum)
-        joint = row[col["joint"]]
-        if is_3d:
-            pos = (_float(row[col["x"]], "x", rownum),
-                   _float(row[col["y"]], "y", rownum),
-                   _float(row[col["z"]], "z", rownum))
-            conf = 1.0
-        else:
-            camera_id = row[col["camera_id"]]
-            pos = (_float(row[col["x"]], "x", rownum),
-                   _float(row[col["y"]], "y", rownum))
-            conf = _float(row[col["confidence"]], "confidence", rownum)
-            if not 0.0 <= conf <= 1.0:
-                raise ConfidenceOutOfRange(f"confidence {conf} outside [0,1]", row=rownum)
-        samples.append(JointSample(frame, time, joint, pos, conf))
+        rows.append(row)
+        rownums.append(rownum)
+    if not rows:
+        raise EmptyFile(f"{what} file has a header but no data rows")
+    return {name: header.index(name) for name in names}, rows, rownums
 
-    if not samples:
-        raise EmptyFile("joints file has a header but no data rows")
 
-    samples.sort(key=lambda s: (s.joint, s.frame_index))
-    last = {}
-    for s in samples:
-        prev = last.get(s.joint)
-        if prev is not None and s.time <= prev:
+def _numbers(rows, rownums, col, names):
+    """Parse the named columns of every row into an (N, len(names)) array;
+    the first bad or non-finite cell in file order raises a ParseError."""
+    idx = [col[n] for n in names]
+    try:
+        out = np.array([float(row[i]) for row in rows for i in idx])
+    except ValueError:
+        out = np.array([np.nan])
+    if not np.isfinite(out).all():
+        for row, rownum in zip(rows, rownums):
+            for name, i in zip(names, idx):
+                _float(row[i], name, rownum)
+    return out.reshape(len(rows), len(idx))
+
+
+def parse_joint_csv(stream) -> SkeletonSequence:
+    """Parse a joints.csv character stream (2D or reconstructed 3D schema)."""
+    col, rows, rownums = _read_table(
+        stream, "joints",
+        lambda header: JOINTS_3D_HEADER if "z" in header else JOINTS_2D_HEADER)
+    is_3d = "z" in col
+    axes = ["x", "y", "z"] if is_3d else ["x", "y"]
+    num = _numbers(rows, rownums, col,
+                   ["frame", "time_s", *axes] + ([] if is_3d else ["confidence"]))
+    frames = num[:, 0].astype(np.int64)
+    times = num[:, 1]
+    pos = num[:, 2:2 + len(axes)]
+    conf = np.ones(len(rows)) if is_3d else num[:, -1]
+    out_of_range = (conf < 0.0) | (conf > 1.0)
+    if out_of_range.any():
+        i = int(np.argmax(out_of_range))
+        raise ConfidenceOutOfRange(
+            f"confidence {float(conf[i])} outside [0,1]", row=rownums[i])
+
+    joint_names, codes = np.unique([row[col["joint"]] for row in rows],
+                                   return_inverse=True)
+    order = np.lexsort((frames, codes))     # stable: ties keep file order
+    bounds = np.cumsum(np.bincount(codes))
+    streams = {}
+    for joint, sel in zip(joint_names.tolist(), np.split(order, bounds[:-1])):
+        t = times[sel]
+        later = np.flatnonzero(t[1:] <= t[:-1])
+        if later.size:
+            i = later[0] + 1
             raise NonMonotonicTime(
-                f"joint {s.joint!r}: time {s.time} after {prev} (frame {s.frame_index})")
-        last[s.joint] = s.time
+                f"joint {joint!r}: time {float(t[i])} after {float(t[i - 1])} "
+                f"(frame {int(frames[sel[i]])})", row=rownums[sel[i]])
+        streams[joint] = JointStream(frames[sel], t, pos[sel], conf[sel])
 
-    sample_rate = _infer_rate(samples)
-    return SkeletonSequence(participant_id, camera_id, sample_rate, tuple(samples))
-
-
-def _infer_rate(samples):
-    by_joint = {}
-    for s in samples:
-        by_joint.setdefault(s.joint, []).append(s.time)
-    deltas = []
-    for times in by_joint.values():
-        deltas.extend(np.diff(times))
-    if not deltas:
-        return 30.0
-    return 1.0 / float(np.median(deltas))
+    deltas = np.concatenate([np.diff(s.times) for s in streams.values()])
+    rate = 1.0 / float(np.median(deltas)) if deltas.size else 30.0
+    last = rows[-1]
+    camera_id = "" if is_3d else last[col["camera_id"]]
+    return SkeletonSequence(last[col["participant_id"]], camera_id, rate, streams)
 
 
 def parse_target_csv(stream) -> TargetLog:
     """Parse a targets.csv character stream."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    header = _read_header(reader, TARGETS_HEADER, "targets")
-    col = {name: header.index(name) for name in TARGETS_HEADER}
-
+    col, rows, rownums = _read_table(stream, "targets",
+                                     lambda header: TARGETS_HEADER)
     events = []
-    for rownum, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for row, rownum in zip(rows, rownums):
         side = row[col["side"]].strip()
         if side not in ("left", "right"):
             raise ParseError(f"side must be left/right, got {side!r}", row=rownum)
@@ -298,9 +333,6 @@ def parse_target_csv(stream) -> TargetLog:
             t_appear=t_appear,
             t_hit=t_hit,
         ))
-    if not events:
-        raise EmptyFile("targets file has a header but no data rows")
-
     events.sort(key=lambda e: (e.t_appear, e.target_id, e.side))
     log = TargetLog(tuple(events))
     for left, right in log.pairs():   # raises UnpairedTarget
@@ -315,23 +347,22 @@ def parse_target_csv(stream) -> TargetLog:
 def _fmt(x):
     """Full-precision numeric text so parse(serialize(v)) == v."""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
 def write_joint_csv(seq: SkeletonSequence, stream):
     writer = csv.writer(stream, lineterminator="\n")
-    if seq.dims == 3:
-        writer.writerow(JOINTS_3D_HEADER)
-        for s in seq.samples:
-            writer.writerow([seq.participant_id, s.frame_index, _fmt(s.time),
-                             s.joint, *map(_fmt, s.position)])
-    else:
-        writer.writerow(JOINTS_2D_HEADER)
-        for s in seq.samples:
-            writer.writerow([seq.participant_id, seq.camera_id, s.frame_index,
-                             _fmt(s.time), s.joint, *map(_fmt, s.position),
-                             _fmt(s.confidence)])
+    is_3d = seq.dims == 3
+    writer.writerow(JOINTS_3D_HEADER if is_3d else JOINTS_2D_HEADER)
+    lead = [seq.participant_id] if is_3d else [seq.participant_id, seq.camera_id]
+    for joint, s in seq.streams.items():
+        n = len(s.frames)
+        coords = [map(repr, c) for c in s.pos.T.tolist()]
+        tail = [] if is_3d else [map(repr, s.conf.tolist())]
+        writer.writerows(zip(*(repeat(v, n) for v in lead), s.frames.tolist(),
+                             map(repr, s.times.tolist()), repeat(joint, n),
+                             *coords, *tail))
 
 
 def write_target_csv(participant_id, log: TargetLog, stream):

@@ -1,11 +1,11 @@
 """End-to-end orchestration: configuration, stage wiring, artifact files, and
 simple SVG figure analogs.
 
-Stage order is fixed: ingest -> preprocess -> (reconstruct when calibration is
-present) -> segment -> metrics -> progress -> stats; training is independent
-and runs from the 2D streams alone. Every artifact file starts with a comment
-line recording the configuration hash and seed, and all files are written
-atomically (temp file + rename).
+Stage order is fixed: ingest -> preprocess -> segment -> metrics -> progress
+-> stats; training is independent and runs from the 2D streams alone, and
+two-view reconstruction runs only as ``reachkin reconstruct``. Every artifact
+file starts with a comment line recording the configuration hash and seed,
+and all files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import agenet, kinematics, preprocess, progress_spline, reconstruct3d, stats, synth
+from . import agenet, kinematics, progress_spline, reconstruct3d, stats, synth
 from .errors import (
     ConfigError,
     InputError,
@@ -139,6 +139,8 @@ def _fnum(x):
 
 def preprocess_session(session, config: PipelineConfig):
     """Confidence gate, decimate, and zero-phase filter one 2D skeleton."""
+    from . import preprocess   # pulls in scipy.signal, about 1 s of start-up
+
     seq = session.skeleton()
     seq, _ = preprocess.reject_low_confidence(seq, config.confidence_threshold)
     seq = preprocess.downsample(seq, config.decimation)
@@ -153,6 +155,8 @@ def analyze_session(session, config: PipelineConfig):
     Returns (MetricSummary, repaired ReachSegments). Paths are in
     shoulder-width units; targets are mapped into the same frame.
     """
+    from . import preprocess
+
     seq = preprocess_session(session, config)
     scale = reconstruct3d.shoulder_scale(seq)
     seq = reconstruct3d.normalize_by_shoulder_width(seq)

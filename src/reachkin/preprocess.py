@@ -7,7 +7,7 @@ segment -> per-reach outlier interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import butter, lfilter
@@ -18,7 +18,7 @@ from .errors import (
     TooFewInliers,
     UnstableSpec,
 )
-from .model_io import JointSample, SkeletonSequence
+from .model_io import SkeletonSequence
 
 
 @dataclass(frozen=True)
@@ -61,26 +61,18 @@ def _interp_gaps(pos, bad):
 def reject_low_confidence(seq: SkeletonSequence, threshold: float = 0.75):
     """Replace low-confidence samples by interpolated positions.
 
-    Returns the cleaned sequence (all confidences set to 1 on repaired frames'
-    replacements keep their original confidence values so the operation is
-    idempotent at a fixed threshold: repaired frames are marked confidence 1).
+    Returns (cleaned sequence, GapMask). Repaired frames are marked
+    confidence 1, so the operation is idempotent at a fixed threshold.
     """
-    new_samples = []
-    flags = {}
-    for joint in seq.joints:
-        frames, times, pos, conf = seq.joint_arrays(joint)
-        bad = conf < threshold
+    streams, flags = {}, {}
+    for joint, s in seq.streams.items():
+        bad = s.conf < threshold
         if bad.all():
             raise AllFramesRejected(f"joint {joint!r}: every frame below {threshold}")
-        if bad.any():
-            pos = _interp_gaps(pos, bad)
+        pos = _interp_gaps(s.pos, bad) if bad.any() else s.pos
         flags[joint] = bad
-        for i in range(len(frames)):
-            c = 1.0 if bad[i] else conf[i]
-            new_samples.append(JointSample(int(frames[i]), float(times[i]),
-                                           joint, tuple(pos[i]), float(c)))
-    new_samples.sort(key=lambda s: (s.joint, s.frame_index))
-    return seq.with_samples(new_samples), GapMask(flags)
+        streams[joint] = s._replace(pos=pos, conf=np.where(bad, 1.0, s.conf))
+    return replace(seq, streams=streams), GapMask(flags)
 
 
 def downsample(seq: SkeletonSequence, factor: int = 2) -> SkeletonSequence:
@@ -89,28 +81,26 @@ def downsample(seq: SkeletonSequence, factor: int = 2) -> SkeletonSequence:
         raise FactorTooLarge(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return seq
-    new_samples = []
-    for joint in seq.joints:
-        rows = [s for s in seq.samples if s.joint == joint]
-        kept = rows[::factor]
-        if len(kept) < 2:
+    streams = {}
+    for joint, s in seq.streams.items():
+        kept = s._make(a[::factor] for a in s)
+        if len(kept.frames) < 2:
             raise FactorTooLarge(
                 f"joint {joint!r}: factor {factor} leaves fewer than 2 frames")
-        new_samples.extend(kept)
-    new_samples.sort(key=lambda s: (s.joint, s.frame_index))
-    return seq.with_samples(new_samples, sample_rate=seq.sample_rate / factor)
+        streams[joint] = kept
+    return replace(seq, streams=streams, sample_rate=seq.sample_rate / factor)
 
 
 def butterworth_filter(channel, spec: FilterSpec):
-    """Zero-phase low-pass Butterworth filter of one scalar time series.
+    """Zero-phase low-pass Butterworth filter of an (N,) or (N, D) series.
 
     Forward pass then time-reversed backward pass, with reflective edge
     padding of 3 * order samples on each side; DC gain is exactly 1 and the
     output has no phase lag.
     """
     x = np.asarray(channel, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("butterworth_filter expects a 1-D series")
+    if x.ndim not in (1, 2):
+        raise ValueError("butterworth_filter expects an (N,) or (N, D) series")
     if len(x) < 3 * spec.order:
         raise UnstableSpec(
             f"series of length {len(x)} too short for order {spec.order}")
@@ -119,25 +109,17 @@ def butterworth_filter(channel, spec: FilterSpec):
 
     b, a = butter(spec.order, spec.cutoff, btype="low", fs=spec.sample_rate)
     pad = 3 * spec.order
-    xp = np.pad(x, pad, mode="reflect")
-    y = lfilter(b, a, xp)
-    y = lfilter(b, a, y[::-1])[::-1]
+    xp = np.pad(x, [(pad, pad)] + [(0, 0)] * (x.ndim - 1), mode="reflect")
+    y = lfilter(b, a, xp, axis=0)
+    y = lfilter(b, a, y[::-1], axis=0)[::-1]
     return y[pad:len(xp) - pad]
 
 
 def filter_sequence(seq: SkeletonSequence, spec: FilterSpec) -> SkeletonSequence:
     """Apply the zero-phase filter independently to every joint coordinate."""
-    new_samples = []
-    for joint in seq.joints:
-        frames, times, pos, conf = seq.joint_arrays(joint)
-        filtered = np.column_stack(
-            [butterworth_filter(pos[:, d], spec) for d in range(pos.shape[1])])
-        for i in range(len(frames)):
-            new_samples.append(JointSample(int(frames[i]), float(times[i]),
-                                           joint, tuple(filtered[i]),
-                                           float(conf[i])))
-    new_samples.sort(key=lambda s: (s.joint, s.frame_index))
-    return seq.with_samples(new_samples)
+    return replace(seq, streams={
+        joint: s._replace(pos=butterworth_filter(s.pos, spec))
+        for joint, s in seq.streams.items()})
 
 
 def interpolate_outliers(positions, k_sigma: float = 2.0):

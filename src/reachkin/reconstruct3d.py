@@ -8,18 +8,21 @@ The global scale is fixed downstream by shoulder normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     DegenerateConfiguration,
+    InputError,
     InsufficientCorrespondences,
+    MissingColumn,
     NoConvergence,
     RayParallel,
     ShouldersUntracked,
 )
-from .model_io import JointSample, SkeletonSequence
+from .model_io import JointStream, SkeletonSequence
 
 
 @dataclass(frozen=True)
@@ -257,24 +260,19 @@ def triangulate_sequences(seq1: SkeletonSequence, seq2: SkeletonSequence,
     Frames where either camera's observation fails the confidence gate are
     skipped; the resulting gaps are repaired downstream by preprocessing.
     """
-    samples = []
-    joints = [j for j in seq1.joints if j in set(seq2.joints)]
-    for joint in joints:
-        f1, t1, p1, c1 = seq1.joint_arrays(joint)
-        f2, _, p2, c2 = seq2.joint_arrays(joint)
-        idx2 = {int(f): i for i, f in enumerate(f2)}
-        for i, f in enumerate(f1):
-            j = idx2.get(int(f))
-            if j is None:
-                continue
-            if c1[i] < confidence_threshold or c2[j] < confidence_threshold:
-                continue
-            X, _ = triangulate(p1[i], p2[j], cam1, cam2)
-            samples.append(JointSample(int(f), float(t1[i]), joint,
-                                       tuple(X), 1.0))
-    samples.sort(key=lambda s: (s.joint, s.frame_index))
-    return SkeletonSequence(seq1.participant_id, "", seq1.sample_rate,
-                            tuple(samples))
+    streams = {}
+    for joint in sorted(set(seq1.joints) & set(seq2.joints)):
+        f1, t1, p1, c1 = seq1.streams[joint]
+        f2, _, p2, c2 = seq2.streams[joint]
+        _, i1, i2 = np.intersect1d(f1, f2, return_indices=True)
+        seen = (c1[i1] >= confidence_threshold) & (c2[i2] >= confidence_threshold)
+        i1, i2 = i1[seen], i2[seen]
+        if i1.size:
+            points = [triangulate(a, b, cam1, cam2)[0]
+                      for a, b in zip(p1[i1], p2[i2])]
+            streams[joint] = JointStream(f1[i1], t1[i1], np.array(points),
+                                         np.ones(i1.size))
+    return SkeletonSequence(seq1.participant_id, "", seq1.sample_rate, streams)
 
 
 # --- calibration files -----------------------------------------------------
@@ -287,13 +285,9 @@ def load_calibration(path):
     get the identity pose (use solve_relative_pose to recover the second
     camera).
     """
-    import csv as _csv
-
-    from .errors import MissingColumn
-
     cams = {}
     with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         required = {"camera_id", "fx", "fy", "cx", "cy"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise MissingColumn(f"calibration file needs columns {sorted(required)}")
@@ -320,15 +314,12 @@ def shoulder_scale(seq: SkeletonSequence) -> float:
     try:
         fl, _, pl, _ = seq.joint_arrays("left_shoulder")
         fr, _, pr, _ = seq.joint_arrays("right_shoulder")
-    except Exception:
+    except InputError:
         raise ShouldersUntracked("both shoulders must be tracked")
-    common = sorted(set(map(int, fl)) & set(map(int, fr)))
-    if not common:
+    common, il, ir = np.intersect1d(fl, fr, return_indices=True)
+    if not common.size:
         raise ShouldersUntracked("shoulders never tracked on a common frame")
-    il = {int(f): i for i, f in enumerate(fl)}
-    ir = {int(f): i for i, f in enumerate(fr)}
-    widths = [np.linalg.norm(pl[il[f]] - pr[ir[f]]) for f in common]
-    width = float(np.median(widths))
+    width = float(np.median(np.linalg.norm(pl[il] - pr[ir], axis=1)))
     if width <= 0:
         raise ShouldersUntracked("degenerate zero shoulder width")
     return width
@@ -337,7 +328,5 @@ def shoulder_scale(seq: SkeletonSequence) -> float:
 def normalize_by_shoulder_width(seq: SkeletonSequence) -> SkeletonSequence:
     """Scale all positions so the median shoulder separation is exactly 1."""
     scale = shoulder_scale(seq)
-    samples = [JointSample(s.frame_index, s.time, s.joint,
-                           tuple(np.asarray(s.position) / scale), s.confidence)
-               for s in seq.samples]
-    return seq.with_samples(samples)
+    return replace(seq, streams={joint: s._replace(pos=s.pos / scale)
+                                 for joint, s in seq.streams.items()})

@@ -24,7 +24,7 @@ import numpy as np
 
 from .model_io import (
     Cohort,
-    JointSample,
+    JointStream,
     ParticipantSession,
     SessionManifest,
     SkeletonSequence,
@@ -274,25 +274,24 @@ def generate_session(params: StrategyParams, age: int, seed,
                                                     e.side))))
     score = targets.score
 
-    samples = []
     sway = rng.normal(0.0, 0.01, (n_frames, 2, 2))
+    positions = {
+        "left_wrist": hand_pos["left"],
+        "right_wrist": hand_pos["right"],
+        "left_shoulder": SHOULDERS["left_shoulder"] + sway[:, 0],
+        "right_shoulder": SHOULDERS["right_shoulder"] + sway[:, 1],
+    }
+    # draw order (frame-major, joints as above) is pinned by the synth tests
+    conf = np.empty((n_frames, len(positions)))
     for i in range(n_frames):
-        t = float(times[i])
-        joints = {
-            "left_wrist": hand_pos["left"][i],
-            "right_wrist": hand_pos["right"][i],
-            "left_shoulder": SHOULDERS["left_shoulder"] + sway[i, 0],
-            "right_shoulder": SHOULDERS["right_shoulder"] + sway[i, 1],
-        }
-        for joint, pos in joints.items():
-            conf = float(np.round(rng.uniform(0.80, 1.00), 6))
+        for k in range(len(positions)):
+            conf[i, k] = rng.uniform(0.80, 1.00)
             if rng.uniform() < 0.01:
-                conf = float(np.round(rng.uniform(0.10, 0.70), 6))
-            px = sim_to_px(pos)
-            samples.append(JointSample(i, t, joint,
-                                       (float(px[0]), float(px[1])), conf))
-    samples.sort(key=lambda s: (s.joint, s.frame_index))
-    skeleton = SkeletonSequence(participant_id, "webcam", fps, tuple(samples))
+                conf[i, k] = rng.uniform(0.10, 0.70)
+    conf = np.round(conf, 6)
+    skeleton = SkeletonSequence(participant_id, "webcam", fps, {
+        joint: JointStream(np.arange(n_frames), times, sim_to_px(pos), conf[:, k])
+        for k, (joint, pos) in enumerate(positions.items())})
 
     manifest = SessionManifest(
         participant_id=participant_id,

@@ -12,19 +12,18 @@ from reachkin.kinematics import (
     segment_reaches,
     velocity_profile,
 )
-from reachkin.model_io import JointSample, SkeletonSequence, TargetEvent, TargetLog
+from reachkin.model_io import JointStream, SkeletonSequence, TargetEvent, TargetLog
 
 
 def make_session_seq(n=60, rate=30.0):
     """Both wrists drifting right at 1 unit/s, plus still shoulders."""
-    samples = []
-    for joint, y in (("left_wrist", 0.0), ("right_wrist", 1.0),
-                     ("left_shoulder", -1.0), ("right_shoulder", -1.0)):
-        for i in range(n):
-            t = i / rate
-            samples.append(JointSample(i, t, joint, (t, y), 0.9))
-    samples.sort(key=lambda s: (s.joint, s.frame_index))
-    return SkeletonSequence("p1", "cam0", rate, tuple(samples))
+    frames = np.arange(n)
+    t = frames / rate
+    streams = {joint: JointStream(frames, t, np.column_stack([t, np.full(n, y)]),
+                                  np.full(n, 0.9))
+               for joint, y in (("left_wrist", 0.0), ("right_wrist", 1.0),
+                                ("left_shoulder", -1.0), ("right_shoulder", -1.0))}
+    return SkeletonSequence("p1", "cam0", rate, streams)
 
 
 def test_segment_reaches_one_per_collected_target():

@@ -70,6 +70,21 @@ def test_parse_joint_csv_bad_number_reports_row():
     assert exc.value.row == 3
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_parse_joint_csv_rejects_non_finite(cell):
+    bad = JOINTS_3ROW.replace("11.0,21.0", f"{cell},21.0")
+    with pytest.raises(ParseError) as exc:
+        model_io.parse_joint_csv(bad)
+    assert exc.value.row == 3
+
+
+def test_parse_target_csv_rejects_non_finite():
+    text = TARGETS_PAIR.replace("0.8,0.5", "nan,0.5")
+    with pytest.raises(ParseError) as exc:
+        model_io.parse_target_csv(text)
+    assert exc.value.row == 3
+
+
 def test_parse_joint_csv_3d_schema():
     text = ("participant_id,frame,time_s,joint,x,y,z\n"
             "p1,0,0.0,left_wrist,1.0,2.0,3.0\n"
@@ -123,6 +138,15 @@ def test_joint_roundtrip_identity(sample_session):
     assert len(back.samples) == len(seq.samples)
     for a, b in zip(back.samples, seq.samples):
         assert a == b
+
+
+def test_preprocessed_stream_parses_back(sample_session):
+    from reachkin.pipeline import PipelineConfig, preprocess_session
+    seq = preprocess_session(sample_session, PipelineConfig())
+    buf = io.StringIO()
+    model_io.write_joint_csv(seq, buf)
+    back = model_io.parse_joint_csv(buf.getvalue())
+    assert back.samples == seq.samples
 
 
 def test_target_roundtrip_identity(sample_session):
@@ -200,8 +224,8 @@ def test_validate_score_mismatch(sample_session):
 def test_validate_missing_joint(sample_session):
     from dataclasses import replace
     seq = sample_session.skeleton()
-    stripped = seq.with_samples(
-        [s for s in seq.samples if s.joint != "right_wrist"])
+    stripped = replace(seq, streams={j: s for j, s in seq.streams.items()
+                                     if j != "right_wrist"})
     bad = replace(sample_session, skeletons=(stripped,))
     report = model_io.validate_session(bad)
     assert any(f.code == "MissingJoint" and "right_wrist" in f.message
@@ -223,10 +247,10 @@ def test_joint_arrays_missing_joint(sample_session):
 def test_full_precision_float_rendering():
     # parse(serialize(v)) == v for awkward doubles
     v = 0.1 + 0.2
-    seq = model_io.SkeletonSequence("p", "c", 30.0, (
-        model_io.JointSample(0, 0.0, "left_wrist", (v, 1.0 / 3.0), 0.9),
-        model_io.JointSample(1, v, "left_wrist", (2.0, 3.0), 1.0),
-    ))
+    seq = model_io.SkeletonSequence("p", "c", 30.0, {
+        "left_wrist": model_io.JointStream(
+            np.array([0, 1]), np.array([0.0, v]),
+            np.array([(v, 1.0 / 3.0), (2.0, 3.0)]), np.array([0.9, 1.0]))})
     buf = io.StringIO()
     model_io.write_joint_csv(seq, buf)
     back = model_io.parse_joint_csv(buf.getvalue())

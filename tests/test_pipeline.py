@@ -1,5 +1,8 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +167,32 @@ def test_cli_metrics_and_stats(tmp_path, small_cohort_dir):
     assert {r[0] for r in rows} == {"directness", "max_speed"}
     header, rows = read_artifact(str(out / "tukey.csv"))
     assert len(rows) == 6   # 2 metrics x 3 pairs
+
+
+def test_cli_metrics_rejects_nan_joint_cell(tmp_path, small_cohort_dir, capsys):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    path = cohort / "p000" / "joints.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    i = next(i for i, ln in enumerate(lines)
+             if ",left_wrist," in ln and float(ln.split(",")[7]) >= 0.75)
+    fields = lines[i].split(",")
+    fields[5] = "nan"
+    lines[i] = ",".join(fields)
+    path.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert cli.main(["metrics", "--in", str(cohort), "--out", str(out)]) == 2
+    assert f"row {i + 1}" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, reachkin.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_synth_writes_cohort(tmp_path, capsys):

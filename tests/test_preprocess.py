@@ -3,7 +3,7 @@ import pytest
 
 from reachkin import preprocess
 from reachkin.errors import AllFramesRejected, FactorTooLarge, UnstableSpec
-from reachkin.model_io import JointSample, SkeletonSequence
+from reachkin.model_io import JointStream, SkeletonSequence
 from reachkin.preprocess import (
     FilterSpec,
     butterworth_filter,
@@ -18,10 +18,10 @@ def make_seq(positions, confidences=None, joint="left_wrist", rate=30.0):
     positions = np.asarray(positions, dtype=float)
     if confidences is None:
         confidences = np.full(len(positions), 0.9)
-    samples = [JointSample(i, i / rate, joint, tuple(positions[i]),
-                           float(confidences[i]))
-               for i in range(len(positions))]
-    return SkeletonSequence("p1", "cam0", rate, tuple(samples))
+    frames = np.arange(len(positions))
+    stream = JointStream(frames, frames / rate, positions,
+                         np.asarray(confidences, dtype=float))
+    return SkeletonSequence("p1", "cam0", rate, {joint: stream})
 
 
 # --- confidence gate ---------------------------------------------------------

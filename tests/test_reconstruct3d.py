@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,12 @@ from reachkin.errors import (
     InsufficientCorrespondences,
     ShouldersUntracked,
 )
-from reachkin.model_io import JointSample, SkeletonSequence
+from reachkin.model_io import (
+    JointStream,
+    SkeletonSequence,
+    parse_joint_csv,
+    write_joint_csv,
+)
 
 INTR = r3d.Intrinsics(800.0, 800.0, 320.0, 240.0)
 
@@ -159,24 +166,40 @@ def test_triangulation_translation_equivariance():
         assert np.allclose(Xb - Xa, shift, atol=1e-9)
 
 
+def camera_seq(cam, pts, confs):
+    """One camera's view of scene points, one frame per point."""
+    frames = np.arange(len(pts))
+    stream = JointStream(frames, frames / 30.0, cam.project(pts),
+                         np.asarray(confs, dtype=float))
+    return SkeletonSequence("p1", cam.camera_id, 30.0, {"left_wrist": stream})
+
+
 def test_triangulate_sequences_skips_low_confidence():
     cam1, cam2 = stereo_rig()
     pts = scene_points(4, seed=9)
     conf1 = [0.9, 0.9, 0.3, 0.9]
 
-    def seq(cam, confs):
-        samples = [JointSample(i, i / 30.0, "left_wrist",
-                               tuple(cam.project(pts[i])), confs[i])
-                   for i in range(len(pts))]
-        return SkeletonSequence("p1", cam.camera_id, 30.0, tuple(samples))
-
-    out = r3d.triangulate_sequences(seq(cam1, conf1), seq(cam2, [0.9] * 4),
+    out = r3d.triangulate_sequences(camera_seq(cam1, pts, conf1),
+                                    camera_seq(cam2, pts, [0.9] * 4),
                                     cam1, cam2)
     frames = [s.frame_index for s in out.samples]
     assert frames == [0, 1, 3]
     for s in out.samples:
         assert np.allclose(s.position, pts[s.frame_index], atol=1e-8)
         assert s.confidence == 1.0
+
+
+def test_triangulated_stream_parses_back():
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(6, seed=10)
+    confs = [0.9] * len(pts)
+    out = r3d.triangulate_sequences(camera_seq(cam1, pts, confs),
+                                    camera_seq(cam2, pts, confs), cam1, cam2)
+    buf = io.StringIO()
+    write_joint_csv(out, buf)
+    back = parse_joint_csv(buf.getvalue())
+    assert back.dims == 3
+    assert back.samples == out.samples
 
 
 # --- calibration files -------------------------------------------------------
@@ -209,17 +232,17 @@ def test_load_calibration_missing_columns(tmp_path):
 # --- shoulder normalization --------------------------------------------------
 
 def shoulder_seq(width, n=11, wrist_scale=1.0):
-    samples = []
-    for i in range(n):
-        t = i / 30.0
-        samples.append(JointSample(i, t, "left_shoulder",
-                                   (-width / 2.0, 0.0), 0.9))
-        samples.append(JointSample(i, t, "right_shoulder",
-                                   (width / 2.0, 0.0), 0.9))
-        samples.append(JointSample(i, t, "left_wrist",
-                                   (wrist_scale * i, wrist_scale * 2.0), 0.9))
-    samples.sort(key=lambda s: (s.joint, s.frame_index))
-    return SkeletonSequence("p1", "cam0", 30.0, tuple(samples))
+    frames = np.arange(n)
+
+    def stream(x, y):
+        pos = np.column_stack([np.broadcast_to(x, n), np.broadcast_to(y, n)])
+        return JointStream(frames, frames / 30.0, pos.astype(float),
+                           np.full(n, 0.9))
+
+    return SkeletonSequence("p1", "cam0", 30.0, {
+        "left_shoulder": stream(-width / 2.0, 0.0),
+        "right_shoulder": stream(width / 2.0, 0.0),
+        "left_wrist": stream(wrist_scale * frames, wrist_scale * 2.0)})
 
 
 def test_shoulder_scale_median_width():
@@ -244,8 +267,10 @@ def test_normalize_idempotent_and_scale_invariant():
 
 
 def test_shoulders_untracked():
-    samples = tuple(JointSample(i, i / 30.0, "left_wrist", (0.0, float(i)), 0.9)
-                    for i in range(5))
-    seq = SkeletonSequence("p1", "cam0", 30.0, samples)
+    frames = np.arange(5)
+    wrist = JointStream(frames, frames / 30.0,
+                        np.column_stack([np.zeros(5), frames.astype(float)]),
+                        np.full(5, 0.9))
+    seq = SkeletonSequence("p1", "cam0", 30.0, {"left_wrist": wrist})
     with pytest.raises(ShouldersUntracked):
         r3d.shoulder_scale(seq)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,44 @@ def test_write_cohort_round_trip(small_cohort_dir):
         assert disk.targets.events == mem.targets.events
         assert disk.skeletons[0].samples == mem.skeletons[0].samples
     assert (small_cohort_dir / "ground_truth.csv").is_file()
+
+
+# sha256 of every file written for generate_cohort(1, seed=0, duration=10.0),
+# recorded from the per-row JointSample implementation of the generator and
+# writer; pins the RNG draw order and the number formatting byte for byte.
+PINNED_COHORT_SHA256 = {
+    "ground_truth.csv":
+        "2535a530a7619d104655446ce58294353ef0ca834d94e4733a289079e808e849",
+    "p000/joints.csv":
+        "a88603d196709d25dbcc02091391726b1782c3923b32bcdc346598d2085325d5",
+    "p000/manifest.json":
+        "b514a169512d70252252b49fe5880615f037c1c496246550c0f7e2322e3e4f4a",
+    "p000/targets.csv":
+        "d13e7cf9571b4e01854559f3c3f9fe75cd04d11b2d71c79c5afee1b95a0c37bd",
+    "p001/joints.csv":
+        "02a31aa43573ba87b7395872562fb0dfddeb4d4ed34d0d8d3a3efc1f8e7ba440",
+    "p001/manifest.json":
+        "68936351ad088771239cba81366abc42b93a05aa750a73b582ca29ea94225823",
+    "p001/targets.csv":
+        "29b96d713b34a3688919f62b01b514d6649597fe2ebfd2fb120ec88addaafed7",
+    "p002/joints.csv":
+        "d5257550ecd5f7ce58307f1b5942274ac08eaccd4998ab6d5e9c25265446f8f3",
+    "p002/manifest.json":
+        "cbcaf15114b41bebdae308512e33576d841e6a6ed434adf3e23e4ff082cbebc1",
+    "p002/targets.csv":
+        "942c2b8c3a2caeb1c238ca9b42333754f29f5a0499599b09c8627b5f0886d76c",
+    "p003/joints.csv":
+        "617b77a0ef80db7ea98c60cb1dbd0dfa8f22e8c85dbb0f29feb934cc419d52ba",
+    "p003/manifest.json":
+        "e5b80baa4835776d057e70bcbd2964343aac2a86e29985ddefa68c2b26c614b6",
+    "p003/targets.csv":
+        "4206ea7dcd7f11c20174eb785c0e615ad3fa55d1025f7701a4daf5af34547a28",
+}
+
+
+def test_write_cohort_bytes_pinned(tmp_path):
+    synth.write_cohort(*generate_cohort(1, seed=0, duration=10.0), str(tmp_path))
+    got = {p.relative_to(tmp_path).as_posix():
+           hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert got == PINNED_COHORT_SHA256
