@@ -1,5 +1,9 @@
 """Two-view 3D recovery from scratch: pose from correspondences, then
-per-point triangulation, with and without pixel noise.
+triangulation, with and without pixel noise.
+
+The demo triangulates one point at a time with ``triangulate``;
+``triangulate_sequences`` runs the same solver batched over every frame of a
+joint, as ``reachkin reconstruct`` does.
 """
 
 import numpy as np

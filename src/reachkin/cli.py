@@ -166,20 +166,25 @@ def cmd_reconstruct(args):
     out = _out_dir(args, config)
     cams = reconstruct3d.load_calibration(args.calibration)
     cohort = load_cohort(config.input_dir, config.bins)
-    done = 0
-    for session in cohort.sessions:
-        if len(session.skeletons) < 2:
-            continue
-        seq1, seq2 = session.skeletons[:2]
-        cam1, cam2 = cams[seq1.camera_id], cams[seq2.camera_id]
-        seq3d = reconstruct3d.triangulate_sequences(
-            seq1, seq2, cam1, cam2, config.confidence_threshold)
-        dest = os.path.join(out, session.participant_id)
+    pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
+             if len(s.skeletons) >= 2]
+    for pid, views in pairs:
+        for seq in views:
+            if seq.camera_id not in cams:
+                raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
+                                 f"is not in {args.calibration}")
+    for pid, (seq1, seq2) in pairs:
+        try:
+            seq3d = reconstruct3d.triangulate_sequences(
+                seq1, seq2, cams[seq1.camera_id], cams[seq2.camera_id],
+                config.confidence_threshold)
+        except NumericalError as exc:
+            raise type(exc)(f"participant {pid}: {exc}") from exc
+        dest = os.path.join(out, pid)
         os.makedirs(dest, exist_ok=True)
         with open(os.path.join(dest, "joints_3d.csv"), "w") as fh:
             write_joint_csv(seq3d, fh)
-        done += 1
-    print(f"reconstructed {done} sessions into {out}")
+    print(f"reconstructed {len(pairs)} sessions into {out}")
     return 0
 
 

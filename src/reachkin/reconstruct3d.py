@@ -2,13 +2,15 @@
 triangulation by reprojection-error minimization, and shoulder-width
 normalization.
 
+Triangulation is batched: one vectorized Gauss-Newton refines every frame of
+a joint at once; per-point masks keep each result what it would be alone.
+
 Camera 1 is fixed at the identity pose; camera 2 is recovered up to scale.
 The global scale is fixed downstream by shoulder normalization.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,12 +19,12 @@ from .errors import (
     DegenerateConfiguration,
     InputError,
     InsufficientCorrespondences,
-    MissingColumn,
     NoConvergence,
+    ParseError,
     RayParallel,
     ShouldersUntracked,
 )
-from .model_io import JointStream, SkeletonSequence
+from .model_io import JointStream, SkeletonSequence, _float, _read_table
 
 
 @dataclass(frozen=True)
@@ -154,16 +156,9 @@ def solve_relative_pose(pts1, pts2, intr1: Intrinsics, intr2: Intrinsics):
     for R in (U @ W @ Vt, U @ W.T @ Vt):
         for tsign in (U[:, 2], -U[:, 2]):
             cam2 = make_camera("cam2", intr2, R, tsign)
-            front = 0
-            for a, b in zip(pts1, pts2):
-                try:
-                    X, _ = _triangulate_linear(a, b, cam1, cam2)
-                except RayParallel:
-                    continue
-                z1 = (cam1.rotation @ X + cam1.translation)[2]
-                z2 = (cam2.rotation @ X + cam2.translation)[2]
-                if z1 > 0 and z2 > 0:
-                    front += 1
+            X, status = _linear_batch(pts1, pts2, cam1, cam2)
+            front = np.count_nonzero((status == 0) & (_depth(X, cam1) > 0)
+                                     & (_depth(X, cam2) > 0))
             if best is None or front > best[0]:
                 best = (front, cam2)
     if best is None or best[0] == 0:
@@ -173,92 +168,144 @@ def solve_relative_pose(pts1, pts2, intr1: Intrinsics, intr2: Intrinsics):
 
 # --- triangulation ---------------------------------------------------------
 
-def _triangulate_linear(px1, px2, cam1, cam2):
+# Per-point outcome of a batched triangulation: 0 is success, any other code
+# names the error a failing point raises.
+_PARALLEL, _AT_INFINITY, _SINGULAR, _NO_CONVERGENCE, _BEHIND = range(1, 6)
+_FAILURES = {
+    _PARALLEL: (RayParallel, "viewing rays are (near-)parallel"),
+    _AT_INFINITY: (RayParallel, "point at infinity"),
+    _SINGULAR: (RayParallel, "normal equations singular during refinement"),
+    _NO_CONVERGENCE: (NoConvergence, "no convergence after {max_iter} "
+                      "iterations (best rms {rms:.3g} px)"),
+    _BEHIND: (DegenerateConfiguration,
+              "point is not in front of both cameras"),
+}
+
+
+def _linear_batch(px1, px2, cam1, cam2):
+    """Homogeneous least-squares triangulation of (N, 2) pixel pairs: X (N, 3)
+    and a status (N,), 0 where valid; X is nan elsewhere."""
     P1, P2 = cam1.P, cam2.P
-    A = np.vstack([
-        px1[0] * P1[2] - P1[0],
-        px1[1] * P1[2] - P1[1],
-        px2[0] * P2[2] - P2[0],
-        px2[1] * P2[2] - P2[1]])
+    A = np.stack([px1[:, :1] * P1[2] - P1[0],
+                  px1[:, 1:] * P1[2] - P1[1],
+                  px2[:, :1] * P2[2] - P2[0],
+                  px2[:, 1:] * P2[2] - P2[1]], axis=1)
     _, s, Vt = np.linalg.svd(A)
-    if s[-2] < 1e-12 * max(s[0], 1e-12):
-        raise RayParallel("viewing rays are (near-)parallel")
-    Xh = Vt[-1]
-    if abs(Xh[3]) < 1e-14:
-        raise RayParallel("point at infinity")
-    X = Xh[:3] / Xh[3]
-    return X, _reproj_residuals(X, px1, px2, cam1, cam2)
+    Xh = Vt[:, -1]
+    status = np.where(s[:, -2] < 1e-12 * np.maximum(s[:, 0], 1e-12), _PARALLEL,
+                      np.where(np.abs(Xh[:, 3]) < 1e-14, _AT_INFINITY, 0))
+    w = np.where(status == 0, Xh[:, 3], np.nan)
+    return Xh[:, :3] / w[:, None], status
 
 
-def _reproj_residuals(X, px1, px2, cam1, cam2):
-    r = np.concatenate([cam1.project(X) - px1, cam2.project(X) - px2])
-    return r
+def _triangulate_linear(px1, px2, cam1, cam2):
+    """Linear triangulation of one point: (X, reprojection residuals (4,))."""
+    px1 = np.asarray(px1, dtype=float).reshape(1, 2)
+    px2 = np.asarray(px2, dtype=float).reshape(1, 2)
+    X, status = _linear_batch(px1, px2, cam1, cam2)
+    if status[0]:
+        error, message = _FAILURES[status[0]]
+        raise error(message)
+    return X[0], _residuals(X, px1, px2, cam1, cam2)[0]
+
+
+def _residuals(X, px1, px2, cam1, cam2):
+    """Pixel reprojection residuals (N, 4): camera 1 (u, v), then camera 2."""
+    return np.hstack([cam1.project(X) - px1, cam2.project(X) - px2])
+
+
+def _depth(X, cam):
+    """Depth (N,) of world points along the camera's optical axis."""
+    return X @ cam.rotation[2] + cam.translation[2]
 
 
 def _jacobian(X, cam):
-    """d(pixel)/d(X) for one camera, 2x3."""
+    """d(pixel)/d(X) for one camera, (N, 2, 3)."""
     R = cam.rotation
-    c = R @ X + cam.translation
+    x, y, z = (X @ R.T + cam.translation).T
     fx, fy = cam.intrinsics.fx, cam.intrinsics.fy
-    x, y, z = c
-    d_uv_dc = np.array([[fx / z, 0.0, -fx * x / z ** 2],
-                        [0.0, fy / z, -fy * y / z ** 2]])
-    return d_uv_dc @ R
+    du = (fx / z)[:, None] * R[0] - (fx * x / z ** 2)[:, None] * R[2]
+    dv = (fy / z)[:, None] * R[1] - (fy * y / z ** 2)[:, None] * R[2]
+    return np.stack([du, dv], axis=1)
+
+
+@np.errstate(divide="ignore", invalid="ignore")   # bad points get a status
+def _triangulate_batch(px1, px2, cam1, cam2, max_iter=50, step_tol=1e-10,
+                       where=None):
+    """Triangulate N points by Gauss-Newton on squared pixel reprojection error.
+
+    Linear (homogeneous least-squares) initialization, then Gauss-Newton with
+    step halving (up to 8 halvings) on all points at once. A point leaves the
+    iteration once its step is below ``step_tol`` or no halving lowers its
+    cost. Returns (X (N, 3), rms residual in px (N,)); the first failing
+    point raises, its message prefixed by ``where(index)`` when given.
+    """
+    X, status = _linear_batch(px1, px2, cam1, cam2)
+    active = np.flatnonzero(status == 0)
+    r = np.full((len(X), 4), np.nan)
+    r[active] = _residuals(X[active], px1[active], px2[active], cam1, cam2)
+    cost = np.einsum("ij,ij->i", r, r)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        J = np.concatenate([_jacobian(X[active], cam1),
+                            _jacobian(X[active], cam2)], axis=1)
+        H = np.einsum("nki,nkj->nij", J, J)
+        g = np.einsum("nki,nk->ni", J, r[active])
+        singular = np.linalg.det(H) == 0   # exactly where solve would fail
+        H[singular] = np.eye(3)
+        step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+        status[active[singular]] = _SINGULAR
+
+        pending = ~singular & (np.linalg.norm(step, axis=1) >= step_tol)
+        improved = np.zeros(active.size, dtype=bool)
+        for halvings in range(9):   # full step + up to 8 halvings
+            k = np.flatnonzero(pending & ~improved)
+            if not k.size:
+                break
+            pts = active[k]
+            Xn = X[pts] + 0.5 ** halvings * step[k]
+            rn = _residuals(Xn, px1[pts], px2[pts], cam1, cam2)
+            cn = np.einsum("ij,ij->i", rn, rn)
+            ok = cn <= cost[pts]
+            X[pts[ok]], r[pts[ok]], cost[pts[ok]] = Xn[ok], rn[ok], cn[ok]
+            improved[k[ok]] = True
+        # Points without an improving step have converged (to within the
+        # line-search resolution) or failed; the rest iterate again.
+        active = active[improved]
+    status[active] = _NO_CONVERGENCE
+    in_front = (_depth(X, cam1) > 0) & (_depth(X, cam2) > 0)
+    status[(status == 0) & ~in_front] = _BEHIND
+
+    rms = np.sqrt(cost / 4.0)
+    bad = np.flatnonzero(status)
+    if bad.size:
+        i = bad[0]
+        error, message = _FAILURES[status[i]]
+        raise error((f"{where(i)}: " if where else "")
+                    + message.format(max_iter=max_iter, rms=rms[i]))
+    return X, rms
 
 
 def triangulate(px1, px2, cam1: CameraModel, cam2: CameraModel,
                 max_iter: int = 50, step_tol: float = 1e-10):
-    """Triangulate one point by Gauss-Newton on squared pixel reprojection error.
-
-    Linear (homogeneous least-squares) initialization, then Gauss-Newton with
-    step halving (up to 8 halvings). Returns (X, rms_residual_px, converged).
-    """
-    px1 = np.asarray(px1, dtype=float)
-    px2 = np.asarray(px2, dtype=float)
-    X, r = _triangulate_linear(px1, px2, cam1, cam2)
-    cost = float(r @ r)
-
-    converged = False
-    for _ in range(max_iter):
-        J = np.vstack([_jacobian(X, cam1), _jacobian(X, cam2)])
-        g = J.T @ r
-        H = J.T @ J
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            raise RayParallel("normal equations singular during refinement")
-        if np.linalg.norm(step) < step_tol:
-            converged = True
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(9):   # full step + up to 8 halvings
-            Xn = X + scale * step
-            rn = _reproj_residuals(Xn, px1, px2, cam1, cam2)
-            cn = float(rn @ rn)
-            if cn <= cost:
-                X, r, cost = Xn, rn, cn
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            converged = True   # at a local minimum within line-search resolution
-            break
-
-    rms = float(np.sqrt(cost / 4.0))
-    if not converged:
-        raise NoConvergence(f"no convergence after {max_iter} iterations "
-                            f"(best rms {rms:.3g} px)")
-    return X, rms
+    """Triangulate one point by Gauss-Newton on squared pixel reprojection
+    error (see _triangulate_batch). Returns (X, rms_residual_px)."""
+    X, rms = _triangulate_batch(np.asarray(px1, dtype=float).reshape(1, 2),
+                                np.asarray(px2, dtype=float).reshape(1, 2),
+                                cam1, cam2, max_iter, step_tol)
+    return X[0], float(rms[0])
 
 
 def triangulate_sequences(seq1: SkeletonSequence, seq2: SkeletonSequence,
                           cam1: CameraModel, cam2: CameraModel,
                           confidence_threshold: float = 0.75):
-    """Per-frame independent triangulation of every joint seen by both cameras.
+    """Per-frame independent triangulation of every joint seen by both
+    cameras, batched over each joint's frames.
 
     Frames where either camera's observation fails the confidence gate are
-    skipped; the resulting gaps are repaired downstream by preprocessing.
+    skipped; the resulting gaps are repaired downstream by preprocessing. A
+    failure names the joint and the first failing frame.
     """
     streams = {}
     for joint in sorted(set(seq1.joints) & set(seq2.joints)):
@@ -268,14 +315,18 @@ def triangulate_sequences(seq1: SkeletonSequence, seq2: SkeletonSequence,
         seen = (c1[i1] >= confidence_threshold) & (c2[i2] >= confidence_threshold)
         i1, i2 = i1[seen], i2[seen]
         if i1.size:
-            points = [triangulate(a, b, cam1, cam2)[0]
-                      for a, b in zip(p1[i1], p2[i2])]
-            streams[joint] = JointStream(f1[i1], t1[i1], np.array(points),
-                                         np.ones(i1.size))
+            X, _ = _triangulate_batch(
+                p1[i1], p2[i2], cam1, cam2,
+                where=lambda i: f"joint {joint} frame {f1[i1[i]]}")
+            streams[joint] = JointStream(f1[i1], t1[i1], X, np.ones(i1.size))
     return SkeletonSequence(seq1.participant_id, "", seq1.sample_rate, streams)
 
 
 # --- calibration files -----------------------------------------------------
+
+_EXTRINSICS = [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)] \
+    + ["t1", "t2", "t3"]
+
 
 def load_calibration(path):
     """Read a per-camera calibration csv.
@@ -283,27 +334,25 @@ def load_calibration(path):
     Columns: ``camera_id,fx,fy,cx,cy`` with an optional extrinsics block
     ``r11..r33,t1,t2,t3`` (row-major rotation). Cameras without extrinsics
     get the identity pose (use solve_relative_pose to recover the second
-    camera).
+    camera). A missing, non-numeric or non-finite number, a non-positive
+    focal length or a non-rotation raises a ParseError naming the row.
     """
-    cams = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"camera_id", "fx", "fy", "cx", "cy"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise MissingColumn(f"calibration file needs columns {sorted(required)}")
-        ext_cols = [f"r{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)] \
-            + ["t1", "t2", "t3"]
-        has_ext = all(c in reader.fieldnames for c in ext_cols)
-        for row in reader:
-            intr = Intrinsics(float(row["fx"]), float(row["fy"]),
-                              float(row["cx"]), float(row["cy"]))
-            R, t = None, None
-            if has_ext and row.get("r11", "") != "":
-                R = np.array([[float(row[f"r{i}{j}"]) for j in (1, 2, 3)]
-                              for i in (1, 2, 3)])
-                t = np.array([float(row["t1"]), float(row["t2"]),
-                              float(row["t3"])])
-            cams[row["camera_id"]] = make_camera(row["camera_id"], intr, R, t)
+        col, rows, rownums = _read_table(
+            fh, "calibration",
+            lambda header: ["camera_id", "fx", "fy", "cx", "cy"]
+            + (_EXTRINSICS if set(_EXTRINSICS) <= set(header) else []))
+    cams = {}
+    for row, rownum in zip(rows, rownums):
+        has_pose = "r11" in col and row[col["r11"]] != ""
+        names = ["fx", "fy", "cx", "cy"] + (_EXTRINSICS if has_pose else [])
+        v = [_float(row[col[name]], name, rownum) for name in names]
+        pose = (np.reshape(v[4:13], (3, 3)), v[13:]) if has_pose else ()
+        camera_id = row[col["camera_id"]]
+        try:
+            cams[camera_id] = make_camera(camera_id, Intrinsics(*v[:4]), *pose)
+        except ValueError as exc:
+            raise ParseError(f"camera {camera_id!r}: {exc}", row=rownum) from exc
     return cams
 
 

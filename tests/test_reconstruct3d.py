@@ -1,19 +1,28 @@
 import io
+import time
 
 import numpy as np
 import pytest
 
+from reachkin import cli
 from reachkin import reconstruct3d as r3d
 from reachkin.errors import (
     DegenerateConfiguration,
     InsufficientCorrespondences,
+    ParseError,
+    RayParallel,
     ShouldersUntracked,
 )
 from reachkin.model_io import (
     JointStream,
+    ParticipantSession,
+    SessionManifest,
     SkeletonSequence,
+    TargetEvent,
+    TargetLog,
     parse_joint_csv,
     write_joint_csv,
+    write_session,
 )
 
 INTR = r3d.Intrinsics(800.0, 800.0, 320.0, 240.0)
@@ -166,12 +175,126 @@ def test_triangulation_translation_equivariance():
         assert np.allclose(Xb - Xa, shift, atol=1e-9)
 
 
-def camera_seq(cam, pts, confs):
+# Per-point Gauss-Newton results (X, rms) for noisy_pairs() points, recorded
+# from the one-point-at-a-time implementation. They span 2 to 11 iterations,
+# 0 to 36 step halvings, and refinements that stop when no halving lowers the
+# cost (points 137, 205, 308, 440, 1515).
+PER_POINT_REFERENCE = {
+    0: (-0.7449131078977371, -0.26169483018128137, 3.8914651605818404,
+        0.30015672910604074),
+    1: (0.00438424442406959, 0.3115430203080737, 3.6343803911767294,
+        0.5629466136727554),
+    2: (0.20022383494659957, 0.9641310692141347, 5.385940489021767,
+        0.7368126747710918),
+    4: (-0.7190690586861392, -0.5716812967625357, 3.0669255584440034,
+        1.1835517799331947),
+    5: (0.8579330923726116, -0.8661013588152298, 4.635784545859303,
+        1.3375674938996218),
+    10: (-0.26731083935508043, -0.49687649541454093, 4.667841957378996,
+         2.1460044278688417),
+    12: (0.3257904001181584, 0.20974670138882867, 4.765580824718557,
+         1.1882457471754622),
+    35: (-0.7021473972220761, -0.6070279562491676, 5.274390572707314,
+         1.3016540956113167),
+    37: (-0.5450062558647442, -0.008047332486131058, 5.392231756425173,
+         1.2159482598202966),
+    40: (-0.9253962151370402, 0.2873685708103178, 5.953357128832457,
+         0.001609166675018677),
+    44: (0.8037779552399933, -0.6206634371028629, 3.669877730304574,
+         1.6458407967139332),
+    137: (-0.8987162897205069, 1.0154999905366675, 5.08890809184546,
+          1.4012844308596668),
+    180: (-0.33378560719408884, 0.7842827012112031, 3.238754917511727,
+          2.631038389340467),
+    195: (0.607540426268025, 0.6101757647932712, 3.891782317561979,
+          0.004667141569460054),
+    205: (0.7082126810229668, 0.5817463702499448, 5.71579631412611,
+          2.084688900631351),
+    224: (-0.5760522094489715, 0.23139166341650105, 5.9691134263784935,
+          0.002892809213127177),
+    308: (0.29526863026131694, -0.7487773816433463, 5.853250342082851,
+          1.5229759565890038),
+    310: (-0.9441498447389832, -0.10411225596793904, 4.486838150677681,
+          1.5726260279689626),
+    440: (0.9107540034015738, 0.6761776269624625, 4.68666230118608,
+          1.6097141464618496),
+    1515: (-0.5826749653143052, -0.7694218418234587, 4.948511165461153,
+           2.4756974516835935),
+}
+
+
+def noisy_pairs(sigma, n=2000, seed=0):
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(n, seed=11)
+    rng = np.random.default_rng(seed)
+    return (cam1.project(pts) + rng.normal(0, sigma, (n, 2)),
+            cam2.project(pts) + rng.normal(0, sigma, (n, 2)))
+
+
+def test_batch_matches_per_point_reference():
+    cam1, cam2 = stereo_rig()
+    px1, px2 = noisy_pairs(2.0)
+    idx = sorted(PER_POINT_REFERENCE)
+    ref = np.array([PER_POINT_REFERENCE[i] for i in idx])
+    X, rms = r3d._triangulate_batch(px1[idx], px2[idx], cam1, cam2)
+    assert np.abs(X - ref[:, :3]).max() < 1e-9
+    assert np.abs(rms - ref[:, 3]).max() < 1e-12
+    for i, expected in zip(idx, ref):
+        Xi, rmsi = r3d.triangulate(px1[i], px2[i], cam1, cam2)
+        assert np.abs(Xi - expected[:3]).max() < 1e-9
+        assert abs(rmsi - expected[3]) < 1e-12
+
+
+def test_batch_result_independent_of_other_points():
+    cam1, cam2 = stereo_rig()
+    groups = [noisy_pairs(sigma, n=8, seed=k)
+              for k, sigma in enumerate((0.0, 0.5, 5.0))]
+    px1 = np.concatenate([g[0] for g in groups])
+    px2 = np.concatenate([g[1] for g in groups])
+    order = np.random.default_rng(1).permutation(len(px1))
+    px1, px2 = px1[order], px2[order]
+    X, rms = r3d._triangulate_batch(px1, px2, cam1, cam2)
+    # Each point runs the same arithmetic alone or in the batch; a mask or
+    # indexing mix-up between points moves results by about 1e-10 here.
+    for i in range(len(px1)):
+        Xi, rmsi = r3d.triangulate(px1[i], px2[i], cam1, cam2)
+        assert np.abs(X[i] - Xi).max() < 1e-12
+        assert abs(rms[i] - rmsi) < 1e-12
+
+
+def test_triangulate_sequences_throughput():
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(20000, seed=12)
+    confs = np.ones(len(pts))
+    seq1, seq2 = camera_seq(cam1, pts, confs), camera_seq(cam2, pts, confs)
+    t0 = time.perf_counter()
+    out = r3d.triangulate_sequences(seq1, seq2, cam1, cam2)
+    assert time.perf_counter() - t0 < 2.0
+    assert np.abs(out.streams["left_wrist"].pos - pts).max() < 1e-6
+
+
+def test_parallel_rays_flagged_per_point():
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(20, seed=13)
+    px1, px2 = cam1.project(pts), cam2.project(pts)
+    # point 1 at infinity: both viewing rays run along one direction
+    px1[1], px2[1] = cam1.project(1e30 * pts[1]), cam2.project(1e30 * pts[1])
+    X, status = r3d._linear_batch(px1, px2, cam1, cam2)
+    assert np.flatnonzero(status).tolist() == [1]
+    assert np.abs(np.delete(X, 1, axis=0) - np.delete(pts, 1, axis=0)).max() < 1e-9
+    with pytest.raises(RayParallel):
+        r3d.triangulate(px1[1], px2[1], cam1, cam2)
+    # the pose search skips the point instead of failing on it
+    _, got2 = r3d.solve_relative_pose(px1, px2, INTR, INTR)
+    assert np.linalg.norm(got2.rotation - cam2.rotation) < 1e-6
+
+
+def camera_seq(cam, pts, confs, pid="p1"):
     """One camera's view of scene points, one frame per point."""
     frames = np.arange(len(pts))
     stream = JointStream(frames, frames / 30.0, cam.project(pts),
                          np.asarray(confs, dtype=float))
-    return SkeletonSequence("p1", cam.camera_id, 30.0, {"left_wrist": stream})
+    return SkeletonSequence(pid, cam.camera_id, 30.0, {"left_wrist": stream})
 
 
 def test_triangulate_sequences_skips_low_confidence():
@@ -227,6 +350,77 @@ def test_load_calibration_missing_columns(tmp_path):
     path.write_text("camera_id,fx,fy\ncam1,800,800\n")
     with pytest.raises(MissingColumn):
         r3d.load_calibration(path)
+
+
+def write_calibration(path, cams):
+    lines = ["camera_id,fx,fy,cx,cy,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
+             "t1,t2,t3"]
+    for cam in cams:
+        i = cam.intrinsics
+        values = (i.fx, i.fy, i.cx, i.cy, *cam.rotation.ravel(),
+                  *cam.translation)
+        lines.append(",".join([cam.camera_id, *map(repr, map(float, values))]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("fx", "nan"), ("cy", "inf"), ("t2", "-inf"), ("cx", "abc"), ("r12", ""),
+    ("fy", "-800.0"), ("r11", "2.0")])
+def test_load_calibration_bad_cell_names_row(tmp_path, column, cell):
+    path = tmp_path / "calib.csv"
+    write_calibration(path, stereo_rig())
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[lines[0].split(",").index(column)] = cell
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="row 3"):
+        r3d.load_calibration(path)
+
+
+def write_stereo_session(root, pid, cams, pts):
+    views = tuple(camera_seq(cam, pts, np.full(len(pts), 0.9), pid)
+                  for cam in cams)
+    manifest = SessionManifest(pid, 8, (640, 480), 30.0,
+                               tuple(cam.camera_id for cam in cams))
+    targets = TargetLog((TargetEvent(1, "left", (0.4, 0.5), 0.0),
+                         TargetEvent(1, "right", (0.6, 0.5), 0.0)))
+    write_session(ParticipantSession(pid, 8, views, targets, 0, manifest),
+                  str(root / pid))
+
+
+def reconstruct(tmp_path, calibration_cams):
+    write_calibration(tmp_path / "calib.csv", calibration_cams)
+    return cli.main(["reconstruct", "--in", str(tmp_path / "in"),
+                     "--out", str(tmp_path / "out"),
+                     "--calibration", str(tmp_path / "calib.csv")])
+
+
+def test_cli_reconstruct_names_missing_camera(tmp_path, capsys):
+    cam1, cam2 = stereo_rig()
+    cam3 = r3d.make_camera("cam3", INTR, cam2.rotation, cam2.translation)
+    pts = scene_points(12, seed=14)
+    write_stereo_session(tmp_path / "in", "p000", (cam1, cam2), pts)
+    write_stereo_session(tmp_path / "in", "p001", (cam1, cam3), pts)
+    assert reconstruct(tmp_path, (cam1, cam2)) == 2
+    err = capsys.readouterr().err
+    assert "participant p001" in err and "'cam3'" in err
+    assert not list((tmp_path / "out").glob("*/joints_3d.csv"))
+
+
+@pytest.mark.parametrize("views_differ", [True, False])
+def test_cli_reconstruct_names_participant_and_joint_of_failure(
+        tmp_path, capsys, views_differ):
+    # Calibration puts cam2 at cam1's pose. With distinct views every ray
+    # pair meets at the shared camera centre; with equal views the rays are
+    # parallel.
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(12, seed=15)
+    second = cam2 if views_differ else r3d.make_camera("cam2", INTR)
+    write_stereo_session(tmp_path / "in", "p000", (cam1, second), pts)
+    assert reconstruct(tmp_path, (cam1, r3d.make_camera("cam2", INTR))) == 3
+    err = capsys.readouterr().err
+    assert "participant p000" in err and "joint left_wrist frame 0" in err
 
 
 # --- shoulder normalization --------------------------------------------------
