@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DivergedLoss, SequenceTooShort
+from .errors import DivergedLoss, SequenceTooShort, TooFewParticipants
 from .model_io import Cohort
 
 CONFUSION_BINS = ((6, 8), (9, 10), (11, 13), (14, 17))
@@ -104,8 +104,9 @@ def wrist_channels(session, decimation: int = 2, confidence_threshold: float = 0
 
 
 def windows_from_cohort(cohort: Cohort, window: int = 200, stride: int = 100,
-                        decimation: int = 2):
-    seqs = [(s.participant_id, s.age, wrist_channels(s, decimation))
+                        decimation: int = 2, confidence_threshold: float = 0.75):
+    seqs = [(s.participant_id, s.age,
+             wrist_channels(s, decimation, confidence_threshold))
             for s in cohort.sessions]
     return window_dataset(seqs, window, stride)
 
@@ -442,7 +443,7 @@ def cross_validate(windows, folds: int = 5, split: float = 0.7,
         by_pid.setdefault(w.participant_id, []).append(w)
     pids = sorted(by_pid)
     if len(pids) < 10:
-        raise ValueError(f"need >= 10 participants, got {len(pids)}")
+        raise TooFewParticipants(f"need >= 10 participants, got {len(pids)}")
 
     rng = np.random.default_rng(seed)
     fold_rmse = []

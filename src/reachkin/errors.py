@@ -124,9 +124,17 @@ class ZeroWithinVariance(NumericalError):
     pass
 
 
+class TooFewSamples(InputError):
+    pass
+
+
 # --- age model -------------------------------------------------------------
 
 class SequenceTooShort(InputError):
+    pass
+
+
+class TooFewParticipants(InputError):
     pass
 
 

@@ -1,11 +1,14 @@
-"""End-to-end orchestration: configuration, stage wiring, artifact files, and
-simple SVG figure analogs.
+"""End-to-end orchestration: configuration, the stage table, artifact files,
+and simple SVG figure analogs.
 
-Stage order is fixed: ingest -> preprocess -> segment -> metrics -> progress
--> stats; training is independent and runs from the 2D streams alone, and
-two-view reconstruction runs only as ``reachkin reconstruct``. Every artifact
-file starts with a comment line recording the configuration hash and seed,
-and all files are written atomically (temp file + rename).
+``STAGES`` is the stage graph: ingest -> metrics -> progress -> stats, with
+train and report alongside. ``run_stages`` computes the requested stages and
+what they need, naming the stage in any error, and writes the requested
+stages' artifacts only once every computation has succeeded. The pipeline
+and each stage subcommand run through it; two-view reconstruction runs only
+as ``reachkin reconstruct``. Every artifact file starts with a comment line
+recording the configuration hash and seed, and all files are written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +26,6 @@ from . import agenet, kinematics, progress_spline, reconstruct3d, stats, synth
 from .errors import (
     ConfigError,
     InputError,
-    NumericalError,
     ReachkinError,
     TooFewInliers,
     ZeroInitialDistance,
@@ -46,7 +48,6 @@ class PipelineConfig:
     input_dir: str = "."
     out_dir: str = "out"
     seed: int = 0
-    jobs: int = 1
     # preprocessing
     confidence_threshold: float = 0.75
     decimation: int = 2
@@ -306,7 +307,8 @@ def write_stats(results, anova_path, tukey_path, config):
 
 def run_training(cohort, config: PipelineConfig):
     windows, skipped = agenet.windows_from_cohort(
-        cohort, config.window, config.stride, config.decimation)
+        cohort, config.window, config.stride, config.decimation,
+        config.confidence_threshold)
     report = agenet.cross_validate(
         windows, folds=config.folds, split=config.split,
         epochs=config.epochs, seed=config.seed, lr=config.learning_rate)
@@ -327,7 +329,8 @@ def write_training(report, cv_path, confusion_path, config):
 
 # --- figure analogs --------------------------------------------------------
 
-def write_bars(summaries, path, config):
+def bar_rows(summaries, config):
+    """Per-group mean and std of each metric, as bars.csv rows."""
     rows = []
     for metric, attr in (("directness", "median_directness"),
                          ("max_speed", "median_max_speed")):
@@ -335,8 +338,11 @@ def write_bars(summaries, path, config):
         for label, values in zip(grouped.labels, grouped.groups):
             arr = np.asarray(values)
             rows.append([metric, label, _fnum(arr.mean()), _fnum(arr.std())])
-    write_artifact(path, ["metric", "group", "mean", "std"], rows, config)
     return rows
+
+
+def write_bars(rows, path, config):
+    write_artifact(path, ["metric", "group", "mean", "std"], rows, config)
 
 
 def write_trajectories(cohort, segments_by_pid, path, config):
@@ -445,11 +451,7 @@ def svg_trajectories(traj_path_csv, path, config):
     _svg(path, width, height, body, config)
 
 
-# --- top level -------------------------------------------------------------
-
-ARTIFACTS = ("metrics.csv", "anova.csv", "tukey.csv", "spline.csv",
-             "cv_report.csv", "confusion.csv", "progress_curves.csv")
-
+# --- stage table -------------------------------------------------------------
 
 class StageFailure(ReachkinError):
     def __init__(self, stage, cause):
@@ -458,49 +460,79 @@ class StageFailure(ReachkinError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-def run_pipeline(config: PipelineConfig):
-    """Run every stage and emit all artifact files into config.out_dir."""
-    os.makedirs(config.out_dir, exist_ok=True)
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except ReachkinError as exc:
-            raise StageFailure(name, exc)
-
-    cohort = stage("ingest", lambda: load_cohort(config.input_dir, config.bins))
+def _ingest(config):
+    cohort = load_cohort(config.input_dir, config.bins)
     for session in cohort.sessions:
         report = validate_session(session)
         if not report.ok:
-            raise StageFailure(
-                "ingest", InputError(
-                    f"participant {session.participant_id}: "
-                    + "; ".join(f.message for f in report.findings)))
+            raise InputError(f"participant {session.participant_id}: "
+                             + "; ".join(f.message for f in report.findings))
+    return cohort
 
-    summaries, segments_by_pid = stage(
-        "metrics", lambda: cohort_metrics(cohort, config))
-    write_metrics(summaries, os.path.join(config.out_dir, "metrics.csv"), config)
 
-    curves = stage("progress",
-                   lambda: group_curves(cohort, segments_by_pid, config))
-    fits = stage("progress", lambda: fit_group_splines(curves, config))
-    write_splines(fits, os.path.join(config.out_dir, "spline.csv"),
-                  os.path.join(config.out_dir, "progress_curves.csv"), config)
+def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
+    write_bars(r["report"], bars, config)
+    write_trajectories(r["ingest"], r["metrics"][1], traj, config)
+    svg_bars(r["report"], bars_svg, config)
+    svg_progress(r["progress"], progress_svg, config)
+    svg_trajectories(traj, traj_svg, config)
 
-    results = stage("stats", lambda: run_stats(summaries, config))
-    write_stats(results, os.path.join(config.out_dir, "anova.csv"),
-                os.path.join(config.out_dir, "tukey.csv"), config)
 
-    cv_report, _ = stage("train", lambda: run_training(cohort, config))
-    write_training(cv_report, os.path.join(config.out_dir, "cv_report.csv"),
-                   os.path.join(config.out_dir, "confusion.csv"), config)
+# name -> (stages it needs, compute(results, config), artifact file names,
+#          write(results, config, *artifact paths)), in dependency order.
+# ``results`` maps each computed stage to its value. The lambdas look the
+# module functions up when called, so replacing one (to wrap it for
+# tracing, say) takes effect here too.
+STAGES = {
+    "ingest": ((), lambda r, c: _ingest(c), (), None),
+    "metrics": (("ingest",), lambda r, c: cohort_metrics(r["ingest"], c),
+                ("metrics.csv",),
+                lambda r, c, path: write_metrics(r["metrics"][0], path, c)),
+    "progress": (("ingest", "metrics"),
+                 lambda r, c: fit_group_splines(
+                     group_curves(r["ingest"], r["metrics"][1], c), c),
+                 ("spline.csv", "progress_curves.csv"),
+                 lambda r, c, *paths: write_splines(r["progress"], *paths, c)),
+    "stats": (("metrics",), lambda r, c: run_stats(r["metrics"][0], c),
+              ("anova.csv", "tukey.csv"),
+              lambda r, c, *paths: write_stats(r["stats"], *paths, c)),
+    "train": (("ingest",), lambda r, c: run_training(r["ingest"], c),
+              ("cv_report.csv", "confusion.csv"),
+              lambda r, c, *paths: write_training(r["train"][0], *paths, c)),
+    "report": (("ingest", "metrics", "progress"),
+               lambda r, c: bar_rows(r["metrics"][0], c),
+               ("bars.csv", "trajectories.csv", "bars.svg", "progress.svg",
+                "trajectories.svg"), _write_report),
+}
 
-    bar_rows = write_bars(summaries, os.path.join(config.out_dir, "bars.csv"),
-                          config)
-    traj_csv = os.path.join(config.out_dir, "trajectories.csv")
-    write_trajectories(cohort, segments_by_pid, traj_csv, config)
-    svg_bars(bar_rows, os.path.join(config.out_dir, "bars.svg"), config)
-    svg_progress(fits, os.path.join(config.out_dir, "progress.svg"), config)
-    svg_trajectories(traj_csv, os.path.join(config.out_dir, "trajectories.svg"),
-                     config)
+ARTIFACTS = tuple(name for _, _, names, _ in STAGES.values() for name in names)
+
+
+def run_stages(config: PipelineConfig, names, done=None):
+    """Compute the named stages and every stage they need, then write the
+    named stages' artifacts into config.out_dir; nothing is written unless
+    every computation succeeded. ``done`` maps stages to values that are
+    used instead of computing them. Returns stage name -> value."""
+    results = dict(done or {})
+    todo = set(names)
+    for name in reversed(STAGES):      # a stage comes after what it needs
+        if name in todo and name not in results:
+            todo.update(STAGES[name][0])
+    for name, (_, compute, _, _) in STAGES.items():
+        if name in todo and name not in results:
+            try:
+                results[name] = compute(results, config)
+            except ReachkinError as exc:
+                raise StageFailure(name, exc) from exc
+    os.makedirs(config.out_dir, exist_ok=True)
+    for name, (_, _, artifacts, write) in STAGES.items():
+        if name in names and artifacts:
+            write(results, config,
+                  *(os.path.join(config.out_dir, a) for a in artifacts))
+    return results
+
+
+def run_pipeline(config: PipelineConfig):
+    """Run every stage and emit all artifact files into config.out_dir."""
+    run_stages(config, tuple(STAGES))
     return config.out_dir

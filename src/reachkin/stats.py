@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ZeroWithinVariance
+from .errors import TooFewSamples, ZeroWithinVariance
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,10 @@ class GroupedSamples:
         if len(self.labels) != len(self.groups):
             raise ValueError("labels and groups differ in length")
         if len(self.groups) < 2:
-            raise ValueError("need at least 2 groups")
+            raise TooFewSamples("need at least 2 groups")
         for label, g in zip(self.labels, self.groups):
             if len(g) < 2:
-                raise ValueError(f"group {label!r} needs at least 2 values")
+                raise TooFewSamples(f"group {label!r} needs at least 2 values")
 
     @property
     def k(self):

@@ -13,7 +13,7 @@ from reachkin.agenet import (
     train,
     window_dataset,
 )
-from reachkin.errors import DivergedLoss, SequenceTooShort
+from reachkin.errors import DivergedLoss, SequenceTooShort, TooFewParticipants
 
 
 # --- normalization -----------------------------------------------------------
@@ -228,7 +228,7 @@ def _cv_windows():
 
 def test_cross_validate_requires_ten_participants():
     windows = [w for w in _cv_windows() if w.participant_id < "c09"]
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewParticipants):
         cross_validate(windows, predictor=lambda w: 10.0)
 
 

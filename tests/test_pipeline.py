@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from reachkin import cli, pipeline, stats
+from reachkin import cli, pipeline, stats, synth
 from reachkin.errors import ConfigError, InputError
 from reachkin.pipeline import (
     PipelineConfig,
@@ -31,6 +31,8 @@ def test_config_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"seed": 1, "cutoff": 6.0})
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict({"jobs": 2})
 
 
 def test_config_validates_ranges():
@@ -217,3 +219,47 @@ def test_cli_progress_writes_spline(tmp_path, small_cohort_dir):
         init = float(r[header.index("initial_rate")])
         final = float(r[header.index("final_rate")])
         assert ratio == pytest.approx(init / final)
+
+
+def test_run_training_uses_confidence_threshold(monkeypatch):
+    cohort, _ = synth.generate_cohort(1, seed=2, duration=20.0)
+    seen = []
+    monkeypatch.setattr(pipeline.agenet, "cross_validate",
+                        lambda windows, **kw: seen.append(windows))
+    for threshold in (0.75, 0.9):
+        pipeline.run_training(cohort, PipelineConfig(
+            confidence_threshold=threshold, window=50, stride=50))
+    default, strict = ([w.values for w in ws] for ws in seen)
+    assert len(default) != len(strict) or not all(
+        np.array_equal(a, b) for a, b in zip(default, strict))
+
+
+@pytest.mark.parametrize("n_per_bin, stage", [(1, "stats"), (2, "train")])
+def test_cli_pipeline_failure_names_stage_and_writes_nothing(
+        tmp_path, capsys, n_per_bin, stage):
+    cohort, out = tmp_path / "cohort", tmp_path / "out"
+    assert cli.main(["synth", "--n-per-bin", str(n_per_bin), "--seed", "3",
+                     "--duration", "20", "--out", str(cohort)]) == 0
+    assert cli.main(["pipeline", "--in", str(cohort), "--out", str(out),
+                     "--epochs", "1", "--folds", "1"]) == 2
+    assert f"stage '{stage}' failed" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_stage_commands_match_pipeline(tmp_path, small_cohort_dir):
+    cohort, out = str(small_cohort_dir), str(tmp_path / "out")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input_dir": cohort, "seed": 17,
+                                  "epochs": 2, "folds": 2}))
+    common = ["--out", out, "--config", str(config)]
+    assert cli.main(["pipeline", "--in", cohort, *common]) == 0
+    whole = tmp_path / "whole"
+    os.rename(out, whole)
+    for stage in ("metrics", "progress", "stats", "train", "report"):
+        source = (["--metrics", os.path.join(out, "metrics.csv")]
+                  if stage == "stats" else ["--in", cohort])
+        assert cli.main([stage, *source, *common]) == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(whole))
+    for name in os.listdir(whole):
+        with open(os.path.join(out, name), "rb") as fh:
+            assert fh.read() == (whole / name).read_bytes(), name

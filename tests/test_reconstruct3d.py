@@ -423,6 +423,20 @@ def test_cli_reconstruct_names_participant_and_joint_of_failure(
     assert "participant p000" in err and "joint left_wrist frame 0" in err
 
 
+def test_cli_reconstruct_failure_writes_no_participant(tmp_path, capsys):
+    # p000 reconstructs; p001's cam3 sits at cam1's pose in the calibration,
+    # so its rays meet at the shared camera centre and it fails.
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(12, seed=16)
+    write_stereo_session(tmp_path / "in", "p000", (cam1, cam2), pts)
+    write_stereo_session(tmp_path / "in", "p001", (cam1, r3d.make_camera(
+        "cam3", INTR, cam2.rotation, cam2.translation)), pts)
+    assert reconstruct(tmp_path, (cam1, cam2,
+                                  r3d.make_camera("cam3", INTR))) == 3
+    assert "participant p001" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "p000" / "joints_3d.csv").exists()
+
+
 # --- shoulder normalization --------------------------------------------------
 
 def shoulder_seq(width, n=11, wrist_scale=1.0):

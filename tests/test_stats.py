@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachkin import stats
-from reachkin.errors import ZeroWithinVariance
+from reachkin.errors import TooFewSamples, ZeroWithinVariance
 from reachkin.stats import (
     GroupedSamples,
     betainc_reg,
@@ -37,9 +37,9 @@ def test_anova_zero_within_variance():
 
 
 def test_grouped_samples_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewSamples):
         GroupedSamples(("a",), ((1, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewSamples):
         GroupedSamples(("a", "b"), ((1, 2), (3,)))
     with pytest.raises(ValueError):
         GroupedSamples(("a", "b"), ((1, 2),))
