@@ -126,15 +126,29 @@ def cmd_ingest(args):
     return 0 if bad == 0 else 2
 
 
+def _per_participant(pid, fn, *args):
+    """(pid, fn(*args)), with the participant id put in front of any error."""
+    try:
+        return pid, fn(*args)
+    except ReachkinError as exc:
+        raise type(exc)(f"participant {pid}: {exc}") from exc
+
+
+def _write_streams(out_dir, streams, name):
+    """Write each (participant id, sequence) to out_dir/<pid>/<name>."""
+    for pid, seq in streams:
+        dest = os.path.join(out_dir, pid)
+        os.makedirs(dest, exist_ok=True)
+        with open(os.path.join(dest, name), "w") as fh:
+            write_joint_csv(seq, fh)
+
+
 def cmd_preprocess(args):
     config = _config_from_args(args)
     cohort = load_cohort(config.input_dir, config.bins)
-    for session in cohort.sessions:
-        seq = pipeline.preprocess_session(session, config)
-        dest = os.path.join(config.out_dir, session.participant_id)
-        os.makedirs(dest, exist_ok=True)
-        with open(os.path.join(dest, "joints_clean.csv"), "w") as fh:
-            write_joint_csv(seq, fh)
+    cleaned = [_per_participant(s.participant_id, pipeline.preprocess_session,
+                                s, config) for s in cohort.sessions]
+    _write_streams(config.out_dir, cleaned, "joints_clean.csv")
     print(f"preprocessed {len(cohort.sessions)} sessions into {config.out_dir}")
     return 0
 
@@ -150,19 +164,11 @@ def cmd_reconstruct(args):
             if seq.camera_id not in cams:
                 raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
                                  f"is not in {args.calibration}")
-    reconstructed = []
-    for pid, (seq1, seq2) in pairs:
-        try:
-            reconstructed.append((pid, reconstruct3d.triangulate_sequences(
-                seq1, seq2, cams[seq1.camera_id], cams[seq2.camera_id],
-                config.confidence_threshold)))
-        except NumericalError as exc:
-            raise type(exc)(f"participant {pid}: {exc}") from exc
-    for pid, seq3d in reconstructed:
-        dest = os.path.join(config.out_dir, pid)
-        os.makedirs(dest, exist_ok=True)
-        with open(os.path.join(dest, "joints_3d.csv"), "w") as fh:
-            write_joint_csv(seq3d, fh)
+    reconstructed = [_per_participant(
+        pid, reconstruct3d.triangulate_sequences, seq1, seq2,
+        cams[seq1.camera_id], cams[seq2.camera_id], config.confidence_threshold)
+        for pid, (seq1, seq2) in pairs]
+    _write_streams(config.out_dir, reconstructed, "joints_3d.csv")
     print(f"reconstructed {len(pairs)} sessions into {config.out_dir}")
     return 0
 

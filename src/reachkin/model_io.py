@@ -394,18 +394,40 @@ def parse_manifest(stream) -> SessionManifest:
         raw = json.load(stream)
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ParseError("manifest is not a JSON object")
     for key in ("participant_id", "age_years", "play_area_px", "native_fps",
                 "camera_ids"):
         if key not in raw:
             raise MissingColumn(f"manifest: missing key {key!r}")
+    area = raw["play_area_px"]
+    if not isinstance(area, list) or len(area) != 2:
+        raise ParseError(f"manifest: 'play_area_px' must be [width, height], "
+                         f"got {area!r}")
     return SessionManifest(
         participant_id=str(raw["participant_id"]),
-        age_years=int(raw["age_years"]),
-        play_area_px=tuple(raw["play_area_px"]),
-        native_fps=float(raw["native_fps"]),
+        age_years=_manifest_int(raw["age_years"], "age_years"),
+        play_area_px=tuple(_manifest_positive(v, "play_area_px") for v in area),
+        native_fps=float(_manifest_positive(raw["native_fps"], "native_fps")),
         camera_ids=tuple(raw["camera_ids"]),
-        score=int(raw.get("score", 0)),
+        score=_manifest_int(raw.get("score", 0), "score"),
     )
+
+
+def _manifest_int(value, key):
+    # JSON true loads as a bool, which is an int subclass
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"manifest: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _manifest_positive(value, key):
+    # json.load accepts NaN and Infinity
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value <= 0:
+        raise ParseError(f"manifest: {key!r} must be a finite positive "
+                         f"number, got {value!r}")
+    return value
 
 
 # --- session directory layout ----------------------------------------------

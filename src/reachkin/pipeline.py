@@ -22,10 +22,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import agenet, kinematics, progress_spline, reconstruct3d, stats, synth
+from . import agenet, kinematics, progress_spline, reconstruct3d, synth
 from .errors import (
     ConfigError,
     InputError,
+    MissingColumn,
     ReachkinError,
     TooFewInliers,
     ZeroInitialDistance,
@@ -201,16 +202,21 @@ def cohort_metrics(cohort: Cohort, config: PipelineConfig):
 
 # --- stage artifact emitters -----------------------------------------------
 
+METRIC_COLUMNS = ("participant_id", "age", "group", "median_directness",
+                  "median_max_speed", "reach_count")
+
+
 def write_metrics(summaries, path, config):
     rows = [[s.participant_id, s.age, s.group, _fnum(s.median_directness),
              _fnum(s.median_max_speed), s.reach_count] for s in summaries]
-    write_artifact(path, ["participant_id", "age", "group",
-                          "median_directness", "median_max_speed",
-                          "reach_count"], rows, config)
+    write_artifact(path, list(METRIC_COLUMNS), rows, config)
 
 
 def read_metrics(path):
     header, rows = read_artifact(path)
+    missing = [name for name in METRIC_COLUMNS if name not in header]
+    if missing:
+        raise MissingColumn(f"{path}: missing column(s) {missing}")
     idx = {name: header.index(name) for name in header}
     out = []
     for r in rows:
@@ -271,6 +277,8 @@ def write_splines(fits, spline_path, curves_path, config):
 
 
 def grouped_metric(summaries, attr, config):
+    from . import stats   # pulls in scipy.stats, about 1 s of start-up
+
     labels = [group_label((lo + hi) // 2, config.analysis_groups)
               for lo, hi in config.analysis_groups]
     groups = []
@@ -281,6 +289,8 @@ def grouped_metric(summaries, attr, config):
 
 
 def run_stats(summaries, config):
+    from . import stats
+
     results = {}
     for metric, attr in (("directness", "median_directness"),
                          ("max_speed", "median_max_speed")):

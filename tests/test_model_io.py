@@ -179,6 +179,20 @@ def test_manifest_missing_key():
         model_io.parse_manifest("{not json")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("play_area_px", "[NaN, 720]"), ("play_area_px", "[990, -720]"),
+    ("play_area_px", "[990]"), ("native_fps", "Infinity"),
+    ("native_fps", '"30"'), ("age_years", '"abc"'), ("age_years", "[8]"),
+    ("age_years", "8.5"), ("score", "true")])
+def test_manifest_rejects_ill_typed_values(key, value):
+    fields = {"participant_id": '"p1"', "age_years": "8",
+              "play_area_px": "[990, 720]", "native_fps": "30.0",
+              "camera_ids": '["webcam"]', key: value}
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    with pytest.raises(ParseError, match=key):
+        model_io.parse_manifest(text)
+
+
 def test_session_directory_roundtrip(tmp_path, sample_session):
     model_io.write_session(sample_session, tmp_path / "p011")
     back = model_io.load_session(tmp_path / "p011")

@@ -188,13 +188,40 @@ def test_cli_metrics_rejects_nan_joint_cell(tmp_path, small_cohort_dir, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+def test_cli_stats_names_missing_metrics_column(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("participant_id,age,median_directness,median_max_speed,"
+                       "reach_count\np000,8,0.9,1.5,10\n")
+    assert cli.main(["stats", "--metrics", str(metrics),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "['group']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "anova.csv").exists()
+
+
+def test_cli_preprocess_failure_writes_no_participant(tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    assert cli.main(["synth", "--n-per-bin", "1", "--seed", "3",
+                     "--duration", "10", "--out", str(cohort)]) == 0
+    path = cohort / "p001" / "joints.csv"
+    header, *rows = path.read_text().splitlines()
+    rows = [",".join(r.split(",")[:7] + ["0.5"]) for r in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["preprocess", "--in", str(cohort), "--out", str(out)]) == 2
+    assert "participant p001" in capsys.readouterr().err
+    assert not (out / "p000" / "joints_clean.csv").exists()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, reachkin.cli; print('scipy.signal' in sys.modules)"
+    # no scipy module at all: scipy.signal and scipy.stats each cost about
+    # 1 s of start-up, and only the stages that use them load them
+    probe = ("import sys, reachkin.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_synth_writes_cohort(tmp_path, capsys):

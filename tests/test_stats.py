@@ -7,7 +7,6 @@ from reachkin import stats
 from reachkin.errors import TooFewSamples, ZeroWithinVariance
 from reachkin.stats import (
     GroupedSamples,
-    betainc_reg,
     f_sf,
     one_way_anova,
     studentized_range_sf,
@@ -66,9 +65,10 @@ def test_f_p_monotone_in_f():
 
 
 def test_f_sf_closed_form_two_numerator_df():
-    # for d1 = 2 the survival function is (1 + 2 F / d2) ** (-d2 / 2)
+    # for d1 = 2 the survival function is (1 + 2 F / d2) ** (-d2 / 2);
+    # d2 = 2 is the uniform case, 1 / (1 + F)
     for F in (0.5, 1.0, 3.0, 7.5):
-        for d2 in (4, 6, 11):
+        for d2 in (2, 4, 6, 11):
             assert f_sf(F, 2, d2) == pytest.approx(
                 (1.0 + 2.0 * F / d2) ** (-d2 / 2.0), rel=1e-10)
 
@@ -79,25 +79,29 @@ def test_f_sf_bounds():
     assert 0.0 < f_sf(100.0, 2, 6) < 1e-4
 
 
-def test_betainc_endpoints():
-    assert betainc_reg(2.0, 3.0, 0.0) == 0.0
-    assert betainc_reg(2.0, 3.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        betainc_reg(2.0, 3.0, 1.5)
-
-
-def test_betainc_uniform_case():
-    # I_x(1, 1) is the identity
-    for x in (0.1, 0.5, 0.9):
-        assert betainc_reg(1.0, 1.0, x) == pytest.approx(x, rel=1e-10)
-
-
 @settings(max_examples=25, deadline=None)
-@given(x=st.floats(0.01, 0.99), a=st.floats(0.5, 10), b=st.floats(0.5, 10))
-def test_betainc_reflection_identity(x, a, b):
-    lhs = betainc_reg(a, b, x)
-    rhs = 1.0 - betainc_reg(b, a, 1.0 - x)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
+@given(F=st.floats(0.01, 100), d1=st.integers(1, 40), d2=st.integers(1, 40))
+def test_f_sf_reciprocal_identity(F, d1, d2):
+    # X ~ F(d1, d2) exactly when 1 / X ~ F(d2, d1)
+    assert f_sf(F, d1, d2) + f_sf(1.0 / F, d2, d1) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_distributions_match_parent_reference():
+    # values of the earlier in-repo implementations (Lentz continued fraction
+    # for the incomplete beta, 64-node Gauss-Legendre panels for the range)
+    ranges = {(3.773, 3, 12): 0.04999558517972291,
+              (1.0, 3, 12): 0.7639818960772529,
+              (5.0, 3, 12): 0.010599581573557781,
+              (2.5, 3, 13): 0.2186242558550644,
+              (0.3, 2, 4): 0.8423751184721322}
+    for args, p in ranges.items():
+        assert studentized_range_sf(*args) == pytest.approx(p, rel=0, abs=1e-13)
+    tails = {(3.0, 2, 6): 0.1250000000000001,
+             (0.5, 2, 6): 0.6297376093294457,
+             (100.0, 2, 6): 2.4708824802535344e-05,
+             (7.3, 2, 13): 0.007494156471935465}
+    for args, p in tails.items():
+        assert f_sf(*args) == pytest.approx(p, rel=0, abs=1e-13)
 
 
 def test_studentized_range_reference_value():
