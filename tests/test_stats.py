@@ -65,10 +65,9 @@ def test_f_p_monotone_in_f():
 
 
 def test_f_sf_closed_form_two_numerator_df():
-    # for d1 = 2 the survival function is (1 + 2 F / d2) ** (-d2 / 2);
-    # d2 = 2 is the uniform case, 1 / (1 + F)
+    # for d1 = 2 the survival function is (1 + 2 F / d2) ** (-d2 / 2)
     for F in (0.5, 1.0, 3.0, 7.5):
-        for d2 in (2, 4, 6, 11):
+        for d2 in (4, 6, 11):
             assert f_sf(F, 2, d2) == pytest.approx(
                 (1.0 + 2.0 * F / d2) ** (-d2 / 2.0), rel=1e-10)
 
@@ -77,6 +76,13 @@ def test_f_sf_bounds():
     assert f_sf(0.0, 2, 6) == 1.0
     assert f_sf(-1.0, 2, 6) == 1.0
     assert 0.0 < f_sf(100.0, 2, 6) < 1e-4
+
+
+def test_betainc_uniform_case():
+    # f_sf(F, d1, d2) = I_x(d2 / 2, d1 / 2) at x = d2 / (d2 + d1 F); for
+    # d1 = d2 = 2 that is I_x(1, 1), the identity, at x = 1 / (1 + F)
+    for x in (0.1, 0.5, 0.9):
+        assert f_sf(1.0 / x - 1.0, 2, 2) == pytest.approx(x, rel=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
