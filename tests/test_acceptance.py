@@ -1,5 +1,6 @@
 """End-to-end behavioral guarantees, one test per headline property."""
 
+import hashlib
 import os
 import time
 
@@ -207,3 +208,26 @@ def test_pipeline_rerun_byte_identical(small_cohort_dir, tmp_path):
     assert cli.main(argv) == 0
     second = {name: (out / name).read_bytes() for name in os.listdir(out)}
     assert first == second
+
+
+# sha256 of the CV artifacts below their config-hash comment line (which
+# carries the input and output paths), for the short run above. Training is
+# deterministic, so any change to the forward/backward arithmetic that moves
+# a single rounding shows up here.
+CV_ARTIFACT_SHA256 = {
+    "cv_report.csv":
+        "63c2b0512b22f5830919a77fe52b46b5a33965a366454534607e2fc373c170ef",
+    "confusion.csv":
+        "f2f033c064943f3407055d649ff8359e304dd3e57c591ec7cdd38faff59dabf7",
+}
+
+
+def test_pipeline_cv_artifacts_pinned(small_cohort_dir, tmp_path):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--in", str(small_cohort_dir), "--out", str(out),
+            "--seed", "17", "--epochs", "2", "--folds", "2"]
+    assert cli.main(argv) == 0
+    for name, want in CV_ARTIFACT_SHA256.items():
+        first, body = (out / name).read_bytes().split(b"\n", 1)
+        assert first.startswith(b"# reachkin config_hash=")
+        assert hashlib.sha256(body).hexdigest() == want, name

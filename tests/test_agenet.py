@@ -101,6 +101,113 @@ def test_flat_parameter_round_trip():
         other.set_flat(flat[:-1])
 
 
+# --- exact agreement with the einsum formulation -----------------------------
+
+def _einsum_forward_backward(model, x, dout):
+    """Reference forward/backward: strided windows contracted by einsum,
+    max-pool by argmax. The model's own passes must match it bit for bit,
+    since every CV artifact depends on each rounding of training."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    cache, a, li = [], x, 0
+    for kind, shape in model.plan:
+        if kind == "conv":
+            W, b = model.weights[li], model.biases[li]
+            win = sliding_window_view(a, W.shape[2], axis=2)
+            z = np.einsum("ock,bctk->bot", W, win,
+                          optimize=True) + b[None, :, None]
+            cache.append(("conv", a, win, z))
+            a = np.maximum(z, 0.0)
+            li += 1
+        elif kind == "pool":
+            To = a.shape[2] // shape
+            blocks = a[:, :, :To * shape].reshape(a.shape[0], a.shape[1],
+                                                  To, shape)
+            idx = blocks.argmax(axis=3)
+            cache.append(("pool", a.shape, blocks, idx, shape))
+            a = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
+        elif kind == "flatten":
+            cache.append(("flatten", a.shape))
+            a = a.reshape(a.shape[0], -1)
+        else:
+            W, b = model.weights[li], model.biases[li]
+            z = a @ W.T + b
+            cache.append((kind, a, z))
+            a = np.maximum(z, 0.0) if kind == "linear" else z
+            li += 1
+    out = a[:, 0]
+
+    dW = [None] * len(model.weights)
+    db = [None] * len(model.biases)
+    li = len(model.weights) - 1
+    grad = np.asarray(dout, dtype=float)[:, None]
+    for entry in reversed(cache):
+        kind = entry[0]
+        if kind in ("linear", "linear_out"):
+            _, a, z = entry
+            if kind == "linear":
+                grad = grad * (z > 0.0)
+            dW[li] = grad.T @ a
+            db[li] = grad.sum(axis=0)
+            grad = grad @ model.weights[li]
+            li -= 1
+        elif kind == "flatten":
+            grad = grad.reshape(entry[1])
+        elif kind == "pool":
+            _, in_shape, blocks, idx, p = entry
+            dblocks = np.zeros_like(blocks)
+            np.put_along_axis(dblocks, idx[..., None], grad[..., None], axis=3)
+            din = np.zeros(in_shape)
+            To = blocks.shape[2]
+            din[:, :, :To * p] = dblocks.reshape(in_shape[0], in_shape[1],
+                                                 To * p)
+            grad = din
+        else:
+            _, a, win, z = entry
+            grad = grad * (z > 0.0)
+            W = model.weights[li]
+            dW[li] = np.einsum("bot,bctk->ock", grad, win, optimize=True)
+            db[li] = grad.sum(axis=(0, 2))
+            din = np.zeros_like(a)
+            To = grad.shape[2]
+            for k in range(W.shape[2]):
+                din[:, :, k:k + To] += np.einsum(
+                    "oc,bot->bct", W[:, :, k], grad, optimize=True)
+            grad = din
+            li -= 1
+    return out, dW, db
+
+
+def _tied_batch():
+    """Windows with constant stretches, so pool blocks hold exact ties."""
+    rng = np.random.default_rng(21)
+    raw = np.repeat(rng.normal(size=(3, 4, 40)), 5, axis=2)   # (3, 4, 200)
+    raw[1, :, 50:120] = 0.25
+    raw[2] = 0.0
+    return np.stack([normalize_window(r) for r in raw])
+
+
+@pytest.mark.parametrize("batch", ["random", "ties"])
+def test_forward_backward_match_einsum_reference_exactly(batch):
+    model = AgeNet(seed=9)
+    rng = np.random.default_rng(22)
+    if batch == "random":
+        x = np.stack([normalize_window(rng.normal(size=(4, 200)))
+                      for _ in range(16)])
+    else:
+        x = _tied_batch()
+    dout = rng.normal(size=len(x))
+    want_out, want_dW, want_db = _einsum_forward_backward(model, x, dout)
+
+    cache = []
+    out = model.forward(x, cache=cache)
+    dW, db = model.backward(cache, dout)
+    assert np.array_equal(out, want_out)
+    assert len(dW) == len(want_dW) and len(db) == len(want_db)
+    for got, want in zip(dW + db, want_dW + want_db):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 # --- gradient check ----------------------------------------------------------
 
 def test_grad_check_linear_only_model():
