@@ -2,7 +2,8 @@
 
 Submodules:
     model_io         domain types and session file formats
-    preprocess       confidence gating, decimation, zero-phase filtering
+    frames           confidence gating and decimation (numpy only)
+    preprocess       zero-phase filtering, outlier repair; re-exports frames
     reconstruct3d    two-view pose recovery and triangulation
     kinematics       reach segmentation, directness, velocity metrics
     progress_spline  progress-to-goal Bezier characterization

@@ -1,9 +1,10 @@
 """Temporal convolutional age regressor over 200-frame wrist windows.
 
 Everything is hand-rolled numpy: batched forward/backward passes through
-1-D convolutions, max pooling, ReLU and linear layers, SGD with momentum,
-early stopping, a finite-difference gradient check, and participant-level
-stochastic cross-validation with binned confusion reporting.
+1-D convolutions (as im2col matrix products), max pooling, ReLU and linear
+layers, SGD with momentum, early stopping, a finite-difference gradient
+check, and participant-level stochastic cross-validation with binned
+confusion reporting.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedLoss, SequenceTooShort, TooFewParticipants
+from .frames import downsample, reject_low_confidence
 from .model_io import Cohort
 
 CONFUSION_BINS = ((6, 8), (9, 10), (11, 13), (14, 17))
@@ -93,8 +94,6 @@ def window_dataset(sequences, window: int = 200, stride: int = 100):
 def wrist_channels(session, decimation: int = 2, confidence_threshold: float = 0.75):
     """Extract (4, n_frames) wrist x/y channels from a session's 2D skeleton,
     confidence-gated and decimated to the model's working rate."""
-    from .preprocess import downsample, reject_low_confidence
-
     seq, _ = reject_low_confidence(session.skeleton(), confidence_threshold)
     seq = downsample(seq, decimation)
     _, _, left, _ = seq.joint_arrays("left_wrist")
@@ -124,72 +123,68 @@ class AgeNet:
         self.weights = []
         self.biases = []
         for kind, shape in self.plan:
-            if kind == "conv":
-                out_c, in_c, k = shape
-                fan_in = in_c * k
+            if kind in ("conv", "linear", "linear_out"):   # (out, in[, k])
+                fan_in = np.prod(shape[1:])
                 self.weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                               (out_c, in_c, k)))
-                self.biases.append(np.zeros(out_c))
-            elif kind in ("linear", "linear_out"):
-                out_w, in_w = shape
-                self.weights.append(rng.normal(0.0, np.sqrt(2.0 / in_w),
-                                               (out_w, in_w)))
-                self.biases.append(np.zeros(out_w))
+                                               shape))
+                self.biases.append(np.zeros(shape[0]))
 
     # -- parameter vector ---------------------------------------------------
 
     def get_flat(self):
-        return np.concatenate([w.ravel() for w in self.weights]
-                              + [b.ravel() for b in self.biases])
+        return np.concatenate([p.ravel() for p in self.weights + self.biases])
 
     def set_flat(self, flat):
         flat = np.asarray(flat, dtype=float)
         i = 0
-        for w in self.weights:
-            w[...] = flat[i:i + w.size].reshape(w.shape)
-            i += w.size
-        for b in self.biases:
-            b[...] = flat[i:i + b.size].reshape(b.shape)
-            i += b.size
+        for p in self.weights + self.biases:
+            p[...] = flat[i:i + p.size].reshape(p.shape)
+            i += p.size
         if i != flat.size:
             raise ValueError("parameter vector size mismatch")
 
     @property
     def n_params(self):
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return sum(p.size for p in self.weights + self.biases)
 
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x, cache=None):
-        """Predict ages for a batch; x is (B, C, T) or a single (C, T)."""
+        """Predict ages for a batch; x is (B, C, T) or a single (C, T).
+
+        Inside, activations are channels-last (B, T, C): a conv's im2col rows
+        (B*To, C*K) times its (C*K, O) weights are (B, To, O) as they come."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 2
         if single:
             x = x[None]
         layer_idx = 0
-        a = x
+        a = x.transpose(0, 2, 1)
         for kind, shape in self.plan:
             if kind == "conv":
                 W, b = self.weights[layer_idx], self.biases[layer_idx]
-                win = sliding_window_view(a, W.shape[2], axis=2)  # (B,C,To,K)
-                z = np.einsum("ock,bctk->bot", W, win,
-                              optimize=True) + b[None, :, None]
+                O, C, K = W.shape
+                To = a.shape[1] - K + 1
+                cols = np.stack([a[:, k:k + To] for k in range(K)],
+                                axis=-1).reshape(-1, C * K)
+                z = (cols @ W.reshape(O, C * K).T + b).reshape(-1, To, O)
                 if cache is not None:
-                    cache.append(("conv", a, win, z))
+                    cache.append(("conv", cols, z, a.shape))
                 a = np.maximum(z, 0.0)
                 layer_idx += 1
             elif kind == "pool":
                 p = shape
-                To = a.shape[2] // p
-                blocks = a[:, :, :To * p].reshape(a.shape[0], a.shape[1], To, p)
-                idx = blocks.argmax(axis=3)
+                stop = a.shape[1] // p * p
+                m = a[:, 0:stop:p]
+                for j in range(1, p):
+                    m = np.maximum(m, a[:, j:stop:p])
                 if cache is not None:
-                    cache.append(("pool", a.shape, blocks, idx, p))
-                a = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
+                    cache.append(("pool", a, m, p))
+                a = m
             elif kind == "flatten":
                 if cache is not None:
                     cache.append(("flatten", a.shape))
-                a = a.reshape(a.shape[0], -1)
+                a = a.transpose(0, 2, 1).reshape(a.shape[0], -1)
             else:
                 W, b = self.weights[layer_idx], self.biases[layer_idx]
                 z = a @ W.T + b
@@ -205,8 +200,8 @@ class AgeNet:
 
         Returns (dweights, dbiases) lists parallel to the parameter lists.
         """
-        dW = [np.zeros_like(w) for w in self.weights]
-        db = [np.zeros_like(b) for b in self.biases]
+        dW = [None] * len(self.weights)
+        db = [None] * len(self.biases)
         layer_idx = len(self.weights) - 1
         grad = np.asarray(dout, dtype=float)[:, None]   # (B, 1)
 
@@ -222,32 +217,40 @@ class AgeNet:
                 grad = grad @ W
                 layer_idx -= 1
             elif kind == "flatten":
-                _, shape = entry
-                grad = grad.reshape(shape)
+                B, T, C = entry[1]
+                grad = grad.reshape(B, C, T).transpose(0, 2, 1)
             elif kind == "pool":
-                _, in_shape, blocks, idx, p = entry
-                dblocks = np.zeros_like(blocks)
-                np.put_along_axis(dblocks, idx[..., None],
-                                  grad[..., None], axis=3)
-                din = np.zeros(in_shape)
-                To = blocks.shape[2]
-                din[:, :, :To * p] = dblocks.reshape(in_shape[0], in_shape[1],
-                                                     To * p)
-                grad = din
+                _, a, m, p = entry
+                # Route grad to the first max of each window. (m > 0) is the
+                # conv's ReLU mask there, applied p times smaller; the int64
+                # views write grad's exact bits, and +0.0 everywhere else.
+                bits = (grad * (m > 0.0)).view(np.int64)
+                grad = np.zeros(a.shape)
+                left = np.ones(m.shape, dtype=bool)
+                for j in range(p):
+                    hit = (a[:, j:m.shape[1] * p:p] == m) & left
+                    left &= ~hit
+                    np.multiply(bits, hit,
+                                out=grad[:, j:m.shape[1] * p:p].view(np.int64))
             else:  # conv
-                _, a, win, z = entry
-                grad = grad * (z > 0.0)
+                _, cols, _, (B, T, C) = entry   # the pool applied the ReLU
                 W = self.weights[layer_idx]
-                dW[layer_idx] = np.einsum("bot,bctk->ock", grad, win,
-                                          optimize=True)
-                db[layer_idx] = grad.sum(axis=(0, 2))
-                K = W.shape[2]
-                din = np.zeros_like(a)
-                To = grad.shape[2]
+                O, _, K = W.shape
+                To = grad.shape[1]
+                g2 = grad.reshape(-1, O)
+                dW[layer_idx] = (g2.T @ cols).reshape(W.shape)
+                # numpy sums in memory order: a (B, O, To) copy keeps the
+                # rounding of the channels-first bias gradient
+                db[layer_idx] = np.ascontiguousarray(
+                    grad.transpose(0, 2, 1)).sum(axis=(0, 2))
+                if layer_idx == 0:
+                    break   # nothing reads the gradient of the input
+                # per-tap input gradients, (C, K, B, To), summed in tap order
+                taps = (W.reshape(O, C * K).T @ g2.T).reshape(C, K, B, To)
+                din = np.zeros((C, B, T))
                 for k in range(K):
-                    din[:, :, k:k + To] += np.einsum(
-                        "oc,bot->bct", W[:, :, k], grad, optimize=True)
-                grad = din
+                    din[:, :, k:k + To] += taps[:, k]
+                grad = din.transpose(1, 2, 0)
                 layer_idx -= 1
         return dW, db
 
@@ -263,12 +266,12 @@ def _activation_pattern(cache):
     """Sign/argmax pattern of every nonlinearity, for kink-crossing detection."""
     pattern = []
     for entry in cache:
-        if entry[0] == "conv":
-            pattern.append(entry[3] > 0.0)
-        elif entry[0] == "linear":
+        if entry[0] in ("conv", "linear"):
             pattern.append(entry[2] > 0.0)
         elif entry[0] == "pool":
-            pattern.append(entry[3])
+            _, a, m, p = entry
+            pattern.append(a[:, :m.shape[1] * p].reshape(
+                *m.shape[:2], p, -1).argmax(axis=2))
     return pattern
 
 
@@ -278,12 +281,8 @@ def _at_kink(cache, margin):
     exact ties from constant input stretches move together under a
     finite-difference step, and any tie that does break shows up as an
     argmax pattern flip and excludes that parameter."""
-    for entry in cache:
-        if entry[0] in ("conv", "linear"):
-            z = entry[3] if entry[0] == "conv" else entry[2]
-            if np.any((np.abs(z) < margin) & (z != 0.0)):
-                return True
-    return False
+    zs = [entry[2] for entry in cache if entry[0] in ("conv", "linear")]
+    return any(np.any((np.abs(z) < margin) & (z != 0.0)) for z in zs)
 
 
 def grad_check(model: AgeNet, window, n_params: int = 200, step: float = 1e-5,
@@ -303,7 +302,7 @@ def grad_check(model: AgeNet, window, n_params: int = 200, step: float = 1e-5,
         return float("nan"), 0
     base_pattern = _activation_pattern(cache)
     dW, db = model.backward(cache, np.ones(1))
-    analytic = np.concatenate([g.ravel() for g in dW] + [g.ravel() for g in db])
+    analytic = np.concatenate([g.ravel() for g in dW + db])
 
     def probed(flat):
         model.set_flat(flat)
@@ -354,7 +353,8 @@ def _batch_arrays(windows):
 
 
 def evaluate_mse(model, windows, batch: int = 64):
-    x, y = _batch_arrays(windows)
+    """(MSE, predictions) over windows, or over their ``_batch_arrays``."""
+    x, y = windows if isinstance(windows, tuple) else _batch_arrays(windows)
     preds = np.concatenate([model.forward(x[i:i + batch])
                             for i in range(0, len(x), batch)])
     return float(np.mean((preds - y) ** 2)), preds
@@ -371,9 +371,10 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
         raise ValueError(f"participants in both splits: {train_ids & val_ids}")
 
     x, y = _batch_arrays(train_windows)
+    val = _batch_arrays(val_windows)
     rng = np.random.default_rng(seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    vel = [np.zeros_like(p) for p in params]
 
     result = TrainResult(model=model.clone())
     best_val = float("inf")
@@ -394,13 +395,12 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
             dout = 2.0 * err / len(sel)
             dW, db = model.backward(cache, dout)
             if lr != 0.0:
-                for i in range(len(model.weights)):
-                    vel_w[i] = momentum * vel_w[i] - lr * dW[i]
-                    vel_b[i] = momentum * vel_b[i] - lr * db[i]
-                    model.weights[i] += vel_w[i]
-                    model.biases[i] += vel_b[i]
+                for p, v, g in zip(params, vel, dW + db):
+                    v *= momentum
+                    v -= lr * g
+                    p += v
         result.train_loss.append(epoch_loss / len(x))
-        val_mse, _ = evaluate_mse(model, val_windows)
+        val_mse, _ = evaluate_mse(model, val)
         result.val_loss.append(val_mse)
         if val_mse < best_val:
             best_val = val_mse

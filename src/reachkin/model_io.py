@@ -494,12 +494,6 @@ def validate_session(session: ParticipantSession) -> ValidationReport:
     except UnpairedTarget as exc:
         findings.append(Finding("UnpairedTarget", str(exc)))
 
-    for ev in session.targets.events:
-        if ev.t_hit is not None and ev.t_hit < ev.t_appear:
-            findings.append(Finding(
-                "HitBeforeAppear",
-                f"target {ev.target_id} ({ev.side}) hit before appearance"))
-
     for seq in session.skeletons:
         present = set(seq.joints)
         for joint in CORE_JOINTS:

@@ -25,6 +25,7 @@ import numpy as np
 from . import agenet, kinematics, progress_spline, reconstruct3d, synth
 from .errors import (
     ConfigError,
+    EmptyFile,
     InputError,
     MissingColumn,
     ReachkinError,
@@ -129,7 +130,9 @@ def read_artifact(path):
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(lines)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise EmptyFile(f"{path}: empty file")
     return header, list(reader)
 
 
@@ -161,7 +164,7 @@ def analyze_session(session, config: PipelineConfig):
 
     seq = preprocess_session(session, config)
     scale = reconstruct3d.shoulder_scale(seq)
-    seq = reconstruct3d.normalize_by_shoulder_width(seq)
+    seq = reconstruct3d.normalize_by_shoulder_width(seq, scale)
     w, h = session.manifest.play_area_px
 
     def target_to_path(pos_norm):

@@ -374,8 +374,13 @@ def shoulder_scale(seq: SkeletonSequence) -> float:
     return width
 
 
-def normalize_by_shoulder_width(seq: SkeletonSequence) -> SkeletonSequence:
-    """Scale all positions so the median shoulder separation is exactly 1."""
-    scale = shoulder_scale(seq)
+def normalize_by_shoulder_width(seq: SkeletonSequence,
+                                scale: float | None = None) -> SkeletonSequence:
+    """Scale all positions so the median shoulder separation is exactly 1.
+
+    ``scale`` is ``shoulder_scale(seq)``, for a caller that already has it.
+    """
+    if scale is None:
+        scale = shoulder_scale(seq)
     return replace(seq, streams={joint: s._replace(pos=s.pos / scale)
                                  for joint, s in seq.streams.items()})

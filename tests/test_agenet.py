@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from reachkin import agenet
+from reachkin import agenet, synth
 from reachkin.agenet import (
     AgeNet,
     ArchDescriptor,
@@ -62,6 +66,23 @@ def test_window_dataset_counts():
 def test_window_dataset_all_too_short():
     with pytest.raises(SequenceTooShort):
         window_dataset([("a", 8, np.zeros((4, 50)))])
+
+
+def test_windows_from_cohort_leaves_scipy_signal_unloaded(tmp_path):
+    # cutting windows gates and decimates but never filters, so it must not
+    # pay the ~1 s import of scipy.signal
+    cohort, truth = synth.generate_cohort(1, seed=3, duration=20.0)
+    synth.write_cohort(cohort, truth, str(tmp_path))
+    src = os.path.dirname(os.path.dirname(agenet.__file__))
+    probe = ("import sys\n"
+             "from reachkin import agenet, model_io\n"
+             f"c = model_io.load_cohort({str(tmp_path)!r}, {cohort.bin_scheme!r})\n"
+             "windows, _ = agenet.windows_from_cohort(c)\n"
+             "print(len(windows), 'scipy.signal' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["8", "False"]
 
 
 # --- forward pass ------------------------------------------------------------

@@ -198,6 +198,16 @@ def test_cli_stats_names_missing_metrics_column(tmp_path, capsys):
     assert not (tmp_path / "out" / "anova.csv").exists()
 
 
+def test_cli_stats_rejects_empty_metrics_file(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("")
+    assert cli.main(["stats", "--metrics", str(metrics),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "empty file" in err and str(metrics) in err
+    assert not (tmp_path / "out" / "anova.csv").exists()
+
+
 def test_cli_preprocess_failure_writes_no_participant(tmp_path, capsys):
     cohort = tmp_path / "cohort"
     assert cli.main(["synth", "--n-per-bin", "1", "--seed", "3",
