@@ -74,9 +74,10 @@ def test_windows_from_cohort_leaves_scipy_signal_unloaded(tmp_path):
     cohort, truth = synth.generate_cohort(1, seed=3, duration=20.0)
     synth.write_cohort(cohort, truth, str(tmp_path))
     src = os.path.dirname(os.path.dirname(agenet.__file__))
+    load = f"model_io.load_cohort({str(tmp_path)!r}, {cohort.bin_scheme!r})"
     probe = ("import sys\n"
              "from reachkin import agenet, model_io\n"
-             f"c = model_io.load_cohort({str(tmp_path)!r}, {cohort.bin_scheme!r})\n"
+             f"c = {load}\n"
              "windows, _ = agenet.windows_from_cohort(c)\n"
              "print(len(windows), 'scipy.signal' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe],
@@ -103,7 +104,7 @@ def test_forward_single_vs_batch():
     for i in range(3):
         one = model.forward(xs[i])
         assert isinstance(one, float)
-        # einsum batching reorders the reductions; agreement is to rounding
+        # batched matrix products reorder the sums; agreement is to rounding
         assert one == pytest.approx(batch[i], rel=1e-12)
 
 
