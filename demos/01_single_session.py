@@ -16,7 +16,10 @@ print(f"session: {session.participant_id}, age {session.age}, "
 print(f"targets logged: {len(session.targets.events)}")
 
 config = pipeline.PipelineConfig()
-summary, segments = pipeline.analyze_session(session, config)
+frames = pipeline.session_frames(session, config)   # gated and decimated
+print(f"frames at the working rate: {len(frames.streams['left_wrist'].frames)} "
+      f"per joint, {frames.sample_rate:.0f} Hz")
+summary, segments = pipeline.analyze_session(session, frames, config)
 
 print(f"\nreaches extracted: {len(segments)} (shoulder-width units)")
 for seg in segments:

@@ -13,7 +13,8 @@ print("generating cohort (5 per age bin)...")
 cohort, truth = synth.generate_cohort(5, seed=0)
 config = pipeline.PipelineConfig()
 
-summaries, segments_by_pid = pipeline.cohort_metrics(cohort, config)
+frames = pipeline.cohort_frames(cohort, config)   # gated and decimated
+summaries, segments_by_pid = pipeline.cohort_metrics(cohort, frames, config)
 labels = [pipeline.group_label((lo + hi) // 2)
           for lo, hi in config.analysis_groups]
 

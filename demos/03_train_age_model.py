@@ -7,11 +7,13 @@ epochs.
 
 import numpy as np
 
-from reachkin import agenet, synth
+from reachkin import agenet, pipeline, synth
 
 print("generating cohort (4 per age bin)...")
 cohort, _ = synth.generate_cohort(4, seed=1)
-windows, skipped = agenet.windows_from_cohort(cohort)
+# the same gated, decimated frames the metrics start from
+frames = pipeline.cohort_frames(cohort, pipeline.PipelineConfig())
+windows, skipped = agenet.windows_from_cohort(cohort, frames)
 print(f"{len(windows)} windows from {len(cohort.sessions)} participants"
       + (f", skipped {skipped}" if skipped else ""))
 

@@ -1,4 +1,4 @@
-"""Temporal convolutional age regressor over 200-frame wrist windows.
+"""Temporal convolutional age regressor over wrist-motion windows.
 
 Everything is hand-rolled numpy: batched forward/backward passes through
 1-D convolutions (as im2col matrix products), max pooling, ReLU and linear
@@ -13,33 +13,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedLoss, SequenceTooShort, TooFewParticipants
-from .frames import downsample, reject_low_confidence
-from .model_io import Cohort
-
-CONFUSION_BINS = ((6, 8), (9, 10), (11, 13), (14, 17))
+from .errors import (ConfigError, DivergedLoss, SequenceTooShort,
+                     TooFewParticipants)
+from .model_io import AGE_BINS, Cohort
 
 
 @dataclass(frozen=True)
 class MotionWindow:
-    values: np.ndarray        # (4, 200) channels x frames, each in [-1, 1]
+    values: np.ndarray        # (4, window) channels x frames, each in [-1, 1]
     label: float              # age in years
     participant_id: str
 
 
 @dataclass(frozen=True)
 class ArchDescriptor:
-    input_channels: int = 4
-    input_len: int = 200
     conv_channels: tuple = (16, 32, 64)
     kernel: int = 5
     pool: int = 3
     linear: tuple = (64, 32)
 
-    def layer_plan(self):
-        """Resolve per-layer shapes; the final linear layer emits one value."""
+    def layer_plan(self, channels, length):
+        """Resolve per-layer shapes for (channels, length) inputs; the final
+        linear layer emits one value."""
+        need = 1   # fewest frames that leave one after every conv and pool
+        for _ in self.conv_channels:
+            need = need * self.pool + self.kernel - 1
+        if length < need:
+            raise ConfigError(f"window of {length} frames is too short for "
+                              f"the conv stack, which needs at least {need}")
         plan = []
-        c, t = self.input_channels, self.input_len
+        c, t = channels, length
         for out_c in self.conv_channels:
             plan.append(("conv", (out_c, c, self.kernel)))
             t = t - self.kernel + 1
@@ -91,22 +94,21 @@ def window_dataset(sequences, window: int = 200, stride: int = 100):
     return windows, skipped
 
 
-def wrist_channels(session, decimation: int = 2, confidence_threshold: float = 0.75):
-    """Extract (4, n_frames) wrist x/y channels from a session's 2D skeleton,
-    confidence-gated and decimated to the model's working rate."""
-    seq, _ = reject_low_confidence(session.skeleton(), confidence_threshold)
-    seq = downsample(seq, decimation)
+def wrist_channels(seq):
+    """Extract (4, n_frames) wrist x/y channels from a 2D skeleton sequence,
+    already confidence-gated and decimated to the model's working rate."""
     _, _, left, _ = seq.joint_arrays("left_wrist")
     _, _, right, _ = seq.joint_arrays("right_wrist")
     n = min(len(left), len(right))
     return np.stack([left[:n, 0], left[:n, 1], right[:n, 0], right[:n, 1]])
 
 
-def windows_from_cohort(cohort: Cohort, window: int = 200, stride: int = 100,
-                        decimation: int = 2, confidence_threshold: float = 0.75):
-    seqs = [(s.participant_id, s.age,
-             wrist_channels(s, decimation, confidence_threshold))
-            for s in cohort.sessions]
+def windows_from_cohort(cohort: Cohort, frames, window: int = 200,
+                        stride: int = 100):
+    """Cut windows from ``frames``, each session's gated and decimated 2D
+    skeleton, in the order of ``cohort.sessions``."""
+    seqs = [(s.participant_id, s.age, wrist_channels(seq))
+            for s, seq in zip(cohort.sessions, frames)]
     return window_dataset(seqs, window, stride)
 
 
@@ -115,10 +117,11 @@ def windows_from_cohort(cohort: Cohort, window: int = 200, stride: int = 100,
 class AgeNet:
     """Three ReLU conv+pool blocks followed by three linear layers."""
 
-    def __init__(self, arch: ArchDescriptor = ArchDescriptor(), seed: int = 0):
+    def __init__(self, arch: ArchDescriptor = ArchDescriptor(), seed: int = 0,
+                 input_shape: tuple = (4, 200)):
         self.arch = arch
         self.seed = seed
-        self.plan = arch.layer_plan()
+        self.plan = arch.layer_plan(*input_shape)
         rng = np.random.default_rng(seed)
         self.weights = []
         self.biases = []
@@ -254,11 +257,6 @@ class AgeNet:
                 layer_idx -= 1
         return dW, db
 
-    def clone(self):
-        other = AgeNet(self.arch, self.seed)
-        other.set_flat(self.get_flat())
-        return other
-
 
 # --- gradient check --------------------------------------------------------
 
@@ -376,8 +374,8 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
     params = model.weights + model.biases
     vel = [np.zeros_like(p) for p in params]
 
-    result = TrainResult(model=model.clone())
-    best_val = float("inf")
+    result = TrainResult(model=model)
+    best_val, best_flat = float("inf"), model.get_flat()
     for epoch in range(epochs):
         order = rng.permutation(len(x))
         epoch_loss = 0.0
@@ -403,9 +401,10 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
         val_mse, _ = evaluate_mse(model, val)
         result.val_loss.append(val_mse)
         if val_mse < best_val:
-            best_val = val_mse
-            result.model = model.clone()
+            best_val, best_flat = val_mse, model.get_flat()
             result.best_epoch = epoch
+    result.model = AgeNet(model.arch, model.seed, x.shape[1:])
+    result.model.set_flat(best_flat)
     return result
 
 
@@ -417,7 +416,7 @@ class CrossValReport:
     pooled_rmse: float
     predictions: tuple        # of (fold, participant_id, label, prediction)
     confusion: np.ndarray     # 4x4 counts, true bin x predicted bin
-    bins: tuple = CONFUSION_BINS
+    bins: tuple = AGE_BINS
     warnings: tuple = ()
 
 
@@ -429,9 +428,8 @@ def _bin_index(age, bins):
 
 
 def cross_validate(windows, folds: int = 5, split: float = 0.7,
-                   epochs: int = 15, seed: int = 0,
-                   arch: ArchDescriptor = ArchDescriptor(),
-                   lr: float = 1e-3, predictor=None) -> CrossValReport:
+                   epochs: int = 15, seed: int = 0, lr: float = 1e-3,
+                   predictor=None) -> CrossValReport:
     """Stochastic k-way cross-validation: k independent random participant
     splits (not a partition), each trained with early stopping.
 
@@ -449,7 +447,7 @@ def cross_validate(windows, folds: int = 5, split: float = 0.7,
     fold_rmse = []
     predictions = []
     warnings = []
-    confusion = np.zeros((len(CONFUSION_BINS), len(CONFUSION_BINS)), dtype=int)
+    confusion = np.zeros((len(AGE_BINS), len(AGE_BINS)), dtype=int)
 
     for fold in range(folds):
         order = rng.permutation(len(pids))
@@ -462,7 +460,8 @@ def cross_validate(windows, folds: int = 5, split: float = 0.7,
         if predictor is not None:
             preds = np.array([predictor(w) for w in val_w])
         else:
-            model = AgeNet(arch, seed=seed * 1000 + fold)
+            model = AgeNet(seed=seed * 1000 + fold,
+                           input_shape=train_w[0].values.shape)
             result = train(model, train_w, val_w, epochs=epochs, lr=lr,
                            seed=seed * 1000 + fold)
             _, preds = evaluate_mse(result.model, val_w)
@@ -472,13 +471,13 @@ def cross_validate(windows, folds: int = 5, split: float = 0.7,
         seen_bins = set()
         for w, p in zip(val_w, preds):
             predictions.append((fold, w.participant_id, w.label, float(p)))
-            ti = _bin_index(w.label, CONFUSION_BINS)
-            pi = _bin_index(p, CONFUSION_BINS)
+            ti = _bin_index(w.label, AGE_BINS)
+            pi = _bin_index(p, AGE_BINS)
             confusion[ti, pi] += 1
             seen_bins.add(ti)
-        for i in range(len(CONFUSION_BINS)):
+        for i in range(len(AGE_BINS)):
             if i not in seen_bins:
-                warnings.append(f"fold {fold}: validation lacks bin {CONFUSION_BINS[i]}")
+                warnings.append(f"fold {fold}: validation lacks bin {AGE_BINS[i]}")
 
     all_pred = np.array([p for *_, p in predictions])
     all_lab = np.array([lab for _, _, lab, _ in predictions])

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import pipeline, reconstruct3d, synth
 from .errors import ConfigError, InputError, NumericalError, ReachkinError
-from .model_io import load_cohort, validate_session, write_joint_csv
+from .model_io import AGE_BINS, load_cohort, validate_session, write_joint_csv
 from .pipeline import PipelineConfig, StageFailure
 
 
@@ -61,7 +61,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--n-per-bin", type=int, default=20)
-    p.add_argument("--bins", type=_parse_bins, default="6-8,9-10,11-13,14-17")
+    p.add_argument("--bins", type=_parse_bins, default=AGE_BINS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=50.0)
     p.add_argument("--out", required=True)
@@ -101,7 +101,6 @@ def build_parser():
     _add_common(p)
     _add_preprocess(p)
     _add_train(p)
-    p.add_argument("--bins", type=_parse_bins, default=None)
     return parser
 
 
@@ -115,7 +114,7 @@ def cmd_synth(args):
 
 def cmd_ingest(args):
     config = _config_from_args(args)
-    cohort = load_cohort(config.input_dir, config.bins)
+    cohort = load_cohort(config.input_dir)
     bad = 0
     for session in cohort.sessions:
         report = validate_session(session)
@@ -145,9 +144,11 @@ def _write_streams(out_dir, streams, name):
 
 def cmd_preprocess(args):
     config = _config_from_args(args)
-    cohort = load_cohort(config.input_dir, config.bins)
-    cleaned = [_per_participant(s.participant_id, pipeline.preprocess_session,
-                                s, config) for s in cohort.sessions]
+    cohort = load_cohort(config.input_dir)
+    frames = [_per_participant(s.participant_id, pipeline.session_frames, s,
+                               config) for s in cohort.sessions]
+    cleaned = [_per_participant(pid, pipeline.preprocess_session, seq, config)
+               for pid, seq in frames]
     _write_streams(config.out_dir, cleaned, "joints_clean.csv")
     print(f"preprocessed {len(cohort.sessions)} sessions into {config.out_dir}")
     return 0
@@ -156,7 +157,7 @@ def cmd_preprocess(args):
 def cmd_reconstruct(args):
     config = _config_from_args(args)
     cams = reconstruct3d.load_calibration(args.calibration)
-    cohort = load_cohort(config.input_dir, config.bins)
+    cohort = load_cohort(config.input_dir)
     pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
              if len(s.skeletons) >= 2]
     for pid, views in pairs:

@@ -1,9 +1,9 @@
 """Frame-level cleaning that needs only numpy: confidence gating with gap
 interpolation, and decimation.
 
-Kept apart from ``preprocess`` so that callers which never filter (window
-cutting for the age model) do not import ``scipy.signal``. ``preprocess``
-re-exports every name here.
+Kept apart from ``preprocess`` so that the pipeline's ``frames`` stage, which
+feeds the age model as well as the metrics, does not import ``scipy.signal``.
+``preprocess`` re-exports every name here.
 """
 
 from __future__ import annotations

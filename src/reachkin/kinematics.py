@@ -30,10 +30,6 @@ class ReachSegment:
     def n_frames(self):
         return len(self.path)
 
-    @property
-    def dims(self):
-        return self.path.shape[1]
-
 
 @dataclass(frozen=True)
 class MetricSummary:
@@ -43,7 +39,6 @@ class MetricSummary:
     median_directness: float
     median_max_speed: float
     reach_count: int
-    dims: int = 2
 
 
 def segment_reaches(seq: SkeletonSequence, targets: TargetLog,
@@ -140,5 +135,4 @@ def participant_medians(segments, participant_id, age, group) -> MetricSummary:
         median_directness=float(np.median(d)),
         median_max_speed=float(np.median(v)),
         reach_count=len(segments),
-        dims=segments[0].dims,
     )

@@ -53,6 +53,10 @@ WRIST_JOINTS = ("left_wrist", "right_wrist")
 SHOULDER_JOINTS = ("left_shoulder", "right_shoulder")
 CORE_JOINTS = WRIST_JOINTS + SHOULDER_JOINTS
 
+# Inclusive (lo, hi) age bins: synthetic cohorts draw equally from each, and
+# the age model's confusion matrix counts predictions in them.
+AGE_BINS = ((6, 8), (9, 10), (11, 13), (14, 17))
+
 
 @dataclass(frozen=True)
 class JointSample:
@@ -179,25 +183,13 @@ class ParticipantSession:
     score: int
     manifest: SessionManifest
 
-    def skeleton(self, camera_id=None):
-        if camera_id is None:
-            return self.skeletons[0]
-        for seq in self.skeletons:
-            if seq.camera_id == camera_id:
-                return seq
-        raise InputError(f"no skeleton for camera {camera_id!r}")
+    def skeleton(self):
+        return self.skeletons[0]
 
 
 @dataclass(frozen=True)
 class Cohort:
     sessions: tuple
-    bin_scheme: tuple   # of (lo_age, hi_age) inclusive bins partitioning 6..17
-
-    def bin_of(self, age):
-        for i, (lo, hi) in enumerate(self.bin_scheme):
-            if lo <= age <= hi:
-                return i
-        raise InputError(f"age {age} outside bin scheme {self.bin_scheme}")
 
 
 @dataclass(frozen=True)
@@ -400,6 +392,10 @@ def parse_manifest(stream) -> SessionManifest:
                 "camera_ids"):
         if key not in raw:
             raise MissingColumn(f"manifest: missing key {key!r}")
+    cams = raw["camera_ids"]
+    if not isinstance(cams, list) or not all(isinstance(c, str) for c in cams):
+        raise ParseError(f"manifest: 'camera_ids' must be a list of strings, "
+                         f"got {cams!r}")
     area = raw["play_area_px"]
     if not isinstance(area, list) or len(area) != 2:
         raise ParseError(f"manifest: 'play_area_px' must be [width, height], "
@@ -409,7 +405,7 @@ def parse_manifest(stream) -> SessionManifest:
         age_years=_manifest_int(raw["age_years"], "age_years"),
         play_area_px=tuple(_manifest_positive(v, "play_area_px") for v in area),
         native_fps=float(_manifest_positive(raw["native_fps"], "native_fps")),
-        camera_ids=tuple(raw["camera_ids"]),
+        camera_ids=tuple(cams),
         score=_manifest_int(raw.get("score", 0), "score"),
     )
 
@@ -468,13 +464,13 @@ def load_session(directory) -> ParticipantSession:
     )
 
 
-def load_cohort(root, bin_scheme) -> Cohort:
+def load_cohort(root) -> Cohort:
     dirs = sorted(d for d in os.listdir(root)
                   if os.path.isdir(os.path.join(root, d)))
     if not dirs:
         raise InputError(f"{root}: no participant directories")
     sessions = tuple(load_session(os.path.join(root, d)) for d in dirs)
-    return Cohort(sessions, tuple(tuple(b) for b in bin_scheme))
+    return Cohort(sessions)
 
 
 # --- validation ------------------------------------------------------------

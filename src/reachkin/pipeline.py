@@ -1,14 +1,14 @@
 """End-to-end orchestration: configuration, the stage table, artifact files,
 and simple SVG figure analogs.
 
-``STAGES`` is the stage graph: ingest -> metrics -> progress -> stats, with
-train and report alongside. ``run_stages`` computes the requested stages and
-what they need, naming the stage in any error, and writes the requested
-stages' artifacts only once every computation has succeeded. The pipeline
-and each stage subcommand run through it; two-view reconstruction runs only
-as ``reachkin reconstruct``. Every artifact file starts with a comment line
-recording the configuration hash and seed, and all files are written
-atomically (temp file + rename).
+``STAGES`` is the stage graph: ingest -> frames -> metrics -> progress ->
+stats, with train (also fed by frames) and report alongside. ``run_stages``
+computes the requested stages and what they need, naming the stage in any
+error, and writes the requested stages' artifacts only once every
+computation has succeeded. The pipeline and each stage subcommand run
+through it; two-view reconstruction runs only as ``reachkin reconstruct``.
+Every artifact file starts with a comment line recording the configuration
+hash and seed, and all files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import agenet, kinematics, progress_spline, reconstruct3d, synth
+from . import agenet, kinematics, progress_spline, reconstruct3d
 from .errors import (
     ConfigError,
     EmptyFile,
@@ -33,6 +33,7 @@ from .errors import (
     ZeroInitialDistance,
     ZeroPathLength,
 )
+from .frames import downsample, reject_low_confidence
 from .model_io import Cohort, load_cohort, validate_session
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
@@ -67,20 +68,19 @@ class PipelineConfig:
     split: float = 0.7
     learning_rate: float = 1e-3
     # cohort structure
-    bins: tuple = synth.DEFAULT_BINS
     analysis_groups: tuple = ANALYSIS_GROUPS
 
     def __post_init__(self):
         if self.decimation < 1 or self.folds < 1 or self.epochs < 0:
             raise ConfigError("decimation/folds/epochs out of range")
+        if self.window < 1 or self.stride < 1:
+            raise ConfigError(f"window and stride must be >= 1, got "
+                              f"{self.window} and {self.stride}")
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
 
     def to_dict(self):
-        d = asdict(self)
-        d["bins"] = [list(b) for b in self.bins]
-        d["analysis_groups"] = [list(g) for g in self.analysis_groups]
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -88,8 +88,6 @@ class PipelineConfig:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        if "bins" in d:
-            d["bins"] = tuple(tuple(b) for b in d["bins"])
         if "analysis_groups" in d:
             d["analysis_groups"] = tuple(tuple(g) for g in d["analysis_groups"])
         return cls(**d)
@@ -142,27 +140,36 @@ def _fnum(x):
 
 # --- per-participant analysis ----------------------------------------------
 
-def preprocess_session(session, config: PipelineConfig):
-    """Confidence gate, decimate, and zero-phase filter one 2D skeleton."""
+def session_frames(session, config: PipelineConfig):
+    """Confidence gate and decimate one session's 2D skeleton."""
+    seq, _ = reject_low_confidence(session.skeleton(),
+                                   config.confidence_threshold)
+    return downsample(seq, config.decimation)
+
+
+def cohort_frames(cohort: Cohort, config: PipelineConfig):
+    """``session_frames`` of every session, in cohort order."""
+    return tuple(session_frames(s, config) for s in cohort.sessions)
+
+
+def preprocess_session(seq, config: PipelineConfig):
+    """Zero-phase filter a session's frames (see ``session_frames``)."""
     from . import preprocess   # pulls in scipy.signal, about 1 s of start-up
 
-    seq = session.skeleton()
-    seq, _ = preprocess.reject_low_confidence(seq, config.confidence_threshold)
-    seq = preprocess.downsample(seq, config.decimation)
     spec = preprocess.FilterSpec(config.filter_order, config.filter_cutoff_hz,
                                  seq.sample_rate)
     return preprocess.filter_sequence(seq, spec)
 
 
-def analyze_session(session, config: PipelineConfig):
-    """Full metric extraction for one session.
+def analyze_session(session, seq, config: PipelineConfig):
+    """Full metric extraction for one session from its frames ``seq``.
 
     Returns (MetricSummary, repaired ReachSegments). Paths are in
     shoulder-width units; targets are mapped into the same frame.
     """
     from . import preprocess
 
-    seq = preprocess_session(session, config)
+    seq = preprocess_session(seq, config)
     scale = reconstruct3d.shoulder_scale(seq)
     seq = reconstruct3d.normalize_by_shoulder_width(seq, scale)
     w, h = session.manifest.play_area_px
@@ -172,32 +179,29 @@ def analyze_session(session, config: PipelineConfig):
 
     segments = kinematics.segment_reaches(seq, session.targets,
                                           target_to_path=target_to_path)
-    repaired = []
+    usable = []
     for seg in segments:
         try:
             path = preprocess.interpolate_outliers(seg.path,
                                                    config.outlier_k_sigma)
         except TooFewInliers:
             path = seg.path   # degenerate short segment; keep as-is
-        repaired.append(replace(seg, path=path))
-
-    usable = []
-    for seg in repaired:
+        seg = replace(seg, path=path)
         try:
             kinematics.segment_directness(seg)
-            usable.append(seg)
         except ZeroPathLength:
             continue
+        usable.append(seg)
     summary = kinematics.participant_medians(
         usable, session.participant_id, session.age,
         group_label(session.age, config.analysis_groups))
     return summary, usable
 
 
-def cohort_metrics(cohort: Cohort, config: PipelineConfig):
+def cohort_metrics(cohort: Cohort, frames, config: PipelineConfig):
     summaries, segments_by_pid = [], {}
-    for session in cohort.sessions:
-        summary, segments = analyze_session(session, config)
+    for session, seq in zip(cohort.sessions, frames):
+        summary, segments = analyze_session(session, seq, config)
         summaries.append(summary)
         segments_by_pid[session.participant_id] = segments
     return summaries, segments_by_pid
@@ -318,10 +322,9 @@ def write_stats(results, anova_path, tukey_path, config):
                    tukey_rows, config)
 
 
-def run_training(cohort, config: PipelineConfig):
+def run_training(cohort, frames, config: PipelineConfig):
     windows, skipped = agenet.windows_from_cohort(
-        cohort, config.window, config.stride, config.decimation,
-        config.confidence_threshold)
+        cohort, frames, config.window, config.stride)
     report = agenet.cross_validate(
         windows, folds=config.folds, split=config.split,
         epochs=config.epochs, seed=config.seed, lr=config.learning_rate)
@@ -358,8 +361,8 @@ def write_bars(rows, path, config):
     write_artifact(path, ["metric", "group", "mean", "std"], rows, config)
 
 
-def write_trajectories(cohort, segments_by_pid, path, config):
-    """One sample reach path per analysis group, for plotting."""
+def trajectory_rows(cohort, segments_by_pid, config):
+    """One sample reach path per analysis group, as trajectories.csv rows."""
     rows = []
     seen = set()
     for session in cohort.sessions:
@@ -374,6 +377,10 @@ def write_trajectories(cohort, segments_by_pid, path, config):
             rows.append([label, session.participant_id, seg.hand, i,
                          *map(_fnum, p)])
         seen.add(label)
+    return rows
+
+
+def write_trajectories(rows, path, config):
     write_artifact(path, ["group", "participant_id", "hand", "frame", "x", "y"],
                    rows, config)
 
@@ -442,8 +449,7 @@ def svg_progress(fits, path, config):
     _svg(path, width, height, body, config)
 
 
-def svg_trajectories(traj_path_csv, path, config):
-    header, rows = read_artifact(traj_path_csv)
+def svg_trajectories(rows, path, config):
     width, height, pad = 320, 320, 20
     if not rows:
         _svg(path, width, height, "", config)
@@ -474,7 +480,7 @@ class StageFailure(ReachkinError):
 
 
 def _ingest(config):
-    cohort = load_cohort(config.input_dir, config.bins)
+    cohort = load_cohort(config.input_dir)
     for session in cohort.sessions:
         report = validate_session(session)
         if not report.ok:
@@ -484,11 +490,12 @@ def _ingest(config):
 
 
 def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
-    write_bars(r["report"], bars, config)
-    write_trajectories(r["ingest"], r["metrics"][1], traj, config)
-    svg_bars(r["report"], bars_svg, config)
+    bar_values, traj_rows = r["report"]
+    write_bars(bar_values, bars, config)
+    write_trajectories(traj_rows, traj, config)
+    svg_bars(bar_values, bars_svg, config)
     svg_progress(r["progress"], progress_svg, config)
-    svg_trajectories(traj, traj_svg, config)
+    svg_trajectories(traj_rows, traj_svg, config)
 
 
 # name -> (stages it needs, compute(results, config), artifact file names,
@@ -498,7 +505,10 @@ def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
 # tracing, say) takes effect here too.
 STAGES = {
     "ingest": ((), lambda r, c: _ingest(c), (), None),
-    "metrics": (("ingest",), lambda r, c: cohort_metrics(r["ingest"], c),
+    "frames": (("ingest",), lambda r, c: cohort_frames(r["ingest"], c), (),
+               None),
+    "metrics": (("ingest", "frames"),
+                lambda r, c: cohort_metrics(r["ingest"], r["frames"], c),
                 ("metrics.csv",),
                 lambda r, c, path: write_metrics(r["metrics"][0], path, c)),
     "progress": (("ingest", "metrics"),
@@ -509,11 +519,13 @@ STAGES = {
     "stats": (("metrics",), lambda r, c: run_stats(r["metrics"][0], c),
               ("anova.csv", "tukey.csv"),
               lambda r, c, *paths: write_stats(r["stats"], *paths, c)),
-    "train": (("ingest",), lambda r, c: run_training(r["ingest"], c),
+    "train": (("ingest", "frames"),
+              lambda r, c: run_training(r["ingest"], r["frames"], c),
               ("cv_report.csv", "confusion.csv"),
               lambda r, c, *paths: write_training(r["train"][0], *paths, c)),
     "report": (("ingest", "metrics", "progress"),
-               lambda r, c: bar_rows(r["metrics"][0], c),
+               lambda r, c: (bar_rows(r["metrics"][0], c),
+                             trajectory_rows(r["ingest"], r["metrics"][1], c)),
                ("bars.csv", "trajectories.csv", "bars.svg", "progress.svg",
                 "trajectories.svg"), _write_report),
 }

@@ -27,7 +27,6 @@ class FilterSpec:
     order: int = 2
     cutoff: float = 6.0        # Hz
     sample_rate: float = 30.0  # Hz
-    mode: str = "zero_phase_forward_backward"
 
     def __post_init__(self):
         if self.order < 1:
@@ -50,8 +49,6 @@ def butterworth_filter(channel, spec: FilterSpec):
     if len(x) < 3 * spec.order:
         raise UnstableSpec(
             f"series of length {len(x)} too short for order {spec.order}")
-    if spec.cutoff >= spec.sample_rate / 2.0:
-        raise UnstableSpec("cutoff at or above Nyquist")
 
     b, a = butter(spec.order, spec.cutoff, btype="low", fs=spec.sample_rate)
     pad = 3 * spec.order

@@ -111,7 +111,7 @@ def studentized_range_sf(q: float, k: int, df: int) -> float:
 
 # --- Tukey HSD -------------------------------------------------------------
 
-def tukey_hsd(samples: GroupedSamples, alpha: float = 0.05) -> TukeyResult:
+def tukey_hsd(samples: GroupedSamples) -> TukeyResult:
     """All pairwise comparisons via the Tukey-Kramer studentized range test."""
     anova = one_way_anova(samples)
     groups = [np.asarray(g, dtype=float) for g in samples.groups]

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model_io import (
+    AGE_BINS,
     Cohort,
     JointStream,
     ParticipantSession,
@@ -47,8 +48,6 @@ HAND_REST = {"left": np.array([-0.9, 1.6]), "right": np.array([0.9, 1.6])}
 HIT_RADIUS = 0.30          # sim units
 HIT_FRAMES = 5             # consecutive overlap frames required
 PAUSE_S = 0.22             # dwell between corrective submovement bursts
-
-DEFAULT_BINS = ((6, 8), (9, 10), (11, 13), (14, 17))
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def sample_params(age: int, rng) -> StrategyParams:
     )
 
 
-def generate_cohort(n_per_bin: int, bins=DEFAULT_BINS, seed: int = 0,
+def generate_cohort(n_per_bin: int, bins=AGE_BINS, seed: int = 0,
                     duration: float = 50.0) -> tuple:
     """Generate a deterministic cohort; returns (Cohort, ground_truth rows).
 
@@ -371,7 +370,7 @@ def generate_cohort(n_per_bin: int, bins=DEFAULT_BINS, seed: int = 0,
                 "noise_sigma": params.noise_sigma,
             })
             idx += 1
-    return Cohort(tuple(sessions), tuple(bins)), truth
+    return Cohort(tuple(sessions)), truth
 
 
 def write_cohort(cohort: Cohort, truth, directory):

@@ -23,9 +23,10 @@ def small_cohort_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def cohort_windows(default_cohort):
     """Normalized training windows cut from the full-size cohort."""
-    from reachkin import agenet
+    from reachkin import agenet, pipeline
     cohort, _ = default_cohort
-    windows, skipped = agenet.windows_from_cohort(cohort)
+    frames = pipeline.cohort_frames(cohort, pipeline.PipelineConfig())
+    windows, skipped = agenet.windows_from_cohort(cohort, frames)
     assert not skipped
     return windows
 

@@ -178,7 +178,8 @@ def test_cohort_monotonic_trends(default_cohort):
     t0 = time.perf_counter()
     cohort, _ = default_cohort
     config = pipeline.PipelineConfig()
-    summaries, segments_by_pid = pipeline.cohort_metrics(cohort, config)
+    summaries, segments_by_pid = pipeline.cohort_metrics(
+        cohort, pipeline.cohort_frames(cohort, config), config)
 
     labels = [pipeline.group_label((lo + hi) // 2) for lo, hi in
               pipeline.ANALYSIS_GROUPS]

@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from reachkin import agenet, synth
 from reachkin.agenet import (
     AgeNet,
     ArchDescriptor,
@@ -17,7 +12,12 @@ from reachkin.agenet import (
     train,
     window_dataset,
 )
-from reachkin.errors import DivergedLoss, SequenceTooShort, TooFewParticipants
+from reachkin.errors import (
+    ConfigError,
+    DivergedLoss,
+    SequenceTooShort,
+    TooFewParticipants,
+)
 
 
 # --- normalization -----------------------------------------------------------
@@ -66,24 +66,6 @@ def test_window_dataset_counts():
 def test_window_dataset_all_too_short():
     with pytest.raises(SequenceTooShort):
         window_dataset([("a", 8, np.zeros((4, 50)))])
-
-
-def test_windows_from_cohort_leaves_scipy_signal_unloaded(tmp_path):
-    # cutting windows gates and decimates but never filters, so it must not
-    # pay the ~1 s import of scipy.signal
-    cohort, truth = synth.generate_cohort(1, seed=3, duration=20.0)
-    synth.write_cohort(cohort, truth, str(tmp_path))
-    src = os.path.dirname(os.path.dirname(agenet.__file__))
-    load = f"model_io.load_cohort({str(tmp_path)!r}, {cohort.bin_scheme!r})"
-    probe = ("import sys\n"
-             "from reachkin import agenet, model_io\n"
-             f"c = {load}\n"
-             "windows, _ = agenet.windows_from_cohort(c)\n"
-             "print(len(windows), 'scipy.signal' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["8", "False"]
 
 
 # --- forward pass ------------------------------------------------------------
@@ -228,6 +210,14 @@ def test_forward_backward_match_einsum_reference_exactly(batch):
     for got, want in zip(dW + db, want_dW + want_db):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_input_length_comes_from_the_input_shape():
+    x = np.random.default_rng(8).normal(size=(2, 4, 79))
+    assert AgeNet(seed=0, input_shape=(4, 79)).forward(x).shape == (2,)
+    with pytest.raises(ConfigError, match="needs at least 79"):
+        AgeNet(seed=0, input_shape=(4, 78))
+    AgeNet(ArchDescriptor(conv_channels=()), input_shape=(4, 1))   # no convs
 
 
 # --- gradient check ----------------------------------------------------------

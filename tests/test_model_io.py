@@ -141,8 +141,13 @@ def test_joint_roundtrip_identity(sample_session):
 
 
 def test_preprocessed_stream_parses_back(sample_session):
-    from reachkin.pipeline import PipelineConfig, preprocess_session
-    seq = preprocess_session(sample_session, PipelineConfig())
+    from reachkin.pipeline import (
+        PipelineConfig,
+        preprocess_session,
+        session_frames,
+    )
+    config = PipelineConfig()
+    seq = preprocess_session(session_frames(sample_session, config), config)
     buf = io.StringIO()
     model_io.write_joint_csv(seq, buf)
     back = model_io.parse_joint_csv(buf.getvalue())
@@ -183,7 +188,8 @@ def test_manifest_missing_key():
     ("play_area_px", "[NaN, 720]"), ("play_area_px", "[990, -720]"),
     ("play_area_px", "[990]"), ("native_fps", "Infinity"),
     ("native_fps", '"30"'), ("age_years", '"abc"'), ("age_years", "[8]"),
-    ("age_years", "8.5"), ("score", "true")])
+    ("age_years", "8.5"), ("score", "true"), ("camera_ids", '"webcam"'),
+    ("camera_ids", "[1]")])
 def test_manifest_rejects_ill_typed_values(key, value):
     fields = {"participant_id": '"p1"', "age_years": "8",
               "play_area_px": "[990, 720]", "native_fps": "30.0",
@@ -204,22 +210,15 @@ def test_session_directory_roundtrip(tmp_path, sample_session):
 
 
 def test_load_cohort(small_cohort_dir):
-    cohort = model_io.load_cohort(small_cohort_dir, synth_bins())
+    cohort = model_io.load_cohort(small_cohort_dir)
     assert len(cohort.sessions) == 12
-    for s in cohort.sessions:
-        cohort.bin_of(s.age)   # every age falls in a bin
-    with pytest.raises(InputError):
-        cohort.bin_of(42)
-
-
-def synth_bins():
-    from reachkin.synth import DEFAULT_BINS
-    return DEFAULT_BINS
+    for s in cohort.sessions:   # every age falls in a bin
+        assert any(lo <= s.age <= hi for lo, hi in model_io.AGE_BINS)
 
 
 def test_load_cohort_empty_dir(tmp_path):
     with pytest.raises(InputError):
-        model_io.load_cohort(tmp_path, synth_bins())
+        model_io.load_cohort(tmp_path)
 
 
 def test_validate_clean_session(sample_session):

@@ -33,6 +33,8 @@ def test_config_rejects_unknown_keys():
         PipelineConfig.from_dict({"seed": 1, "cutoff": 6.0})
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"jobs": 2})
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict({"bins": [[6, 8], [9, 17]]})
 
 
 def test_config_validates_ranges():
@@ -42,6 +44,10 @@ def test_config_validates_ranges():
         PipelineConfig(split=1.0)
     with pytest.raises(ConfigError):
         PipelineConfig(folds=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(window=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig(stride=0)
 
 
 def test_config_hash_tracks_content():
@@ -88,7 +94,8 @@ def test_artifact_round_trip(tmp_path):
 
 def test_metrics_round_trip(tmp_path, sample_session):
     config = PipelineConfig()
-    summary, segments = pipeline.analyze_session(sample_session, config)
+    summary, segments = pipeline.analyze_session(
+        sample_session, pipeline.session_frames(sample_session, config), config)
     path = str(tmp_path / "metrics.csv")
     write_metrics([summary], path, config)
     back = read_metrics(path)
@@ -102,8 +109,9 @@ def test_metrics_round_trip(tmp_path, sample_session):
 # --- per-session analysis ----------------------------------------------------
 
 def test_analyze_session_units_and_counts(sample_session):
-    summary, segments = pipeline.analyze_session(sample_session,
-                                                 PipelineConfig())
+    config = PipelineConfig()
+    summary, segments = pipeline.analyze_session(
+        sample_session, pipeline.session_frames(sample_session, config), config)
     assert summary.participant_id == "p011"
     assert summary.group == "11-13"
     assert 0.0 < summary.median_directness <= 1.0
@@ -118,9 +126,11 @@ def test_analyze_session_units_and_counts(sample_session):
 
 
 def test_run_stats_structure(small_cohort_dir):
-    cohort = pipeline.load_cohort(small_cohort_dir, PipelineConfig().bins)
-    summaries, _ = pipeline.cohort_metrics(cohort, PipelineConfig())
-    results = pipeline.run_stats(summaries, PipelineConfig())
+    config = PipelineConfig()
+    cohort = pipeline.load_cohort(small_cohort_dir)
+    summaries, _ = pipeline.cohort_metrics(
+        cohort, pipeline.cohort_frames(cohort, config), config)
+    results = pipeline.run_stats(summaries, config)
     assert set(results) == {"directness", "max_speed"}
     for anova, tukey in results.values():
         assert isinstance(anova, stats.AnovaResult)
@@ -234,6 +244,21 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_train_loads_no_scipy(tmp_path, small_cohort_dir):
+    # training gates and decimates but never filters or tests, so it must not
+    # pay the start-up of scipy.signal or scipy.stats
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["train", "--in", str(small_cohort_dir), "--out", str(tmp_path),
+            "--epochs", "1", "--folds", "1"]
+    probe = ("import sys\nfrom reachkin import cli\n"
+             f"code = cli.main({argv!r})\n"
+             "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_synth_writes_cohort(tmp_path, capsys):
     out = tmp_path / "cohort"
     assert cli.main(["synth", "--n-per-bin", "1", "--seed", "3",
@@ -264,8 +289,10 @@ def test_run_training_uses_confidence_threshold(monkeypatch):
     monkeypatch.setattr(pipeline.agenet, "cross_validate",
                         lambda windows, **kw: seen.append(windows))
     for threshold in (0.75, 0.9):
-        pipeline.run_training(cohort, PipelineConfig(
-            confidence_threshold=threshold, window=50, stride=50))
+        config = PipelineConfig(confidence_threshold=threshold, window=50,
+                                stride=50)
+        pipeline.run_training(cohort, pipeline.cohort_frames(cohort, config),
+                              config)
     default, strict = ([w.values for w in ws] for ws in seen)
     assert len(default) != len(strict) or not all(
         np.array_equal(a, b) for a, b in zip(default, strict))
@@ -300,3 +327,56 @@ def test_stage_commands_match_pipeline(tmp_path, small_cohort_dir):
     for name in os.listdir(whole):
         with open(os.path.join(out, name), "rb") as fh:
             assert fh.read() == (whole / name).read_bytes(), name
+
+
+def test_run_pipeline_gates_each_session_once(tmp_path, small_cohort_dir,
+                                              monkeypatch):
+    from reachkin import agenet, frames, preprocess
+    original = frames.reject_low_confidence
+    gated = []
+
+    def counted(seq, threshold):
+        gated.append(seq.participant_id)
+        return original(seq, threshold)
+
+    for module in (frames, preprocess, agenet, pipeline):
+        if getattr(module, "reject_low_confidence", None) is original:
+            monkeypatch.setattr(module, "reject_low_confidence", counted)
+    pipeline.run_pipeline(PipelineConfig(
+        input_dir=str(small_cohort_dir), out_dir=str(tmp_path / "out"),
+        epochs=1, folds=1))
+    assert sorted(gated) == [f"p{i:03d}" for i in range(12)]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--stride", "0"], {}, "stride must be >= 1"),
+    ([], {"window": 0}, "window and stride must be >= 1"),
+    ([], {"window": 60}, "stage 'train' failed: window of 60 frames is too "
+                         "short for the conv stack, which needs at least 79"),
+    ([], {"bins": [[6, 8], [9, 17]]}, "unknown config key(s): ['bins']"),
+], ids=["stride-0", "window-0", "window-60", "bins"])
+def test_cli_train_rejects_bad_settings(tmp_path, small_cohort_dir, capsys,
+                                        argv, config, message):
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["train", "--in", str(small_cohort_dir), "--out", str(out),
+                     "--config", str(cfg), *argv]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_cli_window_sets_the_model_input_length(tmp_path, small_cohort_dir):
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"window": 150, "stride": 75, "epochs": 1,
+                               "folds": 1}))
+    assert cli.main(["train", "--in", str(small_cohort_dir), "--out", str(out),
+                     "--config", str(cfg)]) == 0
+    header, rows = read_artifact(str(out / "cv_report.csv"))
+    assert header == ["fold", "rmse"] and rows[-1][0] == "pooled"
+
+
+def test_cli_pipeline_has_no_bins_option(tmp_path, small_cohort_dir):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", "--in", str(small_cohort_dir),
+                  "--out", str(tmp_path / "out"), "--bins", "6-8,9-17"])
+    assert exc.value.code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reachkin import kinematics, synth
-from reachkin.model_io import load_cohort, validate_session
+from reachkin.model_io import AGE_BINS, load_cohort, validate_session
 from reachkin.synth import (
     HIT_FRAMES,
     HIT_RADIUS,
@@ -137,7 +137,7 @@ def test_generate_cohort_counts_and_ages():
     for session, row in zip(cohort.sessions, truth):
         assert session.participant_id == row["participant_id"]
         assert session.age == row["age"]
-        cohort.bin_of(session.age)
+        assert any(lo <= session.age <= hi for lo, hi in AGE_BINS)
 
 
 def test_generate_cohort_deterministic():
@@ -153,14 +153,15 @@ def test_cohort_scores_rise_with_age(default_cohort):
     cohort, _ = default_cohort
     by_bin = {}
     for s in cohort.sessions:
-        by_bin.setdefault(cohort.bin_of(s.age), []).append(s.score)
-    means = [np.mean(by_bin[i]) for i in sorted(by_bin)]
+        age_bin = next(b for b in AGE_BINS if b[0] <= s.age <= b[1])
+        by_bin.setdefault(age_bin, []).append(s.score)
+    means = [np.mean(by_bin[b]) for b in AGE_BINS]
     assert means[0] < means[-1]
     assert all(a < b for a, b in zip(means, means[1:]))
 
 
 def test_write_cohort_round_trip(small_cohort_dir):
-    cohort = load_cohort(small_cohort_dir, synth.DEFAULT_BINS)
+    cohort = load_cohort(small_cohort_dir)
     regen, _ = generate_cohort(3, seed=5)
     assert len(cohort.sessions) == len(regen.sessions)
     for disk, mem in zip(cohort.sessions, regen.sessions):
