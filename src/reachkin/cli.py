@@ -125,14 +125,6 @@ def cmd_ingest(args):
     return 0 if bad == 0 else 2
 
 
-def _per_participant(pid, fn, *args):
-    """(pid, fn(*args)), with the participant id put in front of any error."""
-    try:
-        return pid, fn(*args)
-    except ReachkinError as exc:
-        raise type(exc)(f"participant {pid}: {exc}") from exc
-
-
 def _write_streams(out_dir, streams, name):
     """Write each (participant id, sequence) to out_dir/<pid>/<name>."""
     for pid, seq in streams:
@@ -145,10 +137,10 @@ def _write_streams(out_dir, streams, name):
 def cmd_preprocess(args):
     config = _config_from_args(args)
     cohort = load_cohort(config.input_dir)
-    frames = [_per_participant(s.participant_id, pipeline.session_frames, s,
-                               config) for s in cohort.sessions]
-    cleaned = [_per_participant(pid, pipeline.preprocess_session, seq, config)
-               for pid, seq in frames]
+    frames = pipeline.cohort_frames(cohort, config)
+    cleaned = [(s.participant_id, pipeline.per_participant(
+        s.participant_id, pipeline.preprocess_session, seq, config))
+        for s, seq in zip(cohort.sessions, frames)]
     _write_streams(config.out_dir, cleaned, "joints_clean.csv")
     print(f"preprocessed {len(cohort.sessions)} sessions into {config.out_dir}")
     return 0
@@ -165,10 +157,10 @@ def cmd_reconstruct(args):
             if seq.camera_id not in cams:
                 raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
                                  f"is not in {args.calibration}")
-    reconstructed = [_per_participant(
+    reconstructed = [(pid, pipeline.per_participant(
         pid, reconstruct3d.triangulate_sequences, seq1, seq2,
-        cams[seq1.camera_id], cams[seq2.camera_id], config.confidence_threshold)
-        for pid, (seq1, seq2) in pairs]
+        cams[seq1.camera_id], cams[seq2.camera_id],
+        config.confidence_threshold)) for pid, (seq1, seq2) in pairs]
     _write_streams(config.out_dir, reconstructed, "joints_3d.csv")
     print(f"reconstructed {len(pairs)} sessions into {config.out_dir}")
     return 0

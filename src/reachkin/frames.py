@@ -1,9 +1,10 @@
-"""Frame-level cleaning that needs only numpy: confidence gating with gap
-interpolation, and decimation.
+"""Frame-level cleaning: confidence gating with gap interpolation, and
+decimation.
 
-Kept apart from ``preprocess`` so that the pipeline's ``frames`` stage, which
-feeds the age model as well as the metrics, does not import ``scipy.signal``.
-``preprocess`` re-exports every name here.
+These run once per session in the pipeline's ``frames`` stage, which feeds
+the age model as well as the metrics; filtering and outlier repair, which
+only the metrics need, are in ``preprocess``, which re-exports every name
+here.
 """
 
 from __future__ import annotations

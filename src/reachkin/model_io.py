@@ -470,6 +470,13 @@ def load_cohort(root) -> Cohort:
     if not dirs:
         raise InputError(f"{root}: no participant directories")
     sessions = tuple(load_session(os.path.join(root, d)) for d in dirs)
+    first_dir = {}
+    for d, session in zip(dirs, sessions):
+        first = first_dir.setdefault(session.participant_id, d)
+        if first != d:
+            raise InputError(
+                f"participant id {session.participant_id!r} is in both "
+                f"{os.path.join(root, first)} and {os.path.join(root, d)}")
     return Cohort(sessions)
 
 

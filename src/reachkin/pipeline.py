@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import agenet, kinematics, progress_spline, reconstruct3d
+from . import (agenet, kinematics, preprocess, progress_spline, reconstruct3d,
+               stats)
 from .errors import (
     ConfigError,
     EmptyFile,
@@ -147,15 +148,22 @@ def session_frames(session, config: PipelineConfig):
     return downsample(seq, config.decimation)
 
 
+def per_participant(pid, fn, *args):
+    """fn(*args), with the participant id put in front of any error."""
+    try:
+        return fn(*args)
+    except ReachkinError as exc:
+        raise type(exc)(f"participant {pid}: {exc}") from exc
+
+
 def cohort_frames(cohort: Cohort, config: PipelineConfig):
     """``session_frames`` of every session, in cohort order."""
-    return tuple(session_frames(s, config) for s in cohort.sessions)
+    return tuple(per_participant(s.participant_id, session_frames, s, config)
+                 for s in cohort.sessions)
 
 
 def preprocess_session(seq, config: PipelineConfig):
     """Zero-phase filter a session's frames (see ``session_frames``)."""
-    from . import preprocess   # pulls in scipy.signal, about 1 s of start-up
-
     spec = preprocess.FilterSpec(config.filter_order, config.filter_cutoff_hz,
                                  seq.sample_rate)
     return preprocess.filter_sequence(seq, spec)
@@ -167,8 +175,6 @@ def analyze_session(session, seq, config: PipelineConfig):
     Returns (MetricSummary, repaired ReachSegments). Paths are in
     shoulder-width units; targets are mapped into the same frame.
     """
-    from . import preprocess
-
     seq = preprocess_session(seq, config)
     scale = reconstruct3d.shoulder_scale(seq)
     seq = reconstruct3d.normalize_by_shoulder_width(seq, scale)
@@ -284,8 +290,6 @@ def write_splines(fits, spline_path, curves_path, config):
 
 
 def grouped_metric(summaries, attr, config):
-    from . import stats   # pulls in scipy.stats, about 1 s of start-up
-
     labels = [group_label((lo + hi) // 2, config.analysis_groups)
               for lo, hi in config.analysis_groups]
     groups = []
@@ -296,8 +300,6 @@ def grouped_metric(summaries, attr, config):
 
 
 def run_stats(summaries, config):
-    from . import stats
-
     results = {}
     for metric, attr in (("directness", "median_directness"),
                          ("max_speed", "median_max_speed")):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import butter, lfilter
 
 from .errors import TooFewInliers, UnstableSpec
 from .frames import (  # noqa: F401  (re-exported)
@@ -36,12 +35,49 @@ class FilterSpec:
                 f"cutoff {self.cutoff} Hz outside (0, Nyquist={self.sample_rate / 2}) Hz")
 
 
+def butterworth_coefficients(spec: FilterSpec):
+    """(b, a) of the digital low-pass Butterworth filter of ``spec``.
+
+    Follows the zero-pole-gain path of ``scipy.signal.butter`` step for step
+    (analog prototype poles, pre-warp, low-pass scaling, bilinear transform
+    with the zeros at infinity sent to -1, polynomial expansion), so the
+    coefficients agree with scipy's to the last bit.
+    """
+    n = spec.order
+    wn = np.asarray(spec.cutoff, dtype=np.float64) / (spec.sample_rate / 2)
+    wo = float(4.0 * np.tan(np.pi * wn / 2.0))    # pre-warp with fs = 2
+    m = np.arange(-n + 1, n, 2, dtype=np.float64)
+    poles = wo * -np.exp(1j * np.pi * m / (2 * n))
+    # bilinear transform at 2 * fs = 4; all n zeros are at infinity
+    k = wo ** n * np.real(1.0 / np.prod(4.0 - poles))
+    b = k * np.poly(-np.ones(n))
+    a = np.poly((4.0 + poles) / (4.0 - poles)).real
+    return b, a   # a[0] is exactly 1
+
+
+def _lfilter(b, a, x):
+    """Direct-form II transposed filter of the float list ``x``, rounding
+    each operation in the order of scipy's C ``lfilter`` loop."""
+    b0, b_last, a_last = b[0], b[-1], a[-1]
+    middle = tuple(zip(b[1:-1], a[1:-1]))
+    z = [0.0] * (len(b) - 1)
+    y = []
+    for xn in x:
+        yn = z[0] + b0 * xn
+        for i, (bi, ai) in enumerate(middle):
+            z[i] = z[i + 1] + xn * bi - yn * ai
+        z[-1] = xn * b_last - yn * a_last
+        y.append(yn)
+    return y
+
+
 def butterworth_filter(channel, spec: FilterSpec):
     """Zero-phase low-pass Butterworth filter of an (N,) or (N, D) series.
 
     Forward pass then time-reversed backward pass, with reflective edge
     padding of 3 * order samples on each side; DC gain is exactly 1 and the
-    output has no phase lag.
+    output has no phase lag. Each column is filtered exactly as
+    ``scipy.signal.lfilter`` would filter it.
     """
     x = np.asarray(channel, dtype=float)
     if x.ndim not in (1, 2):
@@ -50,11 +86,12 @@ def butterworth_filter(channel, spec: FilterSpec):
         raise UnstableSpec(
             f"series of length {len(x)} too short for order {spec.order}")
 
-    b, a = butter(spec.order, spec.cutoff, btype="low", fs=spec.sample_rate)
+    b, a = (c.tolist() for c in butterworth_coefficients(spec))
     pad = 3 * spec.order
     xp = np.pad(x, [(pad, pad)] + [(0, 0)] * (x.ndim - 1), mode="reflect")
-    y = lfilter(b, a, xp, axis=0)
-    y = lfilter(b, a, y[::-1], axis=0)[::-1]
+    columns = xp.reshape(len(xp), -1).T.tolist()
+    y = np.column_stack([_lfilter(b, a, _lfilter(b, a, col)[::-1])[::-1]
+                         for col in columns]).reshape(xp.shape)
     return y[pad:len(xp) - pad]
 
 

@@ -2,7 +2,8 @@
 
 Both distributions come from scipy: the F survival function is
 ``scipy.special.fdtrc`` and the studentized range survival function is
-``scipy.stats.studentized_range.sf``.
+``scipy.stats.studentized_range.sf``. scipy is imported on the first p-value,
+not with this module, so code that only groups samples starts without it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc
-from scipy.stats import studentized_range
 
 from .errors import TooFewSamples, ZeroWithinVariance
 
@@ -71,6 +70,7 @@ def f_sf(F: float, d1: int, d2: int) -> float:
     """Survival function of the F(d1, d2) distribution."""
     if F <= 0.0:
         return 1.0
+    from scipy.special import fdtrc
     return float(fdtrc(d1, d2, F))
 
 
@@ -106,6 +106,7 @@ def studentized_range_sf(q: float, k: int, df: int) -> float:
         raise ValueError("need k >= 2 and df >= 1")
     if q == 0.0:
         return 1.0
+    from scipy.stats import studentized_range
     return float(studentized_range.sf(q, k, df))
 
 

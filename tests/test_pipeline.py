@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from reachkin import cli, pipeline, stats, synth
-from reachkin.errors import ConfigError, InputError
+from reachkin.errors import AllFramesRejected, ConfigError, InputError
 from reachkin.pipeline import (
     PipelineConfig,
     group_label,
@@ -218,14 +219,18 @@ def test_cli_stats_rejects_empty_metrics_file(tmp_path, capsys):
     assert not (tmp_path / "out" / "anova.csv").exists()
 
 
+def _lower_confidences(cohort, pid):
+    path = cohort / pid / "joints.csv"
+    header, *rows = path.read_text().splitlines()
+    rows = [",".join(r.split(",")[:7] + ["0.5"]) for r in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
 def test_cli_preprocess_failure_writes_no_participant(tmp_path, capsys):
     cohort = tmp_path / "cohort"
     assert cli.main(["synth", "--n-per-bin", "1", "--seed", "3",
                      "--duration", "10", "--out", str(cohort)]) == 0
-    path = cohort / "p001" / "joints.csv"
-    header, *rows = path.read_text().splitlines()
-    rows = [",".join(r.split(",")[:7] + ["0.5"]) for r in rows]
-    path.write_text("\n".join([header, *rows]) + "\n")
+    _lower_confidences(cohort, "p001")
     out = tmp_path / "out"
     assert cli.main(["preprocess", "--in", str(cohort), "--out", str(out)]) == 2
     assert "participant p001" in capsys.readouterr().err
@@ -244,19 +249,79 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+# sha256 of anova.csv and tukey.csv below their config-hash comment line, for
+# `stats` on the `metrics.csv` of the small cohort; scipy's p-values, imported
+# on first use, must come out unchanged.
+STATS_ARTIFACT_SHA256 = {
+    "anova.csv":
+        "7d9f70bdaeaed6984b7452174bf77d55418d1491600f778665627304651e4492",
+    "tukey.csv":
+        "c0abfa110a9de527486bb6224c663916413b0cd32f4032b37c73b8b82b415902",
+}
+
+
 def test_cli_train_loads_no_scipy(tmp_path, small_cohort_dir):
-    # training gates and decimates but never filters or tests, so it must not
-    # pay the start-up of scipy.signal or scipy.stats
+    # only the p-values of `stats` use scipy: training and every other stage
+    # command, run one after another in one process, must not import it
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    argv = ["train", "--in", str(small_cohort_dir), "--out", str(tmp_path),
-            "--epochs", "1", "--folds", "1"]
+    cohort, out = str(small_cohort_dir), str(tmp_path)
+    runs = [["train", "--in", cohort, "--out", out, "--epochs", "1",
+             "--folds", "1"],
+            *([command, "--in", cohort, "--out", out]
+              for command in ("preprocess", "metrics", "progress", "report")),
+            ["stats", "--metrics", os.path.join(out, "metrics.csv"),
+             "--out", out]]
     probe = ("import sys\nfrom reachkin import cli\n"
-             f"code = cli.main({argv!r})\n"
-             "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+             f"for argv in {runs!r}:\n"
+             "    code = cli.main(argv)\n"
+             "    print('probe', argv[0], code,"
+             " [m for m in sys.modules if m.split('.')[0] == 'scipy'] != [])")
     done = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 []"
+    assert [ln for ln in done.stdout.splitlines() if ln.startswith("probe")] == [
+        "probe train 0 False", "probe preprocess 0 False",
+        "probe metrics 0 False", "probe progress 0 False",
+        "probe report 0 False", "probe stats 0 True"]
+    for name, want in STATS_ARTIFACT_SHA256.items():
+        body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == want, name
+
+
+@pytest.mark.parametrize("command", ["metrics", "train", "pipeline"])
+def test_cli_gating_error_names_the_participant(tmp_path, small_cohort_dir,
+                                                capsys, command):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    _lower_confidences(cohort, "p001")
+    out = tmp_path / "out"
+    assert cli.main([command, "--in", str(cohort), "--out", str(out)]) == 2
+    assert ("error: stage 'frames' failed: participant p001: joint "
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cohort_frames_keeps_the_error_type(tmp_path, small_cohort_dir):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    _lower_confidences(cohort, "p001")
+    with pytest.raises(AllFramesRejected, match="^participant p001: joint "):
+        pipeline.cohort_frames(pipeline.load_cohort(str(cohort)),
+                               PipelineConfig())
+
+
+@pytest.mark.parametrize("command", ["ingest", "metrics", "pipeline"])
+def test_cli_rejects_duplicate_participant_ids(tmp_path, small_cohort_dir,
+                                               capsys, command):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    shutil.copytree(cohort / "p000", cohort / "p100")
+    out = tmp_path / "out"
+    assert cli.main([command, "--in", str(cohort), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "participant id 'p000'" in err
+    assert str(cohort / "p000") in err and str(cohort / "p100") in err
+    assert not out.exists()
 
 
 def test_cli_synth_writes_cohort(tmp_path, capsys):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import butter, lfilter
 
 from reachkin import preprocess
 from reachkin.errors import AllFramesRejected, FactorTooLarge, UnstableSpec
 from reachkin.model_io import JointStream, SkeletonSequence
 from reachkin.preprocess import (
     FilterSpec,
+    butterworth_coefficients,
     butterworth_filter,
     downsample,
     filter_sequence,
@@ -129,6 +133,31 @@ def test_filter_rejects_bad_specs():
         FilterSpec(order=0)
     with pytest.raises(UnstableSpec):
         butterworth_filter(np.zeros(5), FilterSpec(order=2))  # too short
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 6), rate=st.floats(1.0, 1000.0),
+       nyquist_frac=st.floats(1e-3, 0.999), extra=st.integers(0, 300),
+       dims=st.sampled_from([None, 1, 2, 8]), seed=st.integers(0, 2**32 - 1))
+def test_filter_matches_scipy_exactly(order, rate, nyquist_frac, extra, dims,
+                                      seed):
+    # scipy.signal is the oracle: the same coefficients and the same two
+    # lfilter passes over the same reflect padding, to the last bit
+    spec = FilterSpec(order, nyquist_frac * rate / 2.0, rate)
+    n = 3 * order + extra
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 50.0, size=(n,) if dims is None else (n, dims)) + 300.0
+    b, a = butter(order, spec.cutoff, btype="low", fs=rate)
+    assert all(np.array_equal(got, want)
+               for got, want in zip(butterworth_coefficients(spec), (b, a)))
+    pad = 3 * order
+    xp = np.pad(x, [(pad, pad)] + [(0, 0)] * (x.ndim - 1), mode="reflect")
+    want = lfilter(b, a, lfilter(b, a, xp, axis=0)[::-1], axis=0)[::-1]
+    want = want[pad:len(xp) - pad]
+    got = butterworth_filter(x, spec)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()   # signs of zeros too
 
 
 def test_filter_sequence_filters_every_channel():
