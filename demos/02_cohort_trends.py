@@ -15,11 +15,9 @@ config = pipeline.PipelineConfig()
 
 frames = pipeline.cohort_frames(cohort, config)   # gated and decimated
 summaries, segments_by_pid = pipeline.cohort_metrics(cohort, frames, config)
-labels = [pipeline.group_label((lo + hi) // 2)
-          for lo, hi in config.analysis_groups]
 
 print("\ngroup means:")
-for label in labels:
+for label in pipeline.GROUP_LABELS:
     rows = [s for s in summaries if s.group == label]
     d = np.mean([s.median_directness for s in rows])
     v = np.mean([s.median_max_speed for s in rows])
@@ -27,16 +25,16 @@ for label in labels:
           f"({len(rows)} participants)")
 
 print("\nprogress spline endpoint rates:")
-curves = pipeline.group_curves(cohort, segments_by_pid, config)
-fits = pipeline.fit_group_splines(curves, config)
-for label in labels:
+curves = pipeline.group_curves(cohort, segments_by_pid)
+fits = pipeline.fit_group_splines(curves)
+for label in pipeline.GROUP_LABELS:
     fit, rates, n = fits[label]
     print(f"  {label:>6}: initial {rates.initial_rate:.2f}, "
           f"final {rates.final_rate:.2f}, "
           f"ratio {rates.rate_ratio:.2f} ({n} reaches pooled)")
 
 print("\nANOVA + Tukey HSD:")
-for metric, (anova, tukey) in pipeline.run_stats(summaries, config).items():
+for metric, (anova, tukey) in pipeline.run_stats(summaries).items():
     print(f"  {metric}: F({anova.df_between},{anova.df_within}) = "
           f"{anova.F:.2f}, p = {anova.p:.4f}")
     for cmp in tukey.comparisons:

@@ -8,6 +8,7 @@ epochs.
 import numpy as np
 
 from reachkin import agenet, pipeline, synth
+from reachkin.model_io import AGE_BINS
 
 print("generating cohort (4 per age bin)...")
 cohort, _ = synth.generate_cohort(4, seed=1)
@@ -26,7 +27,7 @@ print(f"\nfold rMSE: {[round(r, 2) for r in report.fold_rmse]}")
 print(f"pooled rMSE: {report.pooled_rmse:.2f} years")
 
 print("\nconfusion (true bin x predicted bin):")
-names = [f"{lo}-{hi}" for lo, hi in report.bins]
+names = [f"{lo}-{hi}" for lo, hi in AGE_BINS]
 print("        " + "".join(f"{n:>8}" for n in names))
 for i, row in enumerate(report.confusion):
     print(f"{names[i]:>8}" + "".join(f"{int(c):>8}" for c in row))

@@ -2,8 +2,8 @@
 
 Submodules:
     model_io         domain types and session file formats
-    frames           confidence gating and decimation (numpy only)
-    preprocess       zero-phase filtering, outlier repair; re-exports frames
+    preprocess       confidence gating, decimation, zero-phase filtering,
+                     outlier repair
     reconstruct3d    two-view pose recovery and triangulation
     kinematics       reach segmentation, directness, velocity metrics
     progress_spline  progress-to-goal Bezier characterization

@@ -415,16 +415,15 @@ class CrossValReport:
     fold_rmse: tuple
     pooled_rmse: float
     predictions: tuple        # of (fold, participant_id, label, prediction)
-    confusion: np.ndarray     # 4x4 counts, true bin x predicted bin
-    bins: tuple = AGE_BINS
+    confusion: np.ndarray     # 4x4 counts, true bin x predicted bin (AGE_BINS)
     warnings: tuple = ()
 
 
-def _bin_index(age, bins):
-    for i, (lo, hi) in enumerate(bins):
+def _bin_index(age):
+    for i, (lo, hi) in enumerate(AGE_BINS):
         if lo <= age <= hi:
             return i
-    return len(bins) - 1 if age > bins[-1][1] else 0
+    return len(AGE_BINS) - 1 if age > AGE_BINS[-1][1] else 0
 
 
 def cross_validate(windows, folds: int = 5, split: float = 0.7,
@@ -471,8 +470,8 @@ def cross_validate(windows, folds: int = 5, split: float = 0.7,
         seen_bins = set()
         for w, p in zip(val_w, preds):
             predictions.append((fold, w.participant_id, w.label, float(p)))
-            ti = _bin_index(w.label, AGE_BINS)
-            pi = _bin_index(p, AGE_BINS)
+            ti = _bin_index(w.label)
+            pi = _bin_index(p)
             confusion[ti, pi] += 1
             seen_bins.add(ti)
         for i in range(len(AGE_BINS)):

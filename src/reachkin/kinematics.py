@@ -125,7 +125,7 @@ def participant_medians(segments, participant_id, age, group) -> MetricSummary:
     default convention).
     """
     if not segments:
-        raise NoFramesInWindow(f"participant {participant_id}: no segments")
+        raise NoFramesInWindow("no segments")
     d = [segment_directness(s) for s in segments]
     v = [segment_max_speed(s) for s in segments]
     return MetricSummary(

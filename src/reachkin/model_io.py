@@ -336,11 +336,9 @@ def parse_target_csv(stream) -> TargetLog:
 
 # --- writing ---------------------------------------------------------------
 
-def _fmt(x):
-    """Full-precision numeric text so parse(serialize(v)) == v."""
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
+def fnum(x):
+    """Full-precision float text, so float(fnum(v)) == v."""
+    return repr(float(x))
 
 
 def write_joint_csv(seq: SkeletonSequence, stream):
@@ -362,9 +360,9 @@ def write_target_csv(participant_id, log: TargetLog, stream):
     writer.writerow(TARGETS_HEADER)
     for ev in log.events:
         writer.writerow([participant_id, ev.target_id, ev.side,
-                         _fmt(ev.position[0]), _fmt(ev.position[1]),
-                         _fmt(ev.t_appear),
-                         "" if ev.t_hit is None else _fmt(ev.t_hit)])
+                         fnum(ev.position[0]), fnum(ev.position[1]),
+                         fnum(ev.t_appear),
+                         "" if ev.t_hit is None else fnum(ev.t_hit)])
 
 
 def write_manifest(manifest: SessionManifest, stream):
@@ -441,19 +439,27 @@ def write_session(session: ParticipantSession, directory):
         write_target_csv(session.participant_id, session.targets, fh)
 
 
+def _parse_file(directory, name, parse):
+    """``parse`` of the open file; a parse error names the file."""
+    path = os.path.join(directory, name)
+    with open(path) as fh:
+        try:
+            return parse(fh)
+        except ParseError as exc:
+            err = type(exc)(f"{path}: {exc}")
+            err.row = exc.row
+            raise err from exc
+
+
 def load_session(directory) -> ParticipantSession:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = parse_manifest(fh)
+    manifest = _parse_file(directory, "manifest.json", parse_manifest)
     names = sorted(n for n in os.listdir(directory)
                    if n.startswith("joints") and n.endswith(".csv"))
     if not names:
         raise InputError(f"{directory}: no joints csv found")
-    skeletons = []
-    for name in names:
-        with open(os.path.join(directory, name)) as fh:
-            skeletons.append(parse_joint_csv(fh))
-    with open(os.path.join(directory, "targets.csv")) as fh:
-        targets = parse_target_csv(fh)
+    skeletons = [_parse_file(directory, name, parse_joint_csv)
+                 for name in names]
+    targets = _parse_file(directory, "targets.csv", parse_target_csv)
     return ParticipantSession(
         participant_id=manifest.participant_id,
         age=manifest.age_years,
@@ -504,8 +510,5 @@ def validate_session(session: ParticipantSession) -> ValidationReport:
                 findings.append(Finding(
                     "MissingJoint",
                     f"camera {seq.camera_id!r}: joint {joint!r} absent"))
-        if seq.sample_rate <= 0:
-            findings.append(Finding("BadSampleRate",
-                                    f"sample rate {seq.sample_rate}"))
 
     return ValidationReport(tuple(findings))

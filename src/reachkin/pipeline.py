@@ -34,17 +34,17 @@ from .errors import (
     ZeroInitialDistance,
     ZeroPathLength,
 )
-from .frames import downsample, reject_low_confidence
-from .model_io import Cohort, load_cohort, validate_session
+from .model_io import AGE_BINS, Cohort, fnum, load_cohort, validate_session
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
+GROUP_LABELS = tuple(f"{lo}-{hi}" for lo, hi in ANALYSIS_GROUPS)
 
 
-def group_label(age, groups=ANALYSIS_GROUPS):
-    for lo, hi in groups:
+def group_label(age):
+    for (lo, hi), label in zip(ANALYSIS_GROUPS, GROUP_LABELS):
         if lo <= age <= hi:
-            return f"{lo}-{hi}"
-    raise InputError(f"age {age} outside analysis groups {groups}")
+            return label
+    raise InputError(f"age {age} outside analysis groups {ANALYSIS_GROUPS}")
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,11 @@ class PipelineConfig:
     decimation: int = 2
     filter_order: int = 2
     filter_cutoff_hz: float = 6.0
-    outlier_k_sigma: float = 2.0
-    # progress splines
-    backward_threshold: float = 0.10
-    spline_rounds: int = 3
     # age model
     window: int = 200
     stride: int = 100
     folds: int = 5
     epochs: int = 15
-    split: float = 0.7
-    learning_rate: float = 1e-3
-    # cohort structure
-    analysis_groups: tuple = ANALYSIS_GROUPS
 
     def __post_init__(self):
         if self.decimation < 1 or self.folds < 1 or self.epochs < 0:
@@ -77,20 +69,15 @@ class PipelineConfig:
         if self.window < 1 or self.stride < 1:
             raise ConfigError(f"window and stride must be >= 1, got "
                               f"{self.window} and {self.stride}")
-        if not 0.0 < self.split < 1.0:
-            raise ConfigError(f"split must be in (0, 1), got {self.split}")
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        if "analysis_groups" in d:
-            d["analysis_groups"] = tuple(tuple(g) for g in d["analysis_groups"])
         return cls(**d)
 
     @classmethod
@@ -135,17 +122,13 @@ def read_artifact(path):
     return header, list(reader)
 
 
-def _fnum(x):
-    return repr(float(x))
-
-
 # --- per-participant analysis ----------------------------------------------
 
 def session_frames(session, config: PipelineConfig):
     """Confidence gate and decimate one session's 2D skeleton."""
-    seq, _ = reject_low_confidence(session.skeleton(),
-                                   config.confidence_threshold)
-    return downsample(seq, config.decimation)
+    seq, _ = preprocess.reject_low_confidence(session.skeleton(),
+                                              config.confidence_threshold)
+    return preprocess.downsample(seq, config.decimation)
 
 
 def per_participant(pid, fn, *args):
@@ -188,8 +171,7 @@ def analyze_session(session, seq, config: PipelineConfig):
     usable = []
     for seg in segments:
         try:
-            path = preprocess.interpolate_outliers(seg.path,
-                                                   config.outlier_k_sigma)
+            path = preprocess.interpolate_outliers(seg.path)
         except TooFewInliers:
             path = seg.path   # degenerate short segment; keep as-is
         seg = replace(seg, path=path)
@@ -199,15 +181,15 @@ def analyze_session(session, seq, config: PipelineConfig):
             continue
         usable.append(seg)
     summary = kinematics.participant_medians(
-        usable, session.participant_id, session.age,
-        group_label(session.age, config.analysis_groups))
+        usable, session.participant_id, session.age, group_label(session.age))
     return summary, usable
 
 
 def cohort_metrics(cohort: Cohort, frames, config: PipelineConfig):
     summaries, segments_by_pid = [], {}
     for session, seq in zip(cohort.sessions, frames):
-        summary, segments = analyze_session(session, seq, config)
+        summary, segments = per_participant(
+            session.participant_id, analyze_session, session, seq, config)
         summaries.append(summary)
         segments_by_pid[session.participant_id] = segments
     return summaries, segments_by_pid
@@ -220,8 +202,8 @@ METRIC_COLUMNS = ("participant_id", "age", "group", "median_directness",
 
 
 def write_metrics(summaries, path, config):
-    rows = [[s.participant_id, s.age, s.group, _fnum(s.median_directness),
-             _fnum(s.median_max_speed), s.reach_count] for s in summaries]
+    rows = [[s.participant_id, s.age, s.group, fnum(s.median_directness),
+             fnum(s.median_max_speed), s.reach_count] for s in summaries]
     write_artifact(path, list(METRIC_COLUMNS), rows, config)
 
 
@@ -244,28 +226,27 @@ def read_metrics(path):
     return out
 
 
-def group_curves(cohort, segments_by_pid, config):
+def group_curves(cohort, segments_by_pid):
     """Pool backward-filtered progress curves per analysis group."""
-    curves = {group_label((lo + hi) // 2, config.analysis_groups): []
-              for lo, hi in config.analysis_groups}
+    curves = {label: [] for label in GROUP_LABELS}
     for session in cohort.sessions:
-        label = group_label(session.age, config.analysis_groups)
+        label = group_label(session.age)
         for seg in segments_by_pid[session.participant_id]:
             try:
                 curve = progress_spline.progress_curve(seg)
             except ZeroInitialDistance:
                 continue
             curves[label].append(curve)
-    return {label: progress_spline.filter_backward_reaches(
-        cs, config.backward_threshold) for label, cs in curves.items()}
+    return {label: progress_spline.filter_backward_reaches(cs)
+            for label, cs in curves.items()}
 
 
-def fit_group_splines(curves_by_group, config):
+def fit_group_splines(curves_by_group):
     fits = {}
     for label, curves in curves_by_group.items():
         if not curves:
             continue
-        fit = progress_spline.fit_cubic_bezier(curves, config.spline_rounds)
+        fit = progress_spline.fit_cubic_bezier(curves)
         rates = progress_spline.endpoint_rates(fit)
         fits[label] = (fit, rates, len(curves))
     return fits
@@ -275,13 +256,13 @@ def write_splines(fits, spline_path, curves_path, config):
     rows = []
     curve_rows = []
     for label, (fit, rates, n_curves) in fits.items():
-        rows.append([label, _fnum(fit.p1[0]), _fnum(fit.p1[1]),
-                     _fnum(fit.p2[0]), _fnum(fit.p2[1]),
-                     _fnum(rates.initial_rate), _fnum(rates.final_rate),
-                     _fnum(rates.rate_ratio), _fnum(fit.residual_rms),
+        rows.append([label, fnum(fit.p1[0]), fnum(fit.p1[1]),
+                     fnum(fit.p2[0]), fnum(fit.p2[1]),
+                     fnum(rates.initial_rate), fnum(rates.final_rate),
+                     fnum(rates.rate_ratio), fnum(fit.residual_rms),
                      n_curves])
         for x, y in progress_spline.sample_fit(fit, 101):
-            curve_rows.append([label, _fnum(x), _fnum(y)])
+            curve_rows.append([label, fnum(x), fnum(y)])
     write_artifact(spline_path,
                    ["group", "p1_tau", "p1_rho", "p2_tau", "p2_rho",
                     "initial_rate", "final_rate", "rate_ratio",
@@ -289,21 +270,17 @@ def write_splines(fits, spline_path, curves_path, config):
     write_artifact(curves_path, ["group", "tau", "rho"], curve_rows, config)
 
 
-def grouped_metric(summaries, attr, config):
-    labels = [group_label((lo + hi) // 2, config.analysis_groups)
-              for lo, hi in config.analysis_groups]
-    groups = []
-    for label in labels:
-        groups.append(tuple(getattr(s, attr) for s in summaries
-                            if s.group == label))
-    return stats.GroupedSamples(tuple(labels), tuple(groups))
+def grouped_metric(summaries, attr):
+    return stats.GroupedSamples(GROUP_LABELS, tuple(
+        tuple(getattr(s, attr) for s in summaries if s.group == label)
+        for label in GROUP_LABELS))
 
 
-def run_stats(summaries, config):
+def run_stats(summaries):
     results = {}
     for metric, attr in (("directness", "median_directness"),
                          ("max_speed", "median_max_speed")):
-        grouped = grouped_metric(summaries, attr, config)
+        grouped = grouped_metric(summaries, attr)
         results[metric] = (stats.one_way_anova(grouped),
                            stats.tukey_hsd(grouped))
     return results
@@ -312,12 +289,12 @@ def run_stats(summaries, config):
 def write_stats(results, anova_path, tukey_path, config):
     anova_rows, tukey_rows = [], []
     for metric, (anova, tukey) in results.items():
-        anova_rows.append([metric, _fnum(anova.F), anova.df_between,
-                           anova.df_within, _fnum(anova.p)])
+        anova_rows.append([metric, fnum(anova.F), anova.df_between,
+                           anova.df_within, fnum(anova.p)])
         for cmp in tukey.comparisons:
             tukey_rows.append([metric, f"{cmp.label_a} vs {cmp.label_b}",
-                               _fnum(cmp.mean_diff), _fnum(cmp.q),
-                               _fnum(cmp.p)])
+                               fnum(cmp.mean_diff), fnum(cmp.q),
+                               fnum(cmp.p)])
     write_artifact(anova_path, ["metric", "F", "df_between", "df_within", "p"],
                    anova_rows, config)
     write_artifact(tukey_path, ["metric", "pair", "diff", "q", "p"],
@@ -327,18 +304,17 @@ def write_stats(results, anova_path, tukey_path, config):
 def run_training(cohort, frames, config: PipelineConfig):
     windows, skipped = agenet.windows_from_cohort(
         cohort, frames, config.window, config.stride)
-    report = agenet.cross_validate(
-        windows, folds=config.folds, split=config.split,
-        epochs=config.epochs, seed=config.seed, lr=config.learning_rate)
+    report = agenet.cross_validate(windows, folds=config.folds,
+                                   epochs=config.epochs, seed=config.seed)
     return report, skipped
 
 
 def write_training(report, cv_path, confusion_path, config):
-    rows = [[i, _fnum(r)] for i, r in enumerate(report.fold_rmse)]
-    rows.append(["pooled", _fnum(report.pooled_rmse)])
+    rows = [[i, fnum(r)] for i, r in enumerate(report.fold_rmse)]
+    rows.append(["pooled", fnum(report.pooled_rmse)])
     write_artifact(cv_path, ["fold", "rmse"], rows, config)
 
-    bin_labels = [f"{lo}-{hi}" for lo, hi in report.bins]
+    bin_labels = [f"{lo}-{hi}" for lo, hi in AGE_BINS]
     conf_rows = [[bin_labels[i]] + list(map(int, report.confusion[i]))
                  for i in range(len(bin_labels))]
     write_artifact(confusion_path, ["true_bin"] + [f"pred_{b}" for b in bin_labels],
@@ -347,15 +323,15 @@ def write_training(report, cv_path, confusion_path, config):
 
 # --- figure analogs --------------------------------------------------------
 
-def bar_rows(summaries, config):
+def bar_rows(summaries):
     """Per-group mean and std of each metric, as bars.csv rows."""
     rows = []
     for metric, attr in (("directness", "median_directness"),
                          ("max_speed", "median_max_speed")):
-        grouped = grouped_metric(summaries, attr, config)
+        grouped = grouped_metric(summaries, attr)
         for label, values in zip(grouped.labels, grouped.groups):
             arr = np.asarray(values)
-            rows.append([metric, label, _fnum(arr.mean()), _fnum(arr.std())])
+            rows.append([metric, label, fnum(arr.mean()), fnum(arr.std())])
     return rows
 
 
@@ -363,21 +339,19 @@ def write_bars(rows, path, config):
     write_artifact(path, ["metric", "group", "mean", "std"], rows, config)
 
 
-def trajectory_rows(cohort, segments_by_pid, config):
+def trajectory_rows(cohort, segments_by_pid):
     """One sample reach path per analysis group, as trajectories.csv rows."""
     rows = []
     seen = set()
     for session in cohort.sessions:
-        label = group_label(session.age, config.analysis_groups)
+        label = group_label(session.age)
         if label in seen:
             continue
-        segments = segments_by_pid.get(session.participant_id, [])
-        if not segments:
-            continue
-        seg = max(segments, key=lambda s: s.n_frames)
+        seg = max(segments_by_pid[session.participant_id],
+                  key=lambda s: s.n_frames)
         for i, p in enumerate(seg.path):
             rows.append([label, session.participant_id, seg.hand, i,
-                         *map(_fnum, p)])
+                         *map(fnum, p)])
         seen.add(label)
     return rows
 
@@ -453,9 +427,6 @@ def svg_progress(fits, path, config):
 
 def svg_trajectories(rows, path, config):
     width, height, pad = 320, 320, 20
-    if not rows:
-        _svg(path, width, height, "", config)
-        return
     xs = np.array([float(r[4]) for r in rows])
     ys = np.array([float(r[5]) for r in rows])
     span = max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
@@ -515,10 +486,10 @@ STAGES = {
                 lambda r, c, path: write_metrics(r["metrics"][0], path, c)),
     "progress": (("ingest", "metrics"),
                  lambda r, c: fit_group_splines(
-                     group_curves(r["ingest"], r["metrics"][1], c), c),
+                     group_curves(r["ingest"], r["metrics"][1])),
                  ("spline.csv", "progress_curves.csv"),
                  lambda r, c, *paths: write_splines(r["progress"], *paths, c)),
-    "stats": (("metrics",), lambda r, c: run_stats(r["metrics"][0], c),
+    "stats": (("metrics",), lambda r, c: run_stats(r["metrics"][0]),
               ("anova.csv", "tukey.csv"),
               lambda r, c, *paths: write_stats(r["stats"], *paths, c)),
     "train": (("ingest", "frames"),
@@ -526,8 +497,8 @@ STAGES = {
               ("cv_report.csv", "confusion.csv"),
               lambda r, c, *paths: write_training(r["train"][0], *paths, c)),
     "report": (("ingest", "metrics", "progress"),
-               lambda r, c: (bar_rows(r["metrics"][0], c),
-                             trajectory_rows(r["ingest"], r["metrics"][1], c)),
+               lambda r, c: (bar_rows(r["metrics"][0]),
+                             trajectory_rows(r["ingest"], r["metrics"][1])),
                ("bars.csv", "trajectories.csv", "bars.svg", "progress.svg",
                 "trajectories.svg"), _write_report),
 }

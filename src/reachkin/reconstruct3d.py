@@ -369,8 +369,11 @@ def shoulder_scale(seq: SkeletonSequence) -> float:
     if not common.size:
         raise ShouldersUntracked("shoulders never tracked on a common frame")
     width = float(np.median(np.linalg.norm(pl[il] - pr[ir], axis=1)))
-    if width <= 0:
-        raise ShouldersUntracked("degenerate zero shoulder width")
+    # coincident shoulders keep a residue width from gating interpolation and
+    # filtering; the floor scales with the coordinates, pixels or 3D units
+    size = max(np.abs(pl[il]).max(), np.abs(pr[ir]).max())
+    if width <= 1e-3 * size:
+        raise ShouldersUntracked(f"degenerate shoulder width {width:.3g}")
     return width
 
 

@@ -60,8 +60,6 @@ class PairComparison:
 @dataclass(frozen=True)
 class TukeyResult:
     comparisons: tuple
-    k: int
-    df_within: int
 
 
 # --- distributions -------------------------------------------------------
@@ -134,4 +132,4 @@ def tukey_hsd(samples: GroupedSamples) -> TukeyResult:
                 q=float(q),
                 p=p,
             ))
-    return TukeyResult(tuple(comparisons), k=k, df_within=df)
+    return TukeyResult(tuple(comparisons))

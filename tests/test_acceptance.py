@@ -181,8 +181,7 @@ def test_cohort_monotonic_trends(default_cohort):
     summaries, segments_by_pid = pipeline.cohort_metrics(
         cohort, pipeline.cohort_frames(cohort, config), config)
 
-    labels = [pipeline.group_label((lo + hi) // 2) for lo, hi in
-              pipeline.ANALYSIS_GROUPS]
+    labels = pipeline.GROUP_LABELS
     direct = [np.mean([s.median_directness for s in summaries
                        if s.group == lab]) for lab in labels]
     speed = [np.mean([s.median_max_speed for s in summaries
@@ -190,8 +189,8 @@ def test_cohort_monotonic_trends(default_cohort):
     assert direct[0] < direct[1] < direct[2]
     assert speed[0] > speed[1] > speed[2]
 
-    curves = pipeline.group_curves(cohort, segments_by_pid, config)
-    fits = pipeline.fit_group_splines(curves, config)
+    curves = pipeline.group_curves(cohort, segments_by_pid)
+    fits = pipeline.fit_group_splines(curves)
     ratios = [fits[lab][1].rate_ratio for lab in labels]
     assert ratios[0] < ratios[1] < ratios[2]
     assert time.perf_counter() - t0 < 120.0

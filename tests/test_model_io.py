@@ -70,6 +70,19 @@ def test_parse_joint_csv_bad_number_reports_row():
     assert exc.value.row == 3
 
 
+def test_load_session_parse_error_names_the_file(sample_session, tmp_path):
+    model_io.write_session(sample_session, tmp_path)
+    path = tmp_path / "targets.csv"
+    header, first, *rest = path.read_text().splitlines()
+    fields = first.split(",")
+    fields[2] = "up"                      # side must be left/right
+    path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+    with pytest.raises(ParseError) as exc:
+        model_io.load_session(tmp_path)
+    assert type(exc.value) is ParseError and exc.value.row == 2
+    assert str(exc.value).startswith(f"{path}: row 2: side must be left/right")
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_parse_joint_csv_rejects_non_finite(cell):
     bad = JOINTS_3ROW.replace("11.0,21.0", f"{cell},21.0")

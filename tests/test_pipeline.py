@@ -42,13 +42,19 @@ def test_config_validates_ranges():
     with pytest.raises(ConfigError):
         PipelineConfig(decimation=0)
     with pytest.raises(ConfigError):
-        PipelineConfig(split=1.0)
-    with pytest.raises(ConfigError):
         PipelineConfig(folds=0)
     with pytest.raises(ConfigError):
         PipelineConfig(window=0)
     with pytest.raises(ConfigError):
         PipelineConfig(stride=0)
+
+
+def test_config_fields_pinned():
+    # a new knob must show up here, as a reviewed change to this tuple
+    assert tuple(PipelineConfig.__dataclass_fields__) == (
+        "input_dir", "out_dir", "seed", "confidence_threshold", "decimation",
+        "filter_order", "filter_cutoff_hz", "window", "stride", "folds",
+        "epochs")
 
 
 def test_config_hash_tracks_content():
@@ -131,7 +137,7 @@ def test_run_stats_structure(small_cohort_dir):
     cohort = pipeline.load_cohort(small_cohort_dir)
     summaries, _ = pipeline.cohort_metrics(
         cohort, pipeline.cohort_frames(cohort, config), config)
-    results = pipeline.run_stats(summaries, config)
+    results = pipeline.run_stats(summaries)
     assert set(results) == {"directness", "max_speed"}
     for anova, tukey in results.values():
         assert isinstance(anova, stats.AnovaResult)
@@ -159,7 +165,7 @@ def test_cli_pipeline_empty_dir_names_failing_stage(tmp_path, capsys):
 
 def test_cli_bad_config_exits_4(tmp_path, small_cohort_dir, capsys):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"split": 2.0}))
+    cfg.write_text(json.dumps({"decimation": 0}))
     code = cli.main(["metrics", "--in", str(small_cohort_dir),
                      "--out", str(tmp_path / "out"), "--config", str(cfg)])
     assert code == 4
@@ -197,6 +203,43 @@ def test_cli_metrics_rejects_nan_joint_cell(tmp_path, small_cohort_dir, capsys):
     assert cli.main(["metrics", "--in", str(cohort), "--out", str(out)]) == 2
     assert f"row {i + 1}" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+def test_cli_parse_error_names_the_file(tmp_path, small_cohort_dir, capsys):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    path = cohort / "p001" / "joints.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[4].split(",")
+    fields[5] = "abc"
+    lines[4] = ",".join(fields)
+    path.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert cli.main(["metrics", "--in", str(cohort), "--out", str(out)]) == 2
+    assert (f"stage 'ingest' failed: {path}: row 5: column 'x': not a number: "
+            "'abc'" in capsys.readouterr().err)
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "pipeline"])
+def test_cli_coincident_shoulders_name_the_participant(tmp_path,
+                                                       small_cohort_dir,
+                                                       capsys, command):
+    # the right shoulder copies the left one's position on every frame
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    path = cohort / "p001" / "joints.csv"
+    header, *rows = [ln.split(",") for ln in path.read_text().splitlines()]
+    left = {r[2]: r[5:7] for r in rows if r[4] == "left_shoulder"}
+    for r in rows:
+        if r[4] == "right_shoulder":
+            r[5:7] = left[r[2]]
+    path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+    out = tmp_path / "out"
+    assert cli.main([command, "--in", str(cohort), "--out", str(out)]) == 2
+    assert ("error: stage 'metrics' failed: participant p001: degenerate "
+            "shoulder width" in capsys.readouterr().err)
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_cli_stats_names_missing_metrics_column(tmp_path, capsys):
@@ -396,17 +439,15 @@ def test_stage_commands_match_pipeline(tmp_path, small_cohort_dir):
 
 def test_run_pipeline_gates_each_session_once(tmp_path, small_cohort_dir,
                                               monkeypatch):
-    from reachkin import agenet, frames, preprocess
-    original = frames.reject_low_confidence
+    from reachkin import preprocess
+    original = preprocess.reject_low_confidence
     gated = []
 
     def counted(seq, threshold):
         gated.append(seq.participant_id)
         return original(seq, threshold)
 
-    for module in (frames, preprocess, agenet, pipeline):
-        if getattr(module, "reject_low_confidence", None) is original:
-            monkeypatch.setattr(module, "reject_low_confidence", counted)
+    monkeypatch.setattr(preprocess, "reject_low_confidence", counted)
     pipeline.run_pipeline(PipelineConfig(
         input_dir=str(small_cohort_dir), out_dir=str(tmp_path / "out"),
         epochs=1, folds=1))
@@ -419,7 +460,14 @@ def test_run_pipeline_gates_each_session_once(tmp_path, small_cohort_dir,
     ([], {"window": 60}, "stage 'train' failed: window of 60 frames is too "
                          "short for the conv stack, which needs at least 79"),
     ([], {"bins": [[6, 8], [9, 17]]}, "unknown config key(s): ['bins']"),
-], ids=["stride-0", "window-0", "window-60", "bins"])
+    *(([], {key: value}, f"unknown config key(s): [{key!r}]")
+      for key, value in (("outlier_k_sigma", 2.0), ("backward_threshold", 0.1),
+                         ("spline_rounds", 3), ("split", 0.7),
+                         ("learning_rate", 1e-3),
+                         ("analysis_groups", [[6, 10], [11, 13], [14, 17]]))),
+], ids=["stride-0", "window-0", "window-60", "bins", "outlier_k_sigma",
+        "backward_threshold", "spline_rounds", "split", "learning_rate",
+        "analysis_groups"])
 def test_cli_train_rejects_bad_settings(tmp_path, small_cohort_dir, capsys,
                                         argv, config, message):
     cfg, out = tmp_path / "config.json", tmp_path / "out"

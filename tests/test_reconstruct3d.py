@@ -439,7 +439,7 @@ def test_cli_reconstruct_failure_writes_no_participant(tmp_path, capsys):
 
 # --- shoulder normalization --------------------------------------------------
 
-def shoulder_seq(width, n=11, wrist_scale=1.0):
+def shoulder_seq(width, n=11, wrist_scale=1.0, x0=0.0):
     frames = np.arange(n)
 
     def stream(x, y):
@@ -448,13 +448,22 @@ def shoulder_seq(width, n=11, wrist_scale=1.0):
                            np.full(n, 0.9))
 
     return SkeletonSequence("p1", "cam0", 30.0, {
-        "left_shoulder": stream(-width / 2.0, 0.0),
-        "right_shoulder": stream(width / 2.0, 0.0),
+        "left_shoulder": stream(x0 - width / 2.0, 0.0),
+        "right_shoulder": stream(x0 + width / 2.0, 0.0),
         "left_wrist": stream(wrist_scale * frames, wrist_scale * 2.0)})
 
 
 def test_shoulder_scale_median_width():
     assert r3d.shoulder_scale(shoulder_seq(0.4)) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("x0", [400.0, 4.0], ids=["pixels", "3d-units"])
+def test_shoulder_scale_rejects_residue_width(x0):
+    # coincident shoulders that gating and filtering left a sliver apart
+    with pytest.raises(ShouldersUntracked):
+        r3d.shoulder_scale(shoulder_seq(1e-4 * x0, x0=x0))
+    assert r3d.shoulder_scale(shoulder_seq(0.05 * x0, x0=x0)) == \
+        pytest.approx(0.05 * x0)
 
 
 def test_normalize_scales_everything():
