@@ -439,6 +439,13 @@ def write_session(session: ParticipantSession, directory):
         write_target_csv(session.participant_id, session.targets, fh)
 
 
+def in_file(path, exc: ParseError) -> ParseError:
+    """A parse error of the same type and row with the file's path in front."""
+    err = type(exc)(f"{path}: {exc}")
+    err.row = exc.row
+    return err
+
+
 def _parse_file(directory, name, parse):
     """``parse`` of the open file; a parse error names the file."""
     path = os.path.join(directory, name)
@@ -446,9 +453,7 @@ def _parse_file(directory, name, parse):
         try:
             return parse(fh)
         except ParseError as exc:
-            err = type(exc)(f"{path}: {exc}")
-            err.row = exc.row
-            raise err from exc
+            raise in_file(path, exc) from exc
 
 
 def load_session(directory) -> ParticipantSession:

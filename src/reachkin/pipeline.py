@@ -29,12 +29,14 @@ from .errors import (
     EmptyFile,
     InputError,
     MissingColumn,
+    ParseError,
     ReachkinError,
     TooFewInliers,
     ZeroInitialDistance,
     ZeroPathLength,
 )
-from .model_io import AGE_BINS, Cohort, fnum, load_cohort, validate_session
+from .model_io import (AGE_BINS, Cohort, _float, fnum, in_file, load_cohort,
+                       validate_session)
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
 GROUP_LABELS = tuple(f"{lo}-{hi}" for lo, hi in ANALYSIS_GROUPS)
@@ -111,15 +113,21 @@ def write_artifact(path, header, rows, config: PipelineConfig):
     _atomic_write(path, buf.getvalue())
 
 
+def _artifact_lines(path):
+    """(line number, fields) of each line of a CSV artifact but its comments."""
+    with open(path) as fh:
+        numbered = [(n, ln) for n, ln in enumerate(fh, start=1)
+                    if not ln.startswith("#")]
+    if not numbered:
+        raise EmptyFile(f"{path}: empty file")
+    return list(zip((n for n, _ in numbered),
+                    csv.reader(ln for _, ln in numbered)))
+
+
 def read_artifact(path):
     """Read a CSV artifact, skipping comment lines; returns (header, rows)."""
-    with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise EmptyFile(f"{path}: empty file")
-    return header, list(reader)
+    (_, header), *rows = _artifact_lines(path)
+    return header, [fields for _, fields in rows]
 
 
 # --- per-participant analysis ----------------------------------------------
@@ -208,22 +216,51 @@ def write_metrics(summaries, path, config):
 
 
 def read_metrics(path):
-    header, rows = read_artifact(path)
+    """The participant summaries of a ``metrics.csv``. A short row, a cell
+    that is not a finite number or an integer, or a group that is not the
+    analysis group of the row's age raises a ParseError naming the file and
+    the row (its line number)."""
+    (_, header), *rows = _artifact_lines(path)
     missing = [name for name in METRIC_COLUMNS if name not in header]
     if missing:
         raise MissingColumn(f"{path}: missing column(s) {missing}")
-    idx = {name: header.index(name) for name in header}
-    out = []
-    for r in rows:
-        out.append(kinematics.MetricSummary(
-            participant_id=r[idx["participant_id"]],
-            age=int(r[idx["age"]]),
-            group=r[idx["group"]],
-            median_directness=float(r[idx["median_directness"]]),
-            median_max_speed=float(r[idx["median_max_speed"]]),
-            reach_count=int(r[idx["reach_count"]]),
-        ))
-    return out
+    col = {name: header.index(name) for name in METRIC_COLUMNS}
+    try:
+        return [_metric_summary(fields, col, len(header), row)
+                for row, fields in rows if fields]
+    except ParseError as exc:
+        raise in_file(path, exc) from exc
+
+
+def _metric_summary(fields, col, width, row):
+    if len(fields) < width:
+        raise ParseError(f"expected {width} fields, got {len(fields)}", row=row)
+
+    def integer(name):
+        try:
+            return int(fields[col[name]])
+        except ValueError:
+            raise ParseError(f"column {name!r}: not an integer: "
+                             f"{fields[col[name]]!r}", row=row) from None
+
+    age, group = integer("age"), fields[col["group"]]
+    if group not in GROUP_LABELS:
+        raise ParseError(f"column 'group': {group!r} is not one of "
+                         f"{list(GROUP_LABELS)}", row=row)
+    lo, hi = ANALYSIS_GROUPS[GROUP_LABELS.index(group)]
+    if not lo <= age <= hi:
+        raise ParseError(f"column 'age': {age} is outside group {group!r}",
+                         row=row)
+    return kinematics.MetricSummary(
+        participant_id=fields[col["participant_id"]],
+        age=age,
+        group=group,
+        median_directness=_float(fields[col["median_directness"]],
+                                 "median_directness", row),
+        median_max_speed=_float(fields[col["median_max_speed"]],
+                                "median_max_speed", row),
+        reach_count=integer("reach_count"),
+    )
 
 
 def group_curves(cohort, segments_by_pid):

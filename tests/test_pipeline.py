@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from reachkin import cli, pipeline, stats, synth
-from reachkin.errors import AllFramesRejected, ConfigError, InputError
+from reachkin.errors import (AllFramesRejected, ConfigError, InputError,
+                             ParseError)
 from reachkin.pipeline import (
     PipelineConfig,
     group_label,
@@ -262,6 +263,50 @@ def test_cli_stats_rejects_empty_metrics_file(tmp_path, capsys):
     assert not (tmp_path / "out" / "anova.csv").exists()
 
 
+_METRICS_ROWS = ("participant_id,age,group,median_directness,median_max_speed,"
+                 "reach_count\n"
+                 "p000,7,6-10,0.4,3.5,48\np001,8,6-10,0.5,3.4,46\n"
+                 "p002,12,11-13,0.6,3.1,50\np003,13,11-13,0.7,3.0,52\n")
+
+
+@pytest.mark.parametrize("row, cell, value, message", [
+    (2, 3, "nan", "column 'median_directness': not finite: 'nan'"),
+    (3, 4, "inf", "column 'median_max_speed': not finite: 'inf'"),
+    (4, 4, "fast", "column 'median_max_speed': not a number: 'fast'"),
+    (1, 1, "abc", "column 'age': not an integer: 'abc'"),
+    (2, 1, "", "column 'age': not an integer: ''"),
+    (3, 5, "", "column 'reach_count': not an integer: ''"),
+    (4, 2, "18-20", "column 'group': '18-20' is not one of"),
+    (1, 2, "14-17", "column 'age': 7 is outside group '14-17'"),
+    (2, 1, "15", "column 'age': 15 is outside group '6-10'"),
+])
+def test_cli_stats_rejects_bad_metrics_cell(tmp_path, capsys, row, cell,
+                                            value, message):
+    lines = ["# reachkin config_hash=0 seed=0", *_METRICS_ROWS.splitlines()]
+    fields = lines[row + 1].split(",")
+    fields[cell] = value
+    lines[row + 1] = ",".join(fields)
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("\n".join(lines) + "\n")
+    assert cli.main(["stats", "--metrics", str(metrics),
+                     "--out", str(tmp_path / "out")]) == 2
+    # the row is the line number in the file, comment and header included
+    assert f"{metrics}: row {row + 2}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_read_metrics_rejects_short_row(tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(_METRICS_ROWS + "p004,15,14-17,0.8\n")
+    with pytest.raises(ParseError, match=r"row 6: expected 6 fields, got 4") \
+            as info:
+        read_metrics(str(metrics))
+    assert info.value.row == 6 and str(metrics) in str(info.value)
+    # a blank line is skipped
+    metrics.write_text(_METRICS_ROWS + "\n")
+    assert len(read_metrics(str(metrics))) == 4
+
+
 def _lower_confidences(cohort, pid):
     path = cohort / pid / "joints.csv"
     header, *rows = path.read_text().splitlines()
@@ -284,36 +329,39 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     # no scipy module at all: scipy.signal and scipy.stats each cost about
-    # 1 s of start-up, and only the stages that use them load them
+    # 1 s of start-up; and the studentized range quadrature nodes are built
+    # on the first p-value, not on import
     probe = ("import sys, reachkin.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'],"
+             " reachkin.stats._gauss_legendre.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] 0"
 
 
 # sha256 of anova.csv and tukey.csv below their config-hash comment line, for
-# `stats` on the `metrics.csv` of the small cohort; scipy's p-values, imported
-# on first use, must come out unchanged.
+# `stats` on the `metrics.csv` of the small cohort: they pin the p-values of
+# `reachkin.stats`' own F and studentized range functions to the last bit.
 STATS_ARTIFACT_SHA256 = {
     "anova.csv":
-        "7d9f70bdaeaed6984b7452174bf77d55418d1491600f778665627304651e4492",
+        "330426d01e22ed7e794d094785434a47857ff971fee1b1daba3a19c638e72368",
     "tukey.csv":
-        "c0abfa110a9de527486bb6224c663916413b0cd32f4032b37c73b8b82b415902",
+        "38c59c67fb3eed42118b9af67d8a50ddf1e171c6451ae9a83a9187b9a35b591f",
 }
 
 
-def test_cli_train_loads_no_scipy(tmp_path, small_cohort_dir):
-    # only the p-values of `stats` use scipy: training and every other stage
-    # command, run one after another in one process, must not import it
+def test_stage_commands_load_no_scipy(tmp_path, small_cohort_dir):
+    # scipy is a test oracle only: every stage command and the pipeline, run
+    # one after another in one process, must leave no scipy module loaded
     src = os.path.dirname(os.path.dirname(cli.__file__))
     cohort, out = str(small_cohort_dir), str(tmp_path)
-    runs = [["train", "--in", cohort, "--out", out, "--epochs", "1",
-             "--folds", "1"],
+    short = ["--epochs", "1", "--folds", "1"]
+    runs = [["train", "--in", cohort, "--out", out, *short],
             *([command, "--in", cohort, "--out", out]
               for command in ("preprocess", "metrics", "progress", "report")),
             ["stats", "--metrics", os.path.join(out, "metrics.csv"),
-             "--out", out]]
+             "--out", out],
+            ["pipeline", "--in", cohort, "--out", out, *short]]
     probe = ("import sys\nfrom reachkin import cli\n"
              f"for argv in {runs!r}:\n"
              "    code = cli.main(argv)\n"
@@ -325,7 +373,8 @@ def test_cli_train_loads_no_scipy(tmp_path, small_cohort_dir):
     assert [ln for ln in done.stdout.splitlines() if ln.startswith("probe")] == [
         "probe train 0 False", "probe preprocess 0 False",
         "probe metrics 0 False", "probe progress 0 False",
-        "probe report 0 False", "probe stats 0 True"]
+        "probe report 0 False", "probe stats 0 False",
+        "probe pipeline 0 False"]
     for name, want in STATS_ARTIFACT_SHA256.items():
         body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
         assert hashlib.sha256(body).hexdigest() == want, name

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reachkin import stats
-from reachkin.errors import TooFewSamples, ZeroWithinVariance
+from reachkin.errors import NumericalError, TooFewSamples, ZeroWithinVariance
 from reachkin.stats import (
     GroupedSamples,
     f_sf,
@@ -108,6 +109,99 @@ def test_distributions_match_parent_reference():
              (7.3, 2, 13): 0.007494156471935465}
     for args, p in tails.items():
         assert f_sf(*args) == pytest.approx(p, rel=0, abs=1e-13)
+
+
+def _f_sf_exact(F, d1, d2):
+    """P(X > F) for X ~ F(d1, d2), by mpmath at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        F = mpmath.mpf(F)
+        x, y = d2 / (d2 + d1 * F), d1 * F / (d2 + d1 * F)
+        # integrate from 0 on the side whose tail is small, so that the
+        # reference keeps its relative accuracy
+        if x < 0.5:
+            p = mpmath.betainc(d2 / 2, d1 / 2, 0, x, regularized=True)
+        else:
+            p = 1 - mpmath.betainc(d1 / 2, d2 / 2, 0, y, regularized=True)
+        return float(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d1=st.integers(1, 40), d2=st.integers(1, 80),
+       F=st.floats(0.0, 100.0, exclude_min=True))
+def test_f_sf_matches_mpmath_and_scipy(d1, d2, F):
+    from scipy.special import fdtrc
+    p = f_sf(F, d1, d2)
+    exact = _f_sf_exact(F, d1, d2)
+    assert abs(p - exact) <= 1e-14
+    assert abs(p - exact) <= 1e-12 * exact
+    # fdtrc is itself off by up to about 1e-13 (9e-14 at F = 1.165, d1 = 18,
+    # d2 = 77), and loses digits as F -> 0 with d1 = 1 (1.4e-10 at F = 1e-13)
+    if F >= 1e-3:
+        assert p == pytest.approx(float(fdtrc(d1, d2, F)), rel=1e-12, abs=0)
+
+
+def test_f_sf_small_f_closed_form():
+    # for d2 = 2, I_x(1, d1 / 2) = 1 - (1 - x) ** (d1 / 2): no cancellation in
+    # 1 - x when F is tiny
+    for d1 in (1, 2, 3, 17):
+        for F in (1e-300, 1e-13, 1e-8, 1e-3):
+            y = d1 * F / (2.0 + d1 * F)
+            assert f_sf(F, d1, 2) == pytest.approx(1.0 - y ** (d1 / 2.0),
+                                                   rel=0, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 10), df=st.integers(1, 1000),
+       q=st.floats(0.0, 10.0, exclude_min=True))
+# at df = 1 the s-range is wide and P(R > q s) falls to 0 over a small part
+# of it, which the panels resolve only once s is cut at w_max / q
+@example(k=10, df=1, q=10.0)
+def test_studentized_range_matches_scipy(k, df, q):
+    # scipy integrates with QUADPACK to epsabs=1e-11, and is off by more
+    # than 1e-12 in places: 1.6e-12 at q = 3.4933, k = 2, df = 1000, where
+    # the exact value (the t distribution, below) is 1.2e-17 from ours
+    from scipy.stats import studentized_range
+    assert studentized_range_sf(q, k, df) == pytest.approx(
+        float(studentized_range.sf(q, k, df)), rel=0, abs=1e-11)
+
+
+@settings(max_examples=100, deadline=None)
+@given(df=st.integers(1, 1000), q=st.floats(0.0, 10.0, exclude_min=True))
+@example(df=1, q=10.0)
+def test_studentized_range_of_two_means_is_exact(df, q):
+    # the range of two means is sqrt(2) |T| for T ~ t_df, so
+    # P(Q > q) = P(T^2 > q^2 / 2), the F(1, df) tail at q^2 / 2
+    assert studentized_range_sf(q, 2, df) == pytest.approx(
+        _f_sf_exact(q * q / 2.0, 1, df), rel=0, abs=1e-14)
+
+
+# P(Q > q) for k means and df degrees of freedom, by mpmath at 30 digits:
+# nested mpmath.quad of the density of s times P(R > q s), the z-integral
+# split at -4, 0, 4 and the s-integral at 1/2, 1, 2, 4 (for df >= 30 at
+# 1 - 5 / sqrt(df), 1, 1 + 5 / sqrt(df), 2)
+RANGE_SF_MPMATH = {
+    (1.0, 3, 12): 0.76398189607725282197,
+    (3.2, 3, 13): 0.097479854917762143111,
+    (2.5, 2, 4): 0.15183454328291054494,
+    (3.0, 8, 1): 0.63999937779343647329,
+    (4.5, 6, 40): 0.031387581424613163700,
+    (6.0, 10, 500): 0.0010861226531614193860,
+}
+
+
+def test_studentized_range_matches_mpmath():
+    for (q, k, df), p in RANGE_SF_MPMATH.items():
+        assert studentized_range_sf(q, k, df) == pytest.approx(p, rel=0,
+                                                              abs=1e-14)
+
+
+def test_non_finite_statistic_raises():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalError):
+            f_sf(bad, 2, 6)
+        with pytest.raises(NumericalError):
+            studentized_range_sf(bad, 3, 12)
 
 
 def test_studentized_range_reference_value():
