@@ -10,7 +10,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import pipeline, reconstruct3d, synth
+from . import pipeline, reconstruct3d
 from .errors import ConfigError, InputError, NumericalError, ReachkinError
 from .model_io import AGE_BINS, load_cohort, validate_session, write_joint_csv
 from .pipeline import PipelineConfig, StageFailure
@@ -105,6 +105,7 @@ def build_parser():
 
 
 def cmd_synth(args):
+    from . import synth     # loaded here: no other command needs it
     cohort, truth = synth.generate_cohort(
         args.n_per_bin, args.bins, args.seed, args.duration)
     synth.write_cohort(cohort, truth, args.out)

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -29,6 +30,7 @@ from .errors import (
     EmptyFile,
     InputError,
     MissingColumn,
+    NumericalError,
     ParseError,
     ReachkinError,
     TooFewInliers,
@@ -104,12 +106,21 @@ def _atomic_write(path, text):
 
 
 def write_artifact(path, header, rows, config: PipelineConfig):
-    """Write a CSV artifact with the config-hash comment line on top."""
+    """Write a CSV artifact with the config-hash comment line on top. Float
+    cells are written in full precision (``fnum``); a non-finite one raises
+    a NumericalError naming the file, row (line number) and column, and
+    the file is not written."""
     buf = io.StringIO()
     buf.write(f"# reachkin config_hash={config.config_hash} seed={config.seed}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for line, cells in enumerate(rows, start=3):
+        floats = [isinstance(v, (float, np.floating)) for v in cells]
+        for column, v, f in zip(header, cells, floats):
+            if f and not math.isfinite(v):
+                raise NumericalError(f"{path}: row {line}: column {column!r}: "
+                                     f"non-finite value {v!r}")
+        writer.writerow([fnum(v) if f else v for v, f in zip(cells, floats)])
     _atomic_write(path, buf.getvalue())
 
 
@@ -210,26 +221,34 @@ METRIC_COLUMNS = ("participant_id", "age", "group", "median_directness",
 
 
 def write_metrics(summaries, path, config):
-    rows = [[s.participant_id, s.age, s.group, fnum(s.median_directness),
-             fnum(s.median_max_speed), s.reach_count] for s in summaries]
+    rows = [[s.participant_id, s.age, s.group, s.median_directness,
+             s.median_max_speed, s.reach_count] for s in summaries]
     write_artifact(path, list(METRIC_COLUMNS), rows, config)
 
 
 def read_metrics(path):
     """The participant summaries of a ``metrics.csv``. A short row, a cell
-    that is not a finite number or an integer, or a group that is not the
-    analysis group of the row's age raises a ParseError naming the file and
-    the row (its line number)."""
+    that is not a finite number or an integer, a group that is not the
+    analysis group of the row's age, or a participant already read raises a
+    ParseError naming the file and the row (its line number)."""
     (_, header), *rows = _artifact_lines(path)
     missing = [name for name in METRIC_COLUMNS if name not in header]
     if missing:
         raise MissingColumn(f"{path}: missing column(s) {missing}")
     col = {name: header.index(name) for name in METRIC_COLUMNS}
+    rows = [(row, fields) for row, fields in rows if fields]
+    first_row = {}
     try:
-        return [_metric_summary(fields, col, len(header), row)
-                for row, fields in rows if fields]
+        summaries = [_metric_summary(fields, col, len(header), row)
+                     for row, fields in rows]
+        for (row, _), s in zip(rows, summaries):
+            pid = s.participant_id
+            if first_row.setdefault(pid, row) != row:
+                raise ParseError(f"participant {pid!r} repeats row "
+                                 f"{first_row[pid]}", row=row)
     except ParseError as exc:
         raise in_file(path, exc) from exc
+    return summaries
 
 
 def _metric_summary(fields, col, width, row):
@@ -293,13 +312,11 @@ def write_splines(fits, spline_path, curves_path, config):
     rows = []
     curve_rows = []
     for label, (fit, rates, n_curves) in fits.items():
-        rows.append([label, fnum(fit.p1[0]), fnum(fit.p1[1]),
-                     fnum(fit.p2[0]), fnum(fit.p2[1]),
-                     fnum(rates.initial_rate), fnum(rates.final_rate),
-                     fnum(rates.rate_ratio), fnum(fit.residual_rms),
+        rows.append([label, *fit.p1, *fit.p2, rates.initial_rate,
+                     rates.final_rate, rates.rate_ratio, fit.residual_rms,
                      n_curves])
         for x, y in progress_spline.sample_fit(fit, 101):
-            curve_rows.append([label, fnum(x), fnum(y)])
+            curve_rows.append([label, x, y])
     write_artifact(spline_path,
                    ["group", "p1_tau", "p1_rho", "p2_tau", "p2_rho",
                     "initial_rate", "final_rate", "rate_ratio",
@@ -326,12 +343,11 @@ def run_stats(summaries):
 def write_stats(results, anova_path, tukey_path, config):
     anova_rows, tukey_rows = [], []
     for metric, (anova, tukey) in results.items():
-        anova_rows.append([metric, fnum(anova.F), anova.df_between,
-                           anova.df_within, fnum(anova.p)])
+        anova_rows.append([metric, anova.F, anova.df_between,
+                           anova.df_within, anova.p])
         for cmp in tukey.comparisons:
             tukey_rows.append([metric, f"{cmp.label_a} vs {cmp.label_b}",
-                               fnum(cmp.mean_diff), fnum(cmp.q),
-                               fnum(cmp.p)])
+                               cmp.mean_diff, cmp.q, cmp.p])
     write_artifact(anova_path, ["metric", "F", "df_between", "df_within", "p"],
                    anova_rows, config)
     write_artifact(tukey_path, ["metric", "pair", "diff", "q", "p"],
@@ -347,8 +363,8 @@ def run_training(cohort, frames, config: PipelineConfig):
 
 
 def write_training(report, cv_path, confusion_path, config):
-    rows = [[i, fnum(r)] for i, r in enumerate(report.fold_rmse)]
-    rows.append(["pooled", fnum(report.pooled_rmse)])
+    rows = [[i, r] for i, r in enumerate(report.fold_rmse)]
+    rows.append(["pooled", report.pooled_rmse])
     write_artifact(cv_path, ["fold", "rmse"], rows, config)
 
     bin_labels = [f"{lo}-{hi}" for lo, hi in AGE_BINS]
@@ -368,7 +384,7 @@ def bar_rows(summaries):
         grouped = grouped_metric(summaries, attr)
         for label, values in zip(grouped.labels, grouped.groups):
             arr = np.asarray(values)
-            rows.append([metric, label, fnum(arr.mean()), fnum(arr.std())])
+            rows.append([metric, label, arr.mean(), arr.std()])
     return rows
 
 
@@ -388,7 +404,7 @@ def trajectory_rows(cohort, segments_by_pid):
                   key=lambda s: s.n_frames)
         for i, p in enumerate(seg.path):
             rows.append([label, session.participant_id, seg.hand, i,
-                         *map(fnum, p)])
+                         *p])
         seen.add(label)
     return rows
 

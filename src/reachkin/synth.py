@@ -12,6 +12,16 @@ ground-truth oracles for the analysis code.
 
 Simulation coordinates are shoulder-width units with the origin at the
 shoulder midpoint; conversion to screen pixels is isotropic.
+
+The written cohort bytes are pinned, so the order of a session's draws is
+part of the contract. Per target pair: the target spawns (left, then right;
+x, y, redrawn until a real reach away), then per hand the delay factor and
+the reach noise (a pair of normals per path frame), then the per-frame hand
+noise (a pair per hand and frame from the hand's onset until the pair is
+hit, in (frame, left, right) order). After the last pair: the shoulder sway
+(frame, shoulder, xy), and last the confidences, frame-major over the
+joints (a value and a test draw per cell, and a replacement value when the
+test draw is below 0.01).
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ HAND_REST = {"left": np.array([-0.9, 1.6]), "right": np.array([0.9, 1.6])}
 HIT_RADIUS = 0.30          # sim units
 HIT_FRAMES = 5             # consecutive overlap frames required
 PAUSE_S = 0.22             # dwell between corrective submovement bursts
+_ARC_SAMPLES = np.linspace(0.0, 1.0, 512)  # path parameters summed for arc
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,10 @@ class StrategyParams:
 def minimum_jerk(u):
     """Minimum-jerk position fraction 10u^3 - 15u^4 + 6u^5 on [0, 1]."""
     u = np.clip(u, 0.0, 1.0)
-    return u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
+    # Python's float power is libm's pow, as numpy's scalar power is; the
+    # array power can round the cube differently in the last bit
+    cube = np.reshape([x ** 3 for x in np.ravel(u).tolist()], np.shape(u))
+    return cube * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
 def _bowed_path(start, target, amplitude):
@@ -86,10 +100,9 @@ def _bowed_path(start, target, amplitude):
     def path(u):
         u = np.asarray(u, dtype=float)
         bow = amplitude * length * np.sin(np.pi * u)
-        return start + np.outer(u, delta) + np.outer(bow, normal)
+        return start + u[:, None] * delta + bow[:, None] * normal
 
-    fine = np.linspace(0.0, 1.0, 512)
-    pts = path(fine)
+    pts = path(_ARC_SAMPLES)
     arc = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
     return path, arc
 
@@ -149,18 +162,16 @@ def generate_reach(params: StrategyParams, start, target, dt, rng=None,
     total = t
 
     n = max(2, int(np.ceil(total / dt)) + 1)
-    times = np.arange(n) * dt
-    u = np.empty(n)
-    for i, ti in enumerate(times):
-        ti = min(ti, total)
-        for (t0, t1, u0, u1) in episodes:
-            if ti <= t1 or (t0, t1, u0, u1) == episodes[-1]:
-                if t1 == t0:
-                    u[i] = u1
-                else:
-                    frac = np.clip((ti - t0) / (t1 - t0), 0.0, 1.0)
-                    u[i] = u0 + (u1 - u0) * minimum_jerk(frac)
-                break
+    times = np.minimum(np.arange(n) * dt, total)
+    # each frame falls in the first episode ending at or after it; only the
+    # first burst can have a negative length, so the ends are sorted
+    t0, t1, u0, u1 = np.array(episodes).T
+    k = np.minimum(np.searchsorted(t1, times, side="left"), len(episodes) - 1)
+    t0, t1, u0, u1 = t0[k], t1[k], u0[k], u1[k]
+    u = u1.copy()
+    moving = t1 != t0
+    u[moving] = u0[moving] + (u1[moving] - u0[moving]) * minimum_jerk(
+        (times[moving] - t0[moving]) / (t1[moving] - t0[moving]))
     positions = path(u)
     if rng is not None and params.noise_sigma > 0:
         positions = positions + rng.normal(0.0, params.noise_sigma,
@@ -188,22 +199,38 @@ def sim_to_px(pos):
     return (np.asarray(pos, dtype=float) - PLAY_ORIGIN) * PX_PER_UNIT
 
 
-class _HandPlan:
-    """Scheduled reach of one hand: delay, then a precomputed path, then dwell."""
+def _inside(offsets):
+    """Whether each (N, 2) offset lies within HIT_RADIUS, as np.linalg.norm
+    of the one 2-vector decides it: the batched norm rounds the last bit
+    differently for a few percent of vectors, so near ones are redone."""
+    dist = np.linalg.norm(offsets, axis=1)
+    near = np.abs(dist - HIT_RADIUS) < 1e-12
+    dist[near] = [np.linalg.norm(d) for d in offsets[near]]
+    return dist < HIT_RADIUS
 
-    def __init__(self, start, target, t_start, path):
-        self.start = np.asarray(start, dtype=float)
-        self.target = np.asarray(target, dtype=float)
-        self.t_start = t_start
-        self.path = path
 
-    def position(self, t, dt):
-        if t < self.t_start:
-            return self.start
-        idx = int(round((t - self.t_start) / dt))
-        if idx < len(self.path):
-            return self.path[idx]
-        return self.target
+def _first_hit(inside):
+    """Index ending the first run of HIT_FRAMES True values, or None."""
+    done = np.flatnonzero(np.convolve(inside, np.ones(HIT_FRAMES), "valid")
+                          == HIT_FRAMES)
+    return int(done[0]) + HIT_FRAMES - 1 if done.size else None
+
+
+def _confidences(rng, cells):
+    """Per cell, a uniform(0.80, 1.00) value and a test draw; a test below
+    0.01 brings a replacement uniform(0.10, 0.70). Nothing is drawn after,
+    so 3 doubles per cell are drawn at once; each rare cell shifts the
+    draws of every later cell by one."""
+    draws = rng.random(3 * cells)
+    rare = []
+    for j in np.flatnonzero(draws < 0.01).tolist():
+        cell, odd = divmod(j - len(rare) - 1, 2)
+        if not odd and (rare[-1] if rare else -1) < cell < cells:
+            rare.append(cell)
+    first = 2 * np.arange(cells) + np.searchsorted(rare, np.arange(cells))
+    conf = 0.80 + (1.00 - 0.80) * draws[first]
+    conf[rare] = 0.10 + (0.70 - 0.10) * draws[first[rare] + 2]
+    return conf
 
 
 def generate_session(params: StrategyParams, age: int, seed,
@@ -214,58 +241,74 @@ def generate_session(params: StrategyParams, age: int, seed,
     dt = 1.0 / fps
     n_frames = int(round(duration * fps))
     times = np.arange(n_frames) * dt
+    sides = ("left", "right")
+    sigma = params.noise_sigma
 
-    hand_pos = {s: np.empty((n_frames, 2)) for s in ("left", "right")}
-    current = {s: HAND_REST[s].copy() for s in ("left", "right")}
+    hand_pos = np.empty((n_frames, 2, 2))       # frame, hand, xy
+    current = np.array([HAND_REST[s] for s in sides])
     events = []
 
     frame = 0
     target_id = 0
     while frame < n_frames:
         t_appear = float(times[frame])
-        tpos_norm, tpos_sim = {}, {}
-        for s in ("left", "right"):
+        tpos_norm, tpos_sim = [], []
+        for s, here in zip(sides, current):
             # respawn until the target is a real reach away from the hand
             for _ in range(50):
                 cand = _spawn_target(s, rng)
                 cand_sim = norm_to_sim(cand)
-                if np.linalg.norm(cand_sim - current[s]) >= 0.8:
+                if np.linalg.norm(cand_sim - here) >= 0.8:
                     break
-            tpos_norm[s], tpos_sim[s] = cand, cand_sim
+            tpos_norm.append(cand)
+            tpos_sim.append(cand_sim)
 
-        plans = {}
-        for s in ("left", "right"):
+        # each hand rests until its onset, follows its path one frame per
+        # dt, then stays on the target (the track's last row)
+        onsets, tracks = [], []
+        for here, target in zip(current, tpos_sim):
             delay = params.reaction_delay * float(rng.uniform(0.85, 1.15))
-            path, _ = generate_reach(params, current[s], tpos_sim[s], dt,
-                                     rng=rng)
-            plans[s] = _HandPlan(current[s], tpos_sim[s],
-                                 t_appear + delay, path)
+            path, _ = generate_reach(params, here, target, dt, rng=rng)
+            onsets.append(t_appear + delay)
+            tracks.append(np.vstack([path, target]))
 
-        overlap = {"left": 0, "right": 0}
-        t_hit = {"left": None, "right": None}
-        while frame < n_frames:
-            t = float(times[frame])
-            for s in ("left", "right"):
-                p = plans[s].position(t, dt)
-                if params.noise_sigma > 0 and t >= plans[s].t_start:
-                    p = p + rng.normal(0.0, params.noise_sigma, 2)
-                current[s] = p
-                hand_pos[s][frame] = p
-                if t_hit[s] is None:
-                    if np.linalg.norm(p - tpos_sim[s]) < HIT_RADIUS:
-                        overlap[s] += 1
-                    else:
-                        overlap[s] = 0
-                    if overlap[s] >= HIT_FRAMES:
-                        t_hit[s] = t
-            frame += 1
-            if t_hit["left"] is not None and t_hit["right"] is not None:
+        # The pair ends on the frame both hands are hit, which depends on
+        # the noise drawn for the frames before it. Draw for a window that
+        # should cover it, widen the window until it does (or reaches the
+        # session's end), then draw again from the saved state only the
+        # noise of the frames the pair used.
+        state = rng.bit_generator.state
+        window = max(len(tr) for tr in tracks) + \
+            int((max(onsets) - t_appear) / dt) + 2 * HIT_FRAMES
+        while True:
+            t = times[frame:frame + window]
+            moved = t[:, None] >= np.array(onsets)
+            pos = np.empty((len(t), 2, 2))
+            for h, (here, track) in enumerate(zip(current, tracks)):
+                idx = np.rint((t - onsets[h]) / dt).clip(0, len(track) - 1)
+                pos[:, h] = np.where(moved[:, h, None],
+                                     track[idx.astype(np.intp)], here)
+            if sigma > 0:
+                pos[moved] += rng.normal(0.0, sigma, (moved.sum(), 2))
+            hits = [_first_hit(_inside(pos[:, h] - tpos_sim[h]))
+                    for h in range(2)]
+            if None not in hits or frame + len(t) == n_frames:
                 break
+            window *= 2
+            rng.bit_generator.state = state
+        used = max(hits) + 1 if None not in hits else len(t)
+        if sigma > 0:
+            rng.bit_generator.state = state
+            rng.normal(0.0, sigma, (moved[:used].sum(), 2))
 
-        for s in ("left", "right"):
+        hand_pos[frame:frame + used] = pos[:used]
+        current = pos[used - 1]
+        for h, s in enumerate(sides):
+            t_hit = None if hits[h] is None else float(t[hits[h]])
             events.append(TargetEvent(target_id=target_id, side=s,
-                                      position=tpos_norm[s],
-                                      t_appear=t_appear, t_hit=t_hit[s]))
+                                      position=tpos_norm[h],
+                                      t_appear=t_appear, t_hit=t_hit))
+        frame += used
         target_id += 1
 
     targets = TargetLog(tuple(sorted(events,
@@ -275,18 +318,12 @@ def generate_session(params: StrategyParams, age: int, seed,
 
     sway = rng.normal(0.0, 0.01, (n_frames, 2, 2))
     positions = {
-        "left_wrist": hand_pos["left"],
-        "right_wrist": hand_pos["right"],
+        "left_wrist": hand_pos[:, 0],
+        "right_wrist": hand_pos[:, 1],
         "left_shoulder": SHOULDERS["left_shoulder"] + sway[:, 0],
         "right_shoulder": SHOULDERS["right_shoulder"] + sway[:, 1],
     }
-    # draw order (frame-major, joints as above) is pinned by the synth tests
-    conf = np.empty((n_frames, len(positions)))
-    for i in range(n_frames):
-        for k in range(len(positions)):
-            conf[i, k] = rng.uniform(0.80, 1.00)
-            if rng.uniform() < 0.01:
-                conf[i, k] = rng.uniform(0.10, 0.70)
+    conf = _confidences(rng, n_frames * len(positions)).reshape(n_frames, -1)
     conf = np.round(conf, 6)
     skeleton = SkeletonSequence(participant_id, "webcam", fps, {
         joint: JointStream(np.arange(n_frames), times, sim_to_px(pos), conf[:, k])

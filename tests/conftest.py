@@ -5,8 +5,7 @@ from reachkin import synth
 
 @pytest.fixture(scope="session")
 def default_cohort():
-    """Full-size synthetic cohort (20 per bin); shared because generation
-    takes ~15 s."""
+    """Full-size synthetic cohort (20 per bin), generated once per session."""
     cohort, truth = synth.generate_cohort(20, seed=0)
     return cohort, truth
 

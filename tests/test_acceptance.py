@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
 from reachkin import agenet, cli, kinematics, pipeline, progress_spline, stats
 from reachkin import reconstruct3d as r3d
@@ -149,7 +150,7 @@ def test_gradient_check():
     model = agenet.AgeNet(seed=3)
     rng = np.random.default_rng(12)
     window = agenet.normalize_window(rng.normal(0.0, 1.0, (4, 200)))
-    err, checked = agenet.grad_check(model, window, n_params=300, seed=4)
+    err, checked = grad_check(model, window, n_params=300, seed=4)
     assert checked >= 200
     assert err < 1e-4
     assert time.perf_counter() - t0 < 30.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
 from reachkin.agenet import (
     AgeNet,
@@ -7,7 +8,6 @@ from reachkin.agenet import (
     MotionWindow,
     cross_validate,
     evaluate_mse,
-    grad_check,
     normalize_window,
     train,
     window_dataset,

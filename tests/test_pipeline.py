@@ -10,7 +10,7 @@ import pytest
 
 from reachkin import cli, pipeline, stats, synth
 from reachkin.errors import (AllFramesRejected, ConfigError, InputError,
-                             ParseError)
+                             NumericalError, ParseError)
 from reachkin.pipeline import (
     PipelineConfig,
     group_label,
@@ -98,6 +98,23 @@ def test_artifact_round_trip(tmp_path):
     header, rows = read_artifact(path)
     assert header == ["a", "b"]
     assert rows == [["1", "x"], ["2", "y"]]
+
+
+def test_write_artifact_floats_full_precision_and_finite(tmp_path):
+    config = PipelineConfig()
+    path = str(tmp_path / "thing.csv")
+    rows = [["x", 0.1 + 0.2, 7], ["y", np.float64(1e-300), 8]]
+    write_artifact(path, ["a", "b", "c"], rows, config)
+    kept = [["x", "0.30000000000000004", "7"], ["y", "1e-300", "8"]]
+    assert read_artifact(path) == (["a", "b", "c"], kept)
+    for value in (float("nan"), np.inf, -np.inf):
+        with pytest.raises(NumericalError,
+                           match=rf"thing.csv: row 4: column 'b': non-finite "
+                                 rf"value {value!r}"):
+            write_artifact(path, ["a", "b", "c"], [rows[0], ["y", value, 8]],
+                           config)
+    # nothing of the refused artifact was written
+    assert read_artifact(path) == (["a", "b", "c"], kept)
 
 
 def test_metrics_round_trip(tmp_path, sample_session):
@@ -307,6 +324,17 @@ def test_read_metrics_rejects_short_row(tmp_path):
     assert len(read_metrics(str(metrics))) == 4
 
 
+def test_cli_stats_rejects_repeated_participant(tmp_path, capsys):
+    # counted twice, p001 would add a degree of freedom to every test
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(_METRICS_ROWS + "p001,8,6-10,0.5,3.4,46\n")
+    assert cli.main(["stats", "--metrics", str(metrics),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert (f"{metrics}: row 6: participant 'p001' repeats row 3"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def _lower_confidences(cohort, pid):
     path = cohort / pid / "joints.csv"
     header, *rows = path.read_text().splitlines()
@@ -337,6 +365,24 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[] 0"
+
+
+def test_commands_but_synth_leave_synth_unloaded(tmp_path, small_cohort_dir):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    calibration = tmp_path / "calibration.csv"
+    calibration.write_text("camera_id,fx,fy,cx,cy\nwebcam,800,800,495,360\n")
+    cohort, out = str(small_cohort_dir), str(tmp_path / "out")
+    runs = [["ingest", "--in", cohort],
+            ["metrics", "--in", cohort, "--out", out],
+            ["reconstruct", "--in", cohort, "--out", out,
+             "--calibration", str(calibration)]]
+    probe = ("import sys\nfrom reachkin import cli\n"
+             f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+             "print('probe', codes, 'reachkin.synth' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "probe [0, 0, 0] False"
 
 
 # sha256 of anova.csv and tukey.csv below their config-hash comment line, for

@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+import synth_reference as reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reachkin import kinematics, synth
 from reachkin.model_io import AGE_BINS, load_cohort, validate_session
@@ -212,3 +215,82 @@ def test_write_cohort_bytes_pinned(tmp_path):
            hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert got == PINNED_COHORT_SHA256
+
+
+# --- the array generator against the per-frame reference ----------------------
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+strategies = st.builds(
+    StrategyParams,
+    peak_speed_scale=st.floats(0.3, 6.0),
+    detour_amplitude=st.floats(0.0, 0.5),
+    submovement_count=st.integers(0, 5),
+    reaction_delay=st.sampled_from([0.0]) | st.floats(0.0, 0.6),
+    anticipation=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    noise_sigma=st.sampled_from([0.0]) | st.floats(0.0, 0.05),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=strategies, seed=st.integers(0, 2**32 - 1),
+       duration=st.floats(2.0, 25.0))
+@example(params=StrategyParams(noise_sigma=0.0), seed=1, duration=20.0)
+@example(params=StrategyParams(submovement_count=5, anticipation=1.0),
+         seed=2, duration=20.0)
+@example(params=StrategyParams(peak_speed_scale=0.8, reaction_delay=0.0),
+         seed=3, duration=20.0)
+# so slow that the session ends with targets unhit
+@example(params=StrategyParams(peak_speed_scale=0.3), seed=4, duration=8.0)
+def test_generate_session_matches_per_frame_reference(params, seed, duration):
+    got = generate_session(params, 12, seed, duration=duration)
+    want = reference.generate_session(params, 12, seed, duration=duration)
+    assert got.targets == want.targets
+    assert got.score == want.score
+    got_streams = got.skeletons[0].streams
+    want_streams = want.skeletons[0].streams
+    assert list(got_streams) == list(want_streams)
+    for joint, stream in want_streams.items():
+        assert np.array_equal(got_streams[joint].frames, stream.frames)
+        for field in ("times", "pos", "conf"):
+            assert np.array_equal(bits(getattr(got_streams[joint], field)),
+                                  bits(getattr(stream, field))), (joint, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=strategies, seed=st.integers(0, 2**32 - 1),
+       start=st.tuples(st.floats(-2.0, 2.0), st.floats(-0.5, 2.5)),
+       step=st.tuples(st.floats(0.3, 2.0), st.floats(-2.0, 2.0)),
+       duration=st.none() | st.floats(0.1, 3.0))
+def test_generate_reach_matches_per_frame_reference(params, seed, start, step,
+                                                    duration):
+    target = (start[0] + step[0], start[1] + step[1])
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, got_total = generate_reach(params, start, target, 1.0 / 30.0,
+                                    rng=got_rng, duration=duration)
+    want, want_total = reference.generate_reach(params, start, target,
+                                                1.0 / 30.0, rng=want_rng,
+                                                duration=duration)
+    assert got_total == want_total
+    assert np.array_equal(bits(got), bits(want))
+    assert got_rng.random() == want_rng.random()     # the same draws used
+
+
+def test_minimum_jerk_array_matches_scalar():
+    # numpy's vectorized pow may round the cube differently from the scalar
+    u = np.random.default_rng(0).random(20000)
+    scalar = [reference.minimum_jerk(np.float64(v)) for v in u]
+    assert np.array_equal(bits(minimum_jerk(u)), bits(scalar))
+
+
+def test_hit_radius_decided_as_the_one_vector_norm():
+    # offsets within a few ulps of the radius, where the batched and the
+    # one-vector norm can disagree in the last bit
+    rng = np.random.default_rng(1)
+    angle = rng.uniform(0.0, 2 * np.pi, 20000)
+    radius = HIT_RADIUS + rng.integers(-4, 5, angle.size) * np.spacing(HIT_RADIUS)
+    offsets = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    want = [np.linalg.norm(d) < HIT_RADIUS for d in offsets]
+    assert synth._inside(offsets).tolist() == want
