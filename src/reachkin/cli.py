@@ -6,13 +6,13 @@ Exit codes: 0 success, 2 input error, 3 numerical failure, 4 config error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 from . import pipeline, reconstruct3d
-from .errors import ConfigError, InputError, NumericalError, ReachkinError
-from .model_io import AGE_BINS, load_cohort, validate_session, write_joint_csv
+from .errors import ConfigError, NumericalError
+# load_cohort is not called here, but perfbench's tracer test reads it
+from .model_io import AGE_BINS, load_cohort  # noqa: F401
 from .pipeline import PipelineConfig, StageFailure
 
 
@@ -113,66 +113,30 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_ingest(args):
+def _run(args, stage, given=None):
+    """Run one stage, and the stages it needs, with the command's config."""
     config = _config_from_args(args)
-    cohort = load_cohort(config.input_dir)
-    bad = 0
-    for session in cohort.sessions:
-        report = validate_session(session)
-        for f in report.findings:
-            bad += 1
-            print(f"{session.participant_id}: [{f.code}] {f.message}")
-    print(f"{len(cohort.sessions)} sessions, {bad} finding(s)")
-    return 0 if bad == 0 else 2
+    results = pipeline.run_stages(config, (stage,), given)
+    if pipeline.STAGES[stage][2]:
+        print(f"{stage} complete; artifacts in {config.out_dir}")
+    return results
 
 
-def _write_streams(out_dir, streams, name):
-    """Write each (participant id, sequence) to out_dir/<pid>/<name>."""
-    for pid, seq in streams:
-        dest = os.path.join(out_dir, pid)
-        os.makedirs(dest, exist_ok=True)
-        with open(os.path.join(dest, name), "w") as fh:
-            write_joint_csv(seq, fh)
+def cmd_ingest(args):
+    cohort = _run(args, "validate")["ingest"]
+    print(f"{len(cohort.sessions)} sessions, 0 finding(s)")
+    return 0
 
 
 def cmd_preprocess(args):
-    config = _config_from_args(args)
-    cohort = load_cohort(config.input_dir)
-    frames = pipeline.cohort_frames(cohort, config)
-    cleaned = [(s.participant_id, pipeline.per_participant(
-        s.participant_id, pipeline.preprocess_session, seq, config))
-        for s, seq in zip(cohort.sessions, frames)]
-    _write_streams(config.out_dir, cleaned, "joints_clean.csv")
-    print(f"preprocessed {len(cohort.sessions)} sessions into {config.out_dir}")
+    _run(args, "preprocess")
     return 0
 
 
 def cmd_reconstruct(args):
-    config = _config_from_args(args)
-    cams = reconstruct3d.load_calibration(args.calibration)
-    cohort = load_cohort(config.input_dir)
-    pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
-             if len(s.skeletons) >= 2]
-    for pid, views in pairs:
-        for seq in views:
-            if seq.camera_id not in cams:
-                raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
-                                 f"is not in {args.calibration}")
-    reconstructed = [(pid, pipeline.per_participant(
-        pid, reconstruct3d.triangulate_sequences, seq1, seq2,
-        cams[seq1.camera_id], cams[seq2.camera_id],
-        config.confidence_threshold)) for pid, (seq1, seq2) in pairs]
-    _write_streams(config.out_dir, reconstructed, "joints_3d.csv")
-    print(f"reconstructed {len(pairs)} sessions into {config.out_dir}")
+    _run(args, "reconstruct", {"calibration": lambda: (
+        args.calibration, reconstruct3d.load_calibration(args.calibration))})
     return 0
-
-
-def _run(args, stage, done=None):
-    """Run one stage, and the stages it needs, with the command's config."""
-    config = _config_from_args(args)
-    results = pipeline.run_stages(config, (stage,), done)
-    print(f"{stage} complete; artifacts in {config.out_dir}")
-    return results
 
 
 def cmd_metrics(args):
@@ -187,7 +151,8 @@ def cmd_progress(args):
 
 def cmd_stats(args):
     # metrics.csv holds the summaries but not the reach segments
-    _run(args, "stats", {"metrics": (pipeline.read_metrics(args.metrics), None)})
+    _run(args, "stats", {"metrics": lambda: (
+        pipeline.read_metrics(args.metrics), None)})
     return 0
 
 
@@ -230,20 +195,16 @@ def main(argv=None):
         return COMMANDS[args.command](args)
     except StageFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ConfigError):
+        if isinstance(exc.cause, ConfigError):
             return 4
-        if isinstance(cause, NumericalError):
+        if isinstance(exc.cause, NumericalError):
             return 3
         return 2
-    except ConfigError as exc:
+    except ConfigError as exc:          # the config file or options
         print(f"config error: {exc}", file=sys.stderr)
         return 4
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, ReachkinError, OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:     # synth's options or output
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -454,9 +454,14 @@ def _parse_file(directory, name, parse):
             return parse(fh)
         except ParseError as exc:
             raise in_file(path, exc) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def load_session(directory) -> ParticipantSession:
+    if not os.path.isfile(os.path.join(directory, "manifest.json")):
+        raise InputError(f"{directory}: not a session directory, it has no "
+                         "manifest.json")
     manifest = _parse_file(directory, "manifest.json", parse_manifest)
     names = sorted(n for n in os.listdir(directory)
                    if n.startswith("joints") and n.endswith(".csv"))

@@ -1,14 +1,13 @@
 """End-to-end orchestration: configuration, the stage table, artifact files,
 and simple SVG figure analogs.
 
-``STAGES`` is the stage graph: ingest -> frames -> metrics -> progress ->
-stats, with train (also fed by frames) and report alongside. ``run_stages``
-computes the requested stages and what they need, naming the stage in any
-error, and writes the requested stages' artifacts only once every
-computation has succeeded. The pipeline and each stage subcommand run
-through it; two-view reconstruction runs only as ``reachkin reconstruct``.
-Every artifact file starts with a comment line recording the configuration
-hash and seed, and all files are written atomically (temp file + rename).
+``STAGES`` is the stage graph: ingest -> validate -> frames -> metrics ->
+progress -> stats, with preprocess and train fed by frames, report
+alongside, and reconstruct fed by ingest and a calibration alone. Every
+command but ``reachkin synth`` runs through ``run_stages``, which names the
+stage in any error and writes a run's files, per-participant ones included,
+all or none. Every artifact file starts with a comment line recording the
+configuration hash and seed.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import io
 import json
 import math
 import os
+import shutil
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     ZeroPathLength,
 )
 from .model_io import (AGE_BINS, Cohort, _float, fnum, in_file, load_cohort,
-                       validate_session)
+                       validate_session, write_joint_csv)
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
 GROUP_LABELS = tuple(f"{lo}-{hi}" for lo, hi in ANALYSIS_GROUPS)
@@ -98,13 +98,6 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_artifact(path, header, rows, config: PipelineConfig):
     """Write a CSV artifact with the config-hash comment line on top. Float
     cells are written in full precision (``fnum``); a non-finite one raises
@@ -121,7 +114,8 @@ def write_artifact(path, header, rows, config: PipelineConfig):
                 raise NumericalError(f"{path}: row {line}: column {column!r}: "
                                      f"non-finite value {v!r}")
         writer.writerow([fnum(v) if f else v for v, f in zip(cells, floats)])
-    _atomic_write(path, buf.getvalue())
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
 
 
 def _artifact_lines(path):
@@ -420,7 +414,8 @@ def _svg(path, width, height, body, config):
             f'<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">\n' + body + "</svg>\n")
-    _atomic_write(path, text)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def svg_bars(bar_rows, path, config):
@@ -505,14 +500,38 @@ class StageFailure(ReachkinError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-def _ingest(config):
-    cohort = load_cohort(config.input_dir)
-    for session in cohort.sessions:
-        report = validate_session(session)
-        if not report.ok:
-            raise InputError(f"participant {session.participant_id}: "
-                             + "; ".join(f.message for f in report.findings))
-    return cohort
+def validate_cohort(cohort: Cohort):
+    """Raise an InputError naming every participant's validation findings."""
+    findings = [f"participant {s.participant_id}: {f.message}"
+                for s in cohort.sessions for f in validate_session(s).findings]
+    if findings:
+        raise InputError("; ".join(findings))
+
+
+def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
+    """(participant id, triangulated 3D sequence) of every session with two
+    camera views; ``calibration`` is (path, camera id -> CameraModel)."""
+    path, cams = calibration
+    pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
+             if len(s.skeletons) >= 2]
+    for pid, views in pairs:
+        for seq in views:
+            if seq.camera_id not in cams:
+                raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
+                                 f"is not in {path}")
+    return [(pid, per_participant(
+        pid, reconstruct3d.triangulate_sequences, seq1, seq2,
+        cams[seq1.camera_id], cams[seq2.camera_id],
+        config.confidence_threshold)) for pid, (seq1, seq2) in pairs]
+
+
+def write_streams(streams, path):
+    """Write each (participant id, sequence) to <pid>/<name> beside path."""
+    directory, name = os.path.split(path)
+    for pid, seq in streams:
+        os.makedirs(os.path.join(directory, pid), exist_ok=True)
+        with open(os.path.join(directory, pid, name), "w") as fh:
+            write_joint_csv(seq, fh)
 
 
 def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
@@ -526,13 +545,29 @@ def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
 
 # name -> (stages it needs, compute(results, config), artifact file names,
 #          write(results, config, *artifact paths)), in dependency order.
-# ``results`` maps each computed stage to its value. The lambdas look the
-# module functions up when called, so replacing one (to wrap it for
-# tracing, say) takes effect here too.
+# ``results`` maps each computed stage to its value. A per-participant
+# stage's artifact is written as <pid>/<name>. The lambdas look the module
+# functions up when called, so replacing one (to wrap it for tracing, say)
+# takes effect here too.
 STAGES = {
-    "ingest": ((), lambda r, c: _ingest(c), (), None),
-    "frames": (("ingest",), lambda r, c: cohort_frames(r["ingest"], c), (),
-               None),
+    # (path, camera id -> CameraModel), given by `reachkin reconstruct`
+    "calibration": ((), None, (), None),
+    "ingest": ((), lambda r, c: load_cohort(c.input_dir), (), None),
+    "validate": (("ingest",), lambda r, c: validate_cohort(r["ingest"]), (),
+                 None),
+    "frames": (("ingest", "validate"),
+               lambda r, c: cohort_frames(r["ingest"], c), (), None),
+    "preprocess": (("ingest", "frames"),
+                   lambda r, c: [(s.participant_id, per_participant(
+                       s.participant_id, preprocess_session, seq, c))
+                       for s, seq in zip(r["ingest"].sessions, r["frames"])],
+                   ("joints_clean.csv",),
+                   lambda r, c, path: write_streams(r["preprocess"], path)),
+    "reconstruct": (("ingest", "calibration"),
+                    lambda r, c: reconstruct_cohort(r["ingest"],
+                                                    r["calibration"], c),
+                    ("joints_3d.csv",),
+                    lambda r, c, path: write_streams(r["reconstruct"], path)),
     "metrics": (("ingest", "frames"),
                 lambda r, c: cohort_metrics(r["ingest"], r["frames"], c),
                 ("metrics.csv",),
@@ -556,34 +591,58 @@ STAGES = {
                 "trajectories.svg"), _write_report),
 }
 
-ARTIFACTS = tuple(name for _, _, names, _ in STAGES.values() for name in names)
+# the stages `reachkin pipeline` runs, and the files it writes
+PIPELINE = ("metrics", "progress", "stats", "train", "report")
+ARTIFACTS = tuple(name for stage in PIPELINE for name in STAGES[stage][2])
 
 
-def run_stages(config: PipelineConfig, names, done=None):
+def run_stages(config: PipelineConfig, names, given=None):
     """Compute the named stages and every stage they need, then write the
-    named stages' artifacts into config.out_dir; nothing is written unless
-    every computation succeeded. ``done`` maps stages to values that are
-    used instead of computing them. Returns stage name -> value."""
-    results = dict(done or {})
+    named stages' files into config.out_dir through a staging directory,
+    moved into place once every writer has returned: all of them or none.
+    ``given`` maps a stage to a loader called in place of its computation.
+    A ReachkinError, OSError or UnicodeDecodeError is raised as a
+    StageFailure naming the stage. Returns stage name -> value."""
+    given = given or {}
     todo = set(names)
     for name in reversed(STAGES):      # a stage comes after what it needs
-        if name in todo and name not in results:
+        if name in todo and name not in given:
             todo.update(STAGES[name][0])
-    for name, (_, compute, _, _) in STAGES.items():
-        if name in todo and name not in results:
-            try:
-                results[name] = compute(results, config)
-            except ReachkinError as exc:
-                raise StageFailure(name, exc) from exc
-    os.makedirs(config.out_dir, exist_ok=True)
-    for name, (_, _, artifacts, write) in STAGES.items():
-        if name in names and artifacts:
+    writes = [name for name in STAGES if name in names and STAGES[name][2]]
+    out, inp = config.out_dir, os.path.realpath(config.input_dir)
+    staging = os.path.join(out, ".reachkin-staging")
+    results = {}
+    try:
+        for name in (name for name in STAGES if name in todo):
+            # an out_dir inside input_dir would be read as a participant
+            if name == "ingest" and writes and os.path.commonpath(
+                    [inp, os.path.realpath(out)]) == inp:
+                raise ConfigError(f"output directory {out} is inside input "
+                                  f"directory {config.input_dir}")
+            results[name] = (given[name]() if name in given
+                             else STAGES[name][1](results, config))
+        shutil.rmtree(staging, ignore_errors=True)     # left by a killed run
+        for name in writes:
+            _, _, artifacts, write = STAGES[name]
+            os.makedirs(staging, exist_ok=True)
             write(results, config,
-                  *(os.path.join(config.out_dir, a) for a in artifacts))
+                  *(os.path.join(staging, a) for a in artifacts))
+        for root, _, files in os.walk(staging):
+            dest = os.path.join(out, os.path.relpath(root, staging))
+            os.makedirs(dest, exist_ok=True)
+            for f in files:
+                os.replace(os.path.join(root, f), os.path.join(dest, f))
+    except (ReachkinError, OSError, UnicodeDecodeError) as exc:
+        text = str(exc)        # a writer's error names the final path
+        cause = type(exc)(text.replace(staging, out)) if staging in text \
+            else exc
+        raise StageFailure(name, cause) from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return results
 
 
 def run_pipeline(config: PipelineConfig):
-    """Run every stage and emit all artifact files into config.out_dir."""
-    run_stages(config, tuple(STAGES))
+    """Run the PIPELINE stages and write their ARTIFACTS into out_dir."""
+    run_stages(config, PIPELINE)
     return config.out_dir

@@ -11,6 +11,7 @@ The global scale is fixed downstream by shoulder normalization.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,8 @@ from .errors import (
     RayParallel,
     ShouldersUntracked,
 )
-from .model_io import JointStream, SkeletonSequence, _float, _read_table
+from .model_io import (JointStream, SkeletonSequence, _float, _parse_file,
+                       _read_table)
 
 
 @dataclass(frozen=True)
@@ -335,13 +337,17 @@ def load_calibration(path):
     ``r11..r33,t1,t2,t3`` (row-major rotation). Cameras without extrinsics
     get the identity pose (use solve_relative_pose to recover the second
     camera). A missing, non-numeric or non-finite number, a non-positive
-    focal length or a non-rotation raises a ParseError naming the row.
+    focal length or a non-rotation raises a ParseError naming the file and
+    the row.
     """
-    with open(path, newline="") as fh:
-        col, rows, rownums = _read_table(
-            fh, "calibration",
-            lambda header: ["camera_id", "fx", "fy", "cx", "cy"]
-            + (_EXTRINSICS if set(_EXTRINSICS) <= set(header) else []))
+    return _parse_file(*os.path.split(path), _parse_calibration)
+
+
+def _parse_calibration(fh):
+    col, rows, rownums = _read_table(
+        fh, "calibration",
+        lambda header: ["camera_id", "fx", "fy", "cx", "cy"]
+        + (_EXTRINSICS if set(_EXTRINSICS) <= set(header) else []))
     cams = {}
     for row, rownum in zip(rows, rownums):
         has_pose = "r11" in col and row[col["r11"]] != ""

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -588,3 +589,110 @@ def test_cli_pipeline_has_no_bins_option(tmp_path, small_cohort_dir):
         cli.main(["pipeline", "--in", str(small_cohort_dir),
                   "--out", str(tmp_path / "out"), "--bins", "6-8,9-17"])
     assert exc.value.code == 2
+
+
+# --- every command through the stage table -----------------------------------
+
+@pytest.mark.parametrize("command, stage", [
+    ("ingest", "validate"), ("preprocess", "frames"),
+    ("reconstruct", "calibration"), ("stats", "metrics"),
+    ("metrics", "ingest"), ("train", "ingest"), ("pipeline", "ingest")])
+def test_cli_failure_names_the_stage_and_writes_nothing(
+        tmp_path, small_cohort_dir, capsys, command, stage):
+    cohort, out = tmp_path / "cohort", tmp_path / "out"
+    shutil.copytree(small_cohort_dir, cohort)
+    argv = [command, "--in", str(cohort), "--out", str(out)]
+    if command == "ingest":          # a validation finding
+        manifest = cohort / "p002" / "manifest.json"
+        manifest.write_text(json.dumps(
+            {**json.loads(manifest.read_text()), "age_years": 20}))
+        message = "participant p002: age 20 outside [6, 17]"
+    elif command == "preprocess":    # every wrist frame gated
+        _lower_confidences(cohort, "p001")
+        message = "participant p001: joint "
+    elif command == "reconstruct":   # a calibration cell that is no number
+        calibration = tmp_path / "calibration.csv"
+        calibration.write_text("camera_id,fx,fy,cx,cy\n"
+                               "webcam,abc,800,495,360\n")
+        argv += ["--calibration", str(calibration)]
+        message = f"{calibration}: row 2: column 'fx'"
+    elif command == "stats":         # a metrics file that is not there
+        metrics = tmp_path / "metrics.csv"
+        argv = ["stats", "--metrics", str(metrics), "--out", str(out)]
+        message = f"No such file or directory: '{metrics}'"
+    elif command == "metrics":       # a session file that is not there
+        targets = cohort / "p003" / "targets.csv"
+        os.remove(targets)
+        message = f"No such file or directory: '{targets}'"
+    elif command == "train":         # a session file that is not text
+        targets = cohort / "p004" / "targets.csv"
+        with open(targets, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        message = f"{targets}: not UTF-8 text"
+    else:                            # a directory that is not a session
+        (cohort / "notes").mkdir()
+        message = f"{cohort / 'notes'}: not a session directory"
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage '{stage}' failed: ")
+    assert message in err
+    assert not out.exists()
+
+
+def test_cli_ingest_writes_nothing_in_the_working_directory(
+        tmp_path, small_cohort_dir, monkeypatch):
+    # ingest has no --out, so its out_dir is the default `out`
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["ingest", "--in", str(small_cohort_dir)]) == 0
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_refuses_an_output_directory_inside_the_input(
+        tmp_path, small_cohort_dir, capsys, monkeypatch):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    listing = sorted(os.listdir(cohort))
+    argv = ["pipeline", "--in", str(cohort), "--out", str(cohort / "out")]
+    for _ in range(2):      # the rerun finds nothing the first run left
+        assert cli.main(argv) == 4
+        assert (f"error: stage 'ingest' failed: output directory "
+                f"{cohort / 'out'} is inside input directory {cohort}"
+                in capsys.readouterr().err)
+        assert sorted(os.listdir(cohort)) == listing
+    # stats reads no input directory, so the default `.` holds any out_dir
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["metrics", "--in", str(cohort), "--out", "o"]) == 0
+    assert cli.main(["stats", "--metrics", "o/metrics.csv", "--out", "o"]) == 0
+    assert os.path.isfile("o/anova.csv")
+
+
+def test_cli_failed_rerun_keeps_every_file_of_the_last_run(
+        tmp_path, small_cohort_dir, capsys, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--in", str(small_cohort_dir), "--out", str(out),
+            "--epochs", "1", "--folds", "2"]
+    assert cli.main(argv) == 0
+    first = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    # metrics, spline and progress curves are written before anova.csv
+    anova = stats.one_way_anova
+    monkeypatch.setattr(stats, "one_way_anova",
+                        lambda grouped: replace(anova(grouped), F=np.nan))
+    assert cli.main(argv) == 3
+    assert (f"error: stage 'stats' failed: {out / 'anova.csv'}: row 3: "
+            "column 'F': non-finite value nan" in capsys.readouterr().err)
+    assert {name: (out / name).read_bytes()
+            for name in os.listdir(out)} == first
+
+
+def test_benchmark_tracer_finds_every_function(monkeypatch):
+    # perfbench times each layer by wrapping these functions by name; one
+    # renamed away would drop its metrics from every benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import tracing
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+    finally:
+        tracer.uninstall()
