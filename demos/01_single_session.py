@@ -19,7 +19,8 @@ config = pipeline.PipelineConfig()
 frames = pipeline.session_frames(session, config)   # gated and decimated
 print(f"frames at the working rate: {len(frames.streams['left_wrist'].frames)} "
       f"per joint, {frames.sample_rate:.0f} Hz")
-summary, segments = pipeline.analyze_session(session, frames, config)
+clean = pipeline.preprocess_session(frames, config)  # low-pass filtered
+summary, segments = pipeline.analyze_session(session, clean)
 
 print(f"\nreaches extracted: {len(segments)} (shoulder-width units)")
 for seg in segments:

@@ -14,7 +14,8 @@ cohort, truth = synth.generate_cohort(5, seed=0)
 config = pipeline.PipelineConfig()
 
 frames = pipeline.cohort_frames(cohort, config)   # gated and decimated
-summaries, segments_by_pid = pipeline.cohort_metrics(cohort, frames, config)
+clean = [pipeline.preprocess_session(seq, config) for seq in frames]
+summaries, segments_by_pid = pipeline.cohort_metrics(cohort, clean)
 
 print("\ngroup means:")
 for label in pipeline.GROUP_LABELS:
@@ -37,6 +38,6 @@ print("\nANOVA + Tukey HSD:")
 for metric, (anova, tukey) in pipeline.run_stats(summaries).items():
     print(f"  {metric}: F({anova.df_between},{anova.df_within}) = "
           f"{anova.F:.2f}, p = {anova.p:.4f}")
-    for cmp in tukey.comparisons:
+    for cmp in tukey:
         print(f"    {cmp.label_a} vs {cmp.label_b}: "
               f"diff {cmp.mean_diff:+.3f}, p = {cmp.p:.4f}")

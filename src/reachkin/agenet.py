@@ -273,19 +273,18 @@ def _batch_arrays(windows):
     return x, y
 
 
-def evaluate_mse(model, windows, batch: int = 64):
-    """(MSE, predictions) over windows, or over their ``_batch_arrays``."""
+def evaluate_mse(model, windows):
+    """(MSE, predictions) of windows or their arrays, in batches of 64."""
     x, y = windows if isinstance(windows, tuple) else _batch_arrays(windows)
-    preds = np.concatenate([model.forward(x[i:i + batch])
-                            for i in range(0, len(x), batch)])
+    preds = np.concatenate([model.forward(x[i:i + 64])
+                            for i in range(0, len(x), 64)])
     return float(np.mean((preds - y) ** 2)), preds
 
 
 def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
-          lr: float = 1e-3, momentum: float = 0.9, batch_size: int = 16,
           seed: int = 0) -> TrainResult:
-    """SGD with momentum on MSE loss; returns the snapshot with the lowest
-    validation loss (early stopping)."""
+    """SGD (learning rate 1e-3, momentum 0.9, batches of 16) on MSE loss;
+    returns the snapshot with the lowest validation loss (early stopping)."""
     train_ids = {w.participant_id for w in train_windows}
     val_ids = {w.participant_id for w in val_windows}
     if train_ids & val_ids:
@@ -302,8 +301,8 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
     for epoch in range(epochs):
         order = rng.permutation(len(x))
         epoch_loss = 0.0
-        for start in range(0, len(x), batch_size):
-            sel = order[start:start + batch_size]
+        for start in range(0, len(x), 16):
+            sel = order[start:start + 16]
             xb, yb = x[sel], y[sel]
             cache = []
             preds = model.forward(xb, cache=cache)
@@ -315,11 +314,10 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
             epoch_loss += loss * len(sel)
             dout = 2.0 * err / len(sel)
             dW, db = model.backward(cache, dout)
-            if lr != 0.0:
-                for p, v, g in zip(params, vel, dW + db):
-                    v *= momentum
-                    v -= lr * g
-                    p += v
+            for p, v, g in zip(params, vel, dW + db):
+                v *= 0.9
+                v -= 1e-3 * g
+                p += v
         result.train_loss.append(epoch_loss / len(x))
         val_mse, _ = evaluate_mse(model, val)
         result.val_loss.append(val_mse)
@@ -349,11 +347,10 @@ def _bin_index(age):
     return len(AGE_BINS) - 1 if age > AGE_BINS[-1][1] else 0
 
 
-def cross_validate(windows, folds: int = 5, split: float = 0.7,
-                   epochs: int = 15, seed: int = 0, lr: float = 1e-3,
+def cross_validate(windows, folds: int = 5, epochs: int = 15, seed: int = 0,
                    predictor=None) -> CrossValReport:
     """Stochastic k-way cross-validation: k independent random participant
-    splits (not a partition), each trained with early stopping.
+    splits, 70% to train (not a partition), each with early stopping.
 
     ``predictor`` optionally replaces the trained model (callable window ->
     age) for baseline and oracle checks.
@@ -373,7 +370,7 @@ def cross_validate(windows, folds: int = 5, split: float = 0.7,
 
     for fold in range(folds):
         order = rng.permutation(len(pids))
-        n_train = int(round(split * len(pids)))
+        n_train = int(round(0.7 * len(pids)))
         train_pids = {pids[i] for i in order[:n_train]}
         val_pids = {pids[i] for i in order[n_train:]}
         train_w = [w for p in sorted(train_pids) for w in by_pid[p]]
@@ -384,7 +381,7 @@ def cross_validate(windows, folds: int = 5, split: float = 0.7,
         else:
             model = AgeNet(seed=seed * 1000 + fold,
                            input_shape=train_w[0].values.shape)
-            result = train(model, train_w, val_w, epochs=epochs, lr=lr,
+            result = train(model, train_w, val_w, epochs=epochs,
                            seed=seed * 1000 + fold)
             _, preds = evaluate_mse(result.model, val_w)
 

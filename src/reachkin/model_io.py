@@ -192,21 +192,6 @@ class Cohort:
     sessions: tuple
 
 
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple = ()
-
-    @property
-    def ok(self):
-        return not self.findings
-
-
 # --- parsing ---------------------------------------------------------------
 
 def _float(value, column, row):
@@ -469,6 +454,11 @@ def load_session(directory) -> ParticipantSession:
         raise InputError(f"{directory}: no joints csv found")
     skeletons = [_parse_file(directory, name, parse_joint_csv)
                  for name in names]
+    cams = sorted(seq.camera_id for seq in skeletons)
+    if sorted(manifest.camera_ids) != cams:
+        raise InputError(f"{directory}: manifest camera ids "
+                         f"{list(manifest.camera_ids)} are not those of its "
+                         f"joint files, {cams}")
     targets = _parse_file(directory, "targets.csv", parse_target_csv)
     return ParticipantSession(
         participant_id=manifest.participant_id,
@@ -498,27 +488,25 @@ def load_cohort(root) -> Cohort:
 
 # --- validation ------------------------------------------------------------
 
-def validate_session(session: ParticipantSession) -> ValidationReport:
+def validate_session(session: ParticipantSession) -> tuple:
+    """The session's findings, each a (code, message) pair; () when clean."""
     findings = []
 
     if not 6 <= session.age <= 17:
-        findings.append(Finding("AgeOutOfRange",
-                                f"age {session.age} outside [6, 17]"))
-    try:
-        hit_pairs = session.targets.score
-        if session.score != hit_pairs:
-            findings.append(Finding(
-                "ScoreMismatch",
-                f"manifest score {session.score} != {hit_pairs} collected pairs"))
-    except UnpairedTarget as exc:
-        findings.append(Finding("UnpairedTarget", str(exc)))
+        findings.append(("AgeOutOfRange",
+                         f"age {session.age} outside [6, 17]"))
+    hit_pairs = session.targets.score
+    if session.score != hit_pairs:
+        findings.append((
+            "ScoreMismatch",
+            f"manifest score {session.score} != {hit_pairs} collected pairs"))
 
     for seq in session.skeletons:
         present = set(seq.joints)
         for joint in CORE_JOINTS:
             if joint not in present:
-                findings.append(Finding(
+                findings.append((
                     "MissingJoint",
                     f"camera {seq.camera_id!r}: joint {joint!r} absent"))
 
-    return ValidationReport(tuple(findings))
+    return tuple(findings)

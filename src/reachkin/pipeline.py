@@ -1,9 +1,9 @@
 """End-to-end orchestration: configuration, the stage table, artifact files,
 and simple SVG figure analogs.
 
-``STAGES`` is the stage graph: ingest -> validate -> frames -> metrics ->
-progress -> stats, with preprocess and train fed by frames, report
-alongside, and reconstruct fed by ingest and a calibration alone. Every
+``STAGES`` is the stage graph: ingest -> validate -> frames -> preprocess
+(the one filter) -> metrics -> progress -> stats, with train fed by frames,
+report alongside, and reconstruct by ingest and a calibration alone. Every
 command but ``reachkin synth`` runs through ``run_stages``, which names the
 stage in any error and writes a run's files, per-participant ones included,
 all or none. Every artifact file starts with a comment line recording the
@@ -37,8 +37,8 @@ from .errors import (
     ZeroInitialDistance,
     ZeroPathLength,
 )
-from .model_io import (AGE_BINS, Cohort, _float, fnum, in_file, load_cohort,
-                       validate_session, write_joint_csv)
+from .model_io import (AGE_BINS, Cohort, _float, _parse_file, fnum, in_file,
+                       load_cohort, validate_session, write_joint_csv)
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
 GROUP_LABELS = tuple(f"{lo}-{hi}" for lo, hi in ANALYSIS_GROUPS)
@@ -118,20 +118,19 @@ def write_artifact(path, header, rows, config: PipelineConfig):
         fh.write(buf.getvalue())
 
 
-def _artifact_lines(path):
+def _artifact_lines(fh):
     """(line number, fields) of each line of a CSV artifact but its comments."""
-    with open(path) as fh:
-        numbered = [(n, ln) for n, ln in enumerate(fh, start=1)
-                    if not ln.startswith("#")]
+    numbered = [(n, ln) for n, ln in enumerate(fh, start=1)
+                if not ln.startswith("#")]
     if not numbered:
-        raise EmptyFile(f"{path}: empty file")
+        raise EmptyFile("empty file")
     return list(zip((n for n, _ in numbered),
                     csv.reader(ln for _, ln in numbered)))
 
 
 def read_artifact(path):
     """Read a CSV artifact, skipping comment lines; returns (header, rows)."""
-    (_, header), *rows = _artifact_lines(path)
+    (_, header), *rows = _parse_file(*os.path.split(path), _artifact_lines)
     return header, [fields for _, fields in rows]
 
 
@@ -165,13 +164,12 @@ def preprocess_session(seq, config: PipelineConfig):
     return preprocess.filter_sequence(seq, spec)
 
 
-def analyze_session(session, seq, config: PipelineConfig):
-    """Full metric extraction for one session from its frames ``seq``.
+def analyze_session(session, seq):
+    """Full metric extraction for one session from its filtered stream ``seq``.
 
     Returns (MetricSummary, repaired ReachSegments). Paths are in
     shoulder-width units; targets are mapped into the same frame.
     """
-    seq = preprocess_session(seq, config)
     scale = reconstruct3d.shoulder_scale(seq)
     seq = reconstruct3d.normalize_by_shoulder_width(seq, scale)
     w, h = session.manifest.play_area_px
@@ -198,11 +196,12 @@ def analyze_session(session, seq, config: PipelineConfig):
     return summary, usable
 
 
-def cohort_metrics(cohort: Cohort, frames, config: PipelineConfig):
+def cohort_metrics(cohort: Cohort, streams):
+    """``analyze_session`` of every session with its filtered stream."""
     summaries, segments_by_pid = [], {}
-    for session, seq in zip(cohort.sessions, frames):
+    for session, seq in zip(cohort.sessions, streams):
         summary, segments = per_participant(
-            session.participant_id, analyze_session, session, seq, config)
+            session.participant_id, analyze_session, session, seq)
         summaries.append(summary)
         segments_by_pid[session.participant_id] = segments
     return summaries, segments_by_pid
@@ -221,11 +220,11 @@ def write_metrics(summaries, path, config):
 
 
 def read_metrics(path):
-    """The participant summaries of a ``metrics.csv``. A short row, a cell
-    that is not a finite number or an integer, a group that is not the
-    analysis group of the row's age, or a participant already read raises a
-    ParseError naming the file and the row (its line number)."""
-    (_, header), *rows = _artifact_lines(path)
+    """The participant summaries of a ``metrics.csv``. An empty or non-UTF-8
+    file, a short row, a cell that is not a finite number or an integer, a
+    group that is not the analysis group of the row's age, or a participant
+    already read raises a ParseError naming the file and any row (line)."""
+    (_, header), *rows = _parse_file(*os.path.split(path), _artifact_lines)
     missing = [name for name in METRIC_COLUMNS if name not in header]
     if missing:
         raise MissingColumn(f"{path}: missing column(s) {missing}")
@@ -339,7 +338,7 @@ def write_stats(results, anova_path, tukey_path, config):
     for metric, (anova, tukey) in results.items():
         anova_rows.append([metric, anova.F, anova.df_between,
                            anova.df_within, anova.p])
-        for cmp in tukey.comparisons:
+        for cmp in tukey:
             tukey_rows.append([metric, f"{cmp.label_a} vs {cmp.label_b}",
                                cmp.mean_diff, cmp.q, cmp.p])
     write_artifact(anova_path, ["metric", "F", "df_between", "df_within", "p"],
@@ -502,18 +501,20 @@ class StageFailure(ReachkinError):
 
 def validate_cohort(cohort: Cohort):
     """Raise an InputError naming every participant's validation findings."""
-    findings = [f"participant {s.participant_id}: {f.message}"
-                for s in cohort.sessions for f in validate_session(s).findings]
+    findings = [f"participant {s.participant_id}: {message}"
+                for s in cohort.sessions for _, message in validate_session(s)]
     if findings:
         raise InputError("; ".join(findings))
 
 
 def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
-    """(participant id, triangulated 3D sequence) of every session with two
-    camera views; ``calibration`` is (path, camera id -> CameraModel)."""
+    """(participant id, triangulated 3D sequence) of each two-camera session
+    (at least one); ``calibration`` is (path, camera id -> CameraModel)."""
     path, cams = calibration
     pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
              if len(s.skeletons) >= 2]
+    if not pairs:
+        raise InputError(f"{config.input_dir}: no two-camera session")
     for pid, views in pairs:
         for seq in views:
             if seq.camera_id not in cams:
@@ -568,8 +569,9 @@ STAGES = {
                                                     r["calibration"], c),
                     ("joints_3d.csv",),
                     lambda r, c, path: write_streams(r["reconstruct"], path)),
-    "metrics": (("ingest", "frames"),
-                lambda r, c: cohort_metrics(r["ingest"], r["frames"], c),
+    "metrics": (("ingest", "preprocess"),
+                lambda r, c: cohort_metrics(
+                    r["ingest"], [seq for _, seq in r["preprocess"]]),
                 ("metrics.csv",),
                 lambda r, c, path: write_metrics(r["metrics"][0], path, c)),
     "progress": (("ingest", "metrics"),
@@ -601,8 +603,8 @@ def run_stages(config: PipelineConfig, names, given=None):
     named stages' files into config.out_dir through a staging directory,
     moved into place once every writer has returned: all of them or none.
     ``given`` maps a stage to a loader called in place of its computation.
-    A ReachkinError, OSError or UnicodeDecodeError is raised as a
-    StageFailure naming the stage. Returns stage name -> value."""
+    A ReachkinError or OSError is raised as a StageFailure naming the
+    stage. Returns stage name -> value."""
     given = given or {}
     todo = set(names)
     for name in reversed(STAGES):      # a stage comes after what it needs
@@ -632,7 +634,7 @@ def run_stages(config: PipelineConfig, names, given=None):
             os.makedirs(dest, exist_ok=True)
             for f in files:
                 os.replace(os.path.join(root, f), os.path.join(dest, f))
-    except (ReachkinError, OSError, UnicodeDecodeError) as exc:
+    except (ReachkinError, OSError) as exc:
         text = str(exc)        # a writer's error names the final path
         cause = type(exc)(text.replace(staging, out)) if staging in text \
             else exc

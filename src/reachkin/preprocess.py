@@ -2,9 +2,9 @@
 zero-phase low-pass filtering, and per-reach outlier interpolation.
 
 Pipeline order is fixed: confidence gate -> decimate -> per-channel filter ->
-segment -> per-reach outlier interpolation. Gating and decimation run once
-per session, in the pipeline's ``frames`` stage, which feeds the age model
-as well as the metrics.
+segment -> per-reach outlier interpolation. Gating and decimation run once per
+session in the pipeline's ``frames`` stage, which also feeds the age model;
+filtering runs once, in the ``preprocess`` stage that feeds the metrics.
 """
 
 from __future__ import annotations
@@ -154,15 +154,14 @@ def filter_sequence(seq: SkeletonSequence, spec: FilterSpec) -> SkeletonSequence
         for joint, s in seq.streams.items()})
 
 
-def interpolate_outliers(positions, k_sigma: float = 2.0):
+def interpolate_outliers(positions):
     """Repair reconstruction blips inside a single reach segment.
 
     A frame whose distance from the segment's mean position is more than
-    ``k_sigma`` standard deviations beyond the typical distance (mean distance
-    plus k_sigma times the distance spread) is replaced by linear
-    interpolation between the surrounding retained frames. Statistics are
-    computed once on the raw segment; edge outliers are held at the nearest
-    inlier.
+    2 standard deviations beyond the typical distance (mean distance plus
+    twice the distance spread) is replaced by linear interpolation between
+    the surrounding retained frames. Statistics are computed once on the raw
+    segment; edge outliers are held at the nearest inlier.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2:
@@ -172,9 +171,9 @@ def interpolate_outliers(positions, k_sigma: float = 2.0):
     sigma = dist.std()
     if sigma == 0.0:
         return pos.copy()
-    bad = dist > dist.mean() + k_sigma * sigma
+    bad = dist > dist.mean() + 2.0 * sigma
     if (~bad).sum() < 2:
-        raise TooFewInliers(f"only {(~bad).sum()} frames within {k_sigma} sigma")
+        raise TooFewInliers(f"only {(~bad).sum()} frames within 2.0 sigma")
     if not bad.any():
         return pos.copy()
     return _interp_gaps(pos, bad)

@@ -68,10 +68,10 @@ def progress_curve(segment: ReachSegment) -> ProgressCurve:
                          d_end=float(dn), d_max=float(d.max()))
 
 
-def filter_backward_reaches(curves, threshold: float = 0.10):
-    """Discard reaches that strayed more than ``threshold`` further from the
-    goal than where they started (strict inequality keeps the boundary)."""
-    return [c for c in curves if c.d_max <= (1.0 + threshold) * c.d_start]
+def filter_backward_reaches(curves):
+    """Discard reaches that strayed more than 10% further from the goal than
+    where they started (strict inequality keeps the boundary)."""
+    return [c for c in curves if c.d_max <= 1.1 * c.d_start]
 
 
 def _bernstein(s):
@@ -107,18 +107,18 @@ def _solve_control_points(points, s):
     return sol[0], sol[1]
 
 
-def _project_parameters(control, points, s, newton_iter=25):
+def _project_parameters(control, points, s):
     """Move each sample parameter toward the nearest point on the curve.
 
-    1-D Newton on f(s) = (B(s) - p) . B'(s), vectorized over the samples;
-    each update is kept only if it reduces that sample's squared distance,
-    and s stays inside [0, 1].
+    Up to 25 steps of 1-D Newton on f(s) = (B(s) - p) . B'(s), vectorized
+    over the samples; each update is kept only if it reduces that sample's
+    squared distance, and s stays inside [0, 1].
     """
     control = np.asarray(control, dtype=float)
     dd = np.diff(np.diff(control, axis=0), axis=0)   # (2, 2)
     s = s.copy()
     active = np.ones(len(s), dtype=bool)
-    for _ in range(newton_iter):
+    for _ in range(25):
         if not active.any():
             break
         idx = np.flatnonzero(active)

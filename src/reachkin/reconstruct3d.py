@@ -177,8 +177,8 @@ _FAILURES = {
     _PARALLEL: (RayParallel, "viewing rays are (near-)parallel"),
     _AT_INFINITY: (RayParallel, "point at infinity"),
     _SINGULAR: (RayParallel, "normal equations singular during refinement"),
-    _NO_CONVERGENCE: (NoConvergence, "no convergence after {max_iter} "
-                      "iterations (best rms {rms:.3g} px)"),
+    _NO_CONVERGENCE: (NoConvergence, "no convergence after 50 iterations "
+                      "(best rms {rms:.3g} px)"),
     _BEHIND: (DegenerateConfiguration,
               "point is not in front of both cameras"),
 }
@@ -198,17 +198,6 @@ def _linear_batch(px1, px2, cam1, cam2):
                       np.where(np.abs(Xh[:, 3]) < 1e-14, _AT_INFINITY, 0))
     w = np.where(status == 0, Xh[:, 3], np.nan)
     return Xh[:, :3] / w[:, None], status
-
-
-def _triangulate_linear(px1, px2, cam1, cam2):
-    """Linear triangulation of one point: (X, reprojection residuals (4,))."""
-    px1 = np.asarray(px1, dtype=float).reshape(1, 2)
-    px2 = np.asarray(px2, dtype=float).reshape(1, 2)
-    X, status = _linear_batch(px1, px2, cam1, cam2)
-    if status[0]:
-        error, message = _FAILURES[status[0]]
-        raise error(message)
-    return X[0], _residuals(X, px1, px2, cam1, cam2)[0]
 
 
 def _residuals(X, px1, px2, cam1, cam2):
@@ -232,22 +221,21 @@ def _jacobian(X, cam):
 
 
 @np.errstate(divide="ignore", invalid="ignore")   # bad points get a status
-def _triangulate_batch(px1, px2, cam1, cam2, max_iter=50, step_tol=1e-10,
-                       where=None):
+def _triangulate_batch(px1, px2, cam1, cam2, where=None):
     """Triangulate N points by Gauss-Newton on squared pixel reprojection error.
 
-    Linear (homogeneous least-squares) initialization, then Gauss-Newton with
-    step halving (up to 8 halvings) on all points at once. A point leaves the
-    iteration once its step is below ``step_tol`` or no halving lowers its
-    cost. Returns (X (N, 3), rms residual in px (N,)); the first failing
-    point raises, its message prefixed by ``where(index)`` when given.
+    Linear (homogeneous least-squares) start, then up to 50 Gauss-Newton
+    steps with step halving (up to 8 halvings) on all points at once. A point
+    leaves once its step is below 1e-10 or no halving lowers its cost.
+    Returns (X (N, 3), rms residual in px (N,)); the first failing point
+    raises, its message prefixed by ``where(index)`` when given.
     """
     X, status = _linear_batch(px1, px2, cam1, cam2)
     active = np.flatnonzero(status == 0)
     r = np.full((len(X), 4), np.nan)
     r[active] = _residuals(X[active], px1[active], px2[active], cam1, cam2)
     cost = np.einsum("ij,ij->i", r, r)
-    for _ in range(max_iter):
+    for _ in range(50):
         if not active.size:
             break
         J = np.concatenate([_jacobian(X[active], cam1),
@@ -259,7 +247,7 @@ def _triangulate_batch(px1, px2, cam1, cam2, max_iter=50, step_tol=1e-10,
         step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
         status[active[singular]] = _SINGULAR
 
-        pending = ~singular & (np.linalg.norm(step, axis=1) >= step_tol)
+        pending = ~singular & (np.linalg.norm(step, axis=1) >= 1e-10)
         improved = np.zeros(active.size, dtype=bool)
         for halvings in range(9):   # full step + up to 8 halvings
             k = np.flatnonzero(pending & ~improved)
@@ -285,17 +273,16 @@ def _triangulate_batch(px1, px2, cam1, cam2, max_iter=50, step_tol=1e-10,
         i = bad[0]
         error, message = _FAILURES[status[i]]
         raise error((f"{where(i)}: " if where else "")
-                    + message.format(max_iter=max_iter, rms=rms[i]))
+                    + message.format(rms=rms[i]))
     return X, rms
 
 
-def triangulate(px1, px2, cam1: CameraModel, cam2: CameraModel,
-                max_iter: int = 50, step_tol: float = 1e-10):
+def triangulate(px1, px2, cam1: CameraModel, cam2: CameraModel):
     """Triangulate one point by Gauss-Newton on squared pixel reprojection
     error (see _triangulate_batch). Returns (X, rms_residual_px)."""
     X, rms = _triangulate_batch(np.asarray(px1, dtype=float).reshape(1, 2),
                                 np.asarray(px2, dtype=float).reshape(1, 2),
-                                cam1, cam2, max_iter, step_tol)
+                                cam1, cam2)
     return X[0], float(rms[0])
 
 

@@ -62,11 +62,6 @@ class PairComparison:
     p: float
 
 
-@dataclass(frozen=True)
-class TukeyResult:
-    comparisons: tuple
-
-
 # --- distributions -------------------------------------------------------
 
 _TINY = 1e-300
@@ -218,8 +213,8 @@ def studentized_range_sf(q: float, k: int, df: int) -> float:
 
 # --- Tukey HSD -------------------------------------------------------------
 
-def tukey_hsd(samples: GroupedSamples) -> TukeyResult:
-    """All pairwise comparisons via the Tukey-Kramer studentized range test."""
+def tukey_hsd(samples: GroupedSamples) -> tuple:
+    """A PairComparison for each pair of groups (Tukey-Kramer HSD)."""
     anova = one_way_anova(samples)
     groups = [np.asarray(g, dtype=float) for g in samples.groups]
     means = [g.mean() for g in groups]
@@ -240,4 +235,4 @@ def tukey_hsd(samples: GroupedSamples) -> TukeyResult:
                 q=float(q),
                 p=p,
             ))
-    return TukeyResult(tuple(comparisons))
+    return tuple(comparisons)

@@ -55,6 +55,7 @@ SHOULDERS = {"left_shoulder": np.array([-0.5, 0.0]),
              "right_shoulder": np.array([0.5, 0.0])}
 HAND_REST = {"left": np.array([-0.9, 1.6]), "right": np.array([0.9, 1.6])}
 
+FPS = 30.0                 # camera frame rate
 HIT_RADIUS = 0.30          # sim units
 HIT_FRAMES = 5             # consecutive overlap frames required
 PAUSE_S = 0.22             # dwell between corrective submovement bursts
@@ -234,12 +235,12 @@ def _confidences(rng, cells):
 
 
 def generate_session(params: StrategyParams, age: int, seed,
-                     participant_id="p000", duration: float = 50.0,
-                     fps: float = 30.0) -> ParticipantSession:
+                     participant_id="p000",
+                     duration: float = 50.0) -> ParticipantSession:
     """Simulate one full game session; pure function of (params, age, seed)."""
     rng = np.random.default_rng(seed)
-    dt = 1.0 / fps
-    n_frames = int(round(duration * fps))
+    dt = 1.0 / FPS
+    n_frames = int(round(duration * FPS))
     times = np.arange(n_frames) * dt
     sides = ("left", "right")
     sigma = params.noise_sigma
@@ -325,7 +326,7 @@ def generate_session(params: StrategyParams, age: int, seed,
     }
     conf = _confidences(rng, n_frames * len(positions)).reshape(n_frames, -1)
     conf = np.round(conf, 6)
-    skeleton = SkeletonSequence(participant_id, "webcam", fps, {
+    skeleton = SkeletonSequence(participant_id, "webcam", FPS, {
         joint: JointStream(np.arange(n_frames), times, sim_to_px(pos), conf[:, k])
         for k, (joint, pos) in enumerate(positions.items())})
 
@@ -333,7 +334,7 @@ def generate_session(params: StrategyParams, age: int, seed,
         participant_id=participant_id,
         age_years=age,
         play_area_px=PLAY_AREA_PX,
-        native_fps=fps,
+        native_fps=FPS,
         camera_ids=("webcam",),
         score=score,
     )

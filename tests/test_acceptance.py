@@ -120,7 +120,8 @@ def test_two_view_triangulation():
     for X in pts[:30]:
         px1 = cam1.project(X) + rng.normal(0, 2.0, 2)
         px2 = cam2.project(X) + rng.normal(0, 2.0, 2)
-        X0, r0 = r3d._triangulate_linear(px1, px2, cam1, cam2)
+        X0, _ = r3d._linear_batch(px1[None], px2[None], cam1, cam2)
+        r0 = r3d._residuals(X0, px1[None], px2[None], cam1, cam2)[0]
         rms0 = float(np.sqrt(r0 @ r0 / 4.0))
         _, rms = r3d.triangulate(px1, px2, cam1, cam2)
         assert rms <= rms0 + 1e-12
@@ -180,7 +181,8 @@ def test_cohort_monotonic_trends(default_cohort):
     cohort, _ = default_cohort
     config = pipeline.PipelineConfig()
     summaries, segments_by_pid = pipeline.cohort_metrics(
-        cohort, pipeline.cohort_frames(cohort, config), config)
+        cohort, [pipeline.preprocess_session(seq, config)
+                 for seq in pipeline.cohort_frames(cohort, config)])
 
     labels = pipeline.GROUP_LABELS
     direct = [np.mean([s.median_directness for s in summaries

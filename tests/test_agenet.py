@@ -248,14 +248,6 @@ def _window(pid, label, seed):
                         float(label), pid)
 
 
-def test_train_zero_learning_rate_leaves_model_unchanged():
-    model = AgeNet(seed=4)
-    before = model.get_flat().copy()
-    train(model, [_window("a", 8, 0)], [_window("b", 12, 1)],
-          epochs=3, lr=0.0)
-    assert np.array_equal(model.get_flat(), before)
-
-
 def test_train_rejects_overlapping_splits():
     w = _window("a", 8, 0)
     with pytest.raises(ValueError):
@@ -265,7 +257,7 @@ def test_train_rejects_overlapping_splits():
 def test_train_overfits_single_sample():
     model = AgeNet(seed=5)
     result = train(model, [_window("a", 9, 2)], [_window("b", 9, 3)],
-                   epochs=300, lr=1e-3)
+                   epochs=300)
     assert result.train_loss[-1] < 1e-3
     assert result.train_loss[-1] < result.train_loss[0]
 

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -234,17 +235,28 @@ def test_load_cohort_empty_dir(tmp_path):
         model_io.load_cohort(tmp_path)
 
 
+def test_load_session_checks_manifest_camera_ids(tmp_path, sample_session):
+    from dataclasses import replace
+    for cams in (("cam1",), ("webcam", "cam2"), ()):
+        manifest = replace(sample_session.manifest, camera_ids=cams)
+        directory = tmp_path / ("-".join(cams) or "none")
+        model_io.write_session(replace(sample_session, manifest=manifest),
+                               str(directory))
+        message = (f"{directory}: manifest camera ids {list(cams)} are not "
+                   "those of its joint files, ['webcam']")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            model_io.load_session(str(directory))
+
+
 def test_validate_clean_session(sample_session):
-    report = model_io.validate_session(sample_session)
-    assert report.ok
-    assert report.findings == ()
+    assert model_io.validate_session(sample_session) == ()
 
 
 def test_validate_score_mismatch(sample_session):
     from dataclasses import replace
     bad = replace(sample_session, score=sample_session.score + 1)
-    report = model_io.validate_session(bad)
-    assert any(f.code == "ScoreMismatch" for f in report.findings)
+    findings = model_io.validate_session(bad)
+    assert any(code == "ScoreMismatch" for code, _ in findings)
 
 
 def test_validate_missing_joint(sample_session):
@@ -253,16 +265,16 @@ def test_validate_missing_joint(sample_session):
     stripped = replace(seq, streams={j: s for j, s in seq.streams.items()
                                      if j != "right_wrist"})
     bad = replace(sample_session, skeletons=(stripped,))
-    report = model_io.validate_session(bad)
-    assert any(f.code == "MissingJoint" and "right_wrist" in f.message
-               for f in report.findings)
+    findings = model_io.validate_session(bad)
+    assert any(code == "MissingJoint" and "right_wrist" in message
+               for code, message in findings)
 
 
 def test_validate_age_out_of_range(sample_session):
     from dataclasses import replace
     bad = replace(sample_session, age=42)
-    report = model_io.validate_session(bad)
-    assert any(f.code == "AgeOutOfRange" for f in report.findings)
+    findings = model_io.validate_session(bad)
+    assert any(code == "AgeOutOfRange" for code, _ in findings)
 
 
 def test_joint_arrays_missing_joint(sample_session):

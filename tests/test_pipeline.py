@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -9,9 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reachkin import cli, pipeline, stats, synth
+from reachkin import (agenet, cli, pipeline, preprocess, progress_spline,
+                      reconstruct3d, stats, synth)
 from reachkin.errors import (AllFramesRejected, ConfigError, InputError,
                              NumericalError, ParseError)
+from reachkin.model_io import parse_joint_csv
 from reachkin.pipeline import (
     PipelineConfig,
     group_label,
@@ -57,6 +60,30 @@ def test_config_fields_pinned():
         "input_dir", "out_dir", "seed", "confidence_threshold", "decimation",
         "filter_order", "filter_cutoff_hz", "window", "stride", "folds",
         "epochs")
+
+
+def test_tuning_parameters_pinned():
+    # these functions' tuning values are fixed in the code; a parameter
+    # added back to one of them must show up here, as a reviewed change
+    pinned = {
+        agenet.evaluate_mse: ("model", "windows"),
+        agenet.train: ("model", "train_windows", "val_windows", "epochs",
+                       "seed"),
+        agenet.cross_validate: ("windows", "folds", "epochs", "seed",
+                                "predictor"),
+        preprocess.interpolate_outliers: ("positions",),
+        progress_spline.filter_backward_reaches: ("curves",),
+        progress_spline._project_parameters: ("control", "points", "s"),
+        reconstruct3d.triangulate: ("px1", "px2", "cam1", "cam2"),
+        reconstruct3d._triangulate_batch: ("px1", "px2", "cam1", "cam2",
+                                           "where"),
+        synth.generate_session: ("params", "age", "seed", "participant_id",
+                                 "duration"),
+        pipeline.analyze_session: ("session", "seq"),
+        pipeline.cohort_metrics: ("cohort", "streams"),
+    }
+    for fn, names in pinned.items():
+        assert tuple(inspect.signature(fn).parameters) == names, fn.__name__
 
 
 def test_config_hash_tracks_content():
@@ -118,10 +145,15 @@ def test_write_artifact_floats_full_precision_and_finite(tmp_path):
     assert read_artifact(path) == (["a", "b", "c"], kept)
 
 
+def _clean(session, config):
+    return pipeline.preprocess_session(
+        pipeline.session_frames(session, config), config)
+
+
 def test_metrics_round_trip(tmp_path, sample_session):
     config = PipelineConfig()
     summary, segments = pipeline.analyze_session(
-        sample_session, pipeline.session_frames(sample_session, config), config)
+        sample_session, _clean(sample_session, config))
     path = str(tmp_path / "metrics.csv")
     write_metrics([summary], path, config)
     back = read_metrics(path)
@@ -135,9 +167,8 @@ def test_metrics_round_trip(tmp_path, sample_session):
 # --- per-session analysis ----------------------------------------------------
 
 def test_analyze_session_units_and_counts(sample_session):
-    config = PipelineConfig()
     summary, segments = pipeline.analyze_session(
-        sample_session, pipeline.session_frames(sample_session, config), config)
+        sample_session, _clean(sample_session, PipelineConfig()))
     assert summary.participant_id == "p011"
     assert summary.group == "11-13"
     assert 0.0 < summary.median_directness <= 1.0
@@ -151,17 +182,31 @@ def test_analyze_session_units_and_counts(sample_session):
         assert end_dist < 1.0
 
 
+def test_metrics_analyzes_the_streams_preprocess_writes(tmp_path,
+                                                        small_cohort_dir):
+    # the streams are filtered once, in the preprocess stage
+    cohort, out = str(small_cohort_dir), tmp_path / "out"
+    for command in ("preprocess", "metrics"):
+        assert cli.main([command, "--in", cohort, "--out", str(out)]) == 0
+    summaries = []
+    for session in pipeline.load_cohort(cohort).sessions:
+        with open(out / session.participant_id / "joints_clean.csv") as fh:
+            seq = parse_joint_csv(fh)
+        summaries.append(pipeline.analyze_session(session, seq)[0])
+    assert read_metrics(str(out / "metrics.csv")) == summaries
+
+
 def test_run_stats_structure(small_cohort_dir):
     config = PipelineConfig()
     cohort = pipeline.load_cohort(small_cohort_dir)
     summaries, _ = pipeline.cohort_metrics(
-        cohort, pipeline.cohort_frames(cohort, config), config)
+        cohort, [_clean(s, config) for s in cohort.sessions])
     results = pipeline.run_stats(summaries)
     assert set(results) == {"directness", "max_speed"}
     for anova, tukey in results.values():
         assert isinstance(anova, stats.AnovaResult)
         assert anova.df_between == 2
-        assert len(tukey.comparisons) == 3
+        assert len(tukey) == 3
         assert 0.0 <= anova.p <= 1.0
 
 
@@ -383,7 +428,7 @@ def test_commands_but_synth_leave_synth_unloaded(tmp_path, small_cohort_dir):
     done = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "probe [0, 0, 0] False"
+    assert done.stdout.splitlines()[-1] == "probe [0, 0, 2] False"
 
 
 # sha256 of anova.csv and tukey.csv below their config-hash comment line, for
@@ -596,6 +641,7 @@ def test_cli_pipeline_has_no_bins_option(tmp_path, small_cohort_dir):
 @pytest.mark.parametrize("command, stage", [
     ("ingest", "validate"), ("preprocess", "frames"),
     ("reconstruct", "calibration"), ("stats", "metrics"),
+    ("stats:undecodable", "metrics"),
     ("metrics", "ingest"), ("train", "ingest"), ("pipeline", "ingest")])
 def test_cli_failure_names_the_stage_and_writes_nothing(
         tmp_path, small_cohort_dir, capsys, command, stage):
@@ -616,6 +662,11 @@ def test_cli_failure_names_the_stage_and_writes_nothing(
                                "webcam,abc,800,495,360\n")
         argv += ["--calibration", str(calibration)]
         message = f"{calibration}: row 2: column 'fx'"
+    elif command == "stats:undecodable":    # a metrics file that is not text
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(b"participant_id,age\n\xff\n")
+        argv = ["stats", "--metrics", str(metrics), "--out", str(out)]
+        message = f"{metrics}: not UTF-8 text"
     elif command == "stats":         # a metrics file that is not there
         metrics = tmp_path / "metrics.csv"
         argv = ["stats", "--metrics", str(metrics), "--out", str(out)]

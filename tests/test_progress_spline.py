@@ -63,7 +63,7 @@ def test_filter_backward_reaches_threshold():
     kept = _curve_with_dmax(1.05)
     boundary = _curve_with_dmax(1.10)
     dropped = _curve_with_dmax(1.15)
-    out = ps.filter_backward_reaches([kept, boundary, dropped], 0.10)
+    out = ps.filter_backward_reaches([kept, boundary, dropped])
     assert out == [kept, boundary]
 
 

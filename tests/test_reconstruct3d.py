@@ -437,6 +437,18 @@ def test_cli_reconstruct_failure_writes_no_participant(tmp_path, capsys):
     assert not (tmp_path / "out" / "p000" / "joints_3d.csv").exists()
 
 
+def test_cli_reconstruct_refuses_a_cohort_without_two_camera_views(
+        tmp_path, capsys):
+    # a one-camera session is skipped; with no other there is nothing to do
+    cam1, _ = stereo_rig()
+    write_stereo_session(tmp_path / "in", "p000", (cam1,),
+                         scene_points(12, seed=17))
+    assert reconstruct(tmp_path, (cam1,)) == 2
+    assert (f"error: stage 'reconstruct' failed: {tmp_path / 'in'}: no "
+            "two-camera session" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # --- shoulder normalization --------------------------------------------------
 
 def shoulder_seq(width, n=11, wrist_scale=1.0, x0=0.0):

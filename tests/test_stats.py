@@ -221,8 +221,8 @@ def test_studentized_range_bounds_and_monotonicity():
 
 def test_tukey_reference_case():
     res = tukey_hsd(THREE)
-    assert len(res.comparisons) == 3
-    pairs = {(c.label_a, c.label_b): c for c in res.comparisons}
+    assert len(res) == 3
+    pairs = {(c.label_a, c.label_b): c for c in res}
     ab = pairs[("a", "b")]
     ac = pairs[("a", "c")]
     assert ab.mean_diff == pytest.approx(-1.0)
@@ -235,13 +235,13 @@ def test_tukey_reference_case():
 def test_tukey_identical_groups():
     same = GroupedSamples(("a", "b"), ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)))
     res = tukey_hsd(same)
-    assert res.comparisons[0].q == 0.0
-    assert res.comparisons[0].p == 1.0
+    assert res[0].q == 0.0
+    assert res[0].p == 1.0
 
 
 def test_tukey_unbalanced_groups():
     res = tukey_hsd(GroupedSamples(("a", "b"), ((1.0, 2.0, 3.0, 4.0),
                                                 (5.0, 6.0))))
-    cmp = res.comparisons[0]
+    cmp = res[0]
     assert cmp.mean_diff == pytest.approx(-3.0)
     assert 0.0 < cmp.p < 0.1

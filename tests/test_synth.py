@@ -120,7 +120,7 @@ def test_generate_session_hit_rule(sample_session):
 def test_generate_session_score_and_validation(sample_session):
     assert sample_session.score == sample_session.targets.score
     assert sample_session.score >= 1
-    assert validate_session(sample_session).ok
+    assert validate_session(sample_session) == ()
 
 
 def test_age_mean_params_monotone():
