@@ -1,9 +1,12 @@
 """Temporal convolutional age regressor over wrist-motion windows.
 
-Everything is hand-rolled numpy: batched forward/backward passes through
-1-D convolutions (as im2col matrix products), max pooling, ReLU and linear
-layers, SGD with momentum, early stopping, and participant-level
-stochastic cross-validation with binned confusion reporting.
+The network is fixed: three blocks of a KERNEL-tap 1-D convolution (as an
+im2col matrix product) with CONV_CHANNELS outputs, ReLU and POOL-wide max
+pooling, then the LINEAR hidden layers with ReLU and one linear output.
+Everything is hand-rolled numpy: batched forward/backward passes, SGD with
+momentum, early stopping, and participant-level stochastic cross-validation
+with a confusion matrix that bins ages by the lower edge of each AGE_BINS
+bin, as whole years round down.
 """
 
 from __future__ import annotations
@@ -24,37 +27,10 @@ class MotionWindow:
     participant_id: str
 
 
-@dataclass(frozen=True)
-class ArchDescriptor:
-    conv_channels: tuple = (16, 32, 64)
-    kernel: int = 5
-    pool: int = 3
-    linear: tuple = (64, 32)
-
-    def layer_plan(self, channels, length):
-        """Resolve per-layer shapes for (channels, length) inputs; the final
-        linear layer emits one value."""
-        need = 1   # fewest frames that leave one after every conv and pool
-        for _ in self.conv_channels:
-            need = need * self.pool + self.kernel - 1
-        if length < need:
-            raise ConfigError(f"window of {length} frames is too short for "
-                              f"the conv stack, which needs at least {need}")
-        plan = []
-        c, t = channels, length
-        for out_c in self.conv_channels:
-            plan.append(("conv", (out_c, c, self.kernel)))
-            t = t - self.kernel + 1
-            plan.append(("pool", self.pool))
-            t = t // self.pool
-            c = out_c
-        plan.append(("flatten", c * t))
-        width = c * t
-        for out_w in self.linear:
-            plan.append(("linear", (out_w, width)))
-            width = out_w
-        plan.append(("linear_out", (1, width)))
-        return plan
+CONV_CHANNELS = (16, 32, 64)
+KERNEL = 5
+POOL = 3
+LINEAR = (64, 32)
 
 
 def normalize_window(raw):
@@ -95,11 +71,12 @@ def window_dataset(sequences, window: int = 200, stride: int = 100):
 
 def wrist_channels(seq):
     """Extract (4, n_frames) wrist x/y channels from a 2D skeleton sequence,
-    already confidence-gated and decimated to the model's working rate."""
-    _, _, left, _ = seq.joint_arrays("left_wrist")
-    _, _, right, _ = seq.joint_arrays("right_wrist")
-    n = min(len(left), len(right))
-    return np.stack([left[:n, 0], left[:n, 1], right[:n, 0], right[:n, 1]])
+    already confidence-gated and decimated to the model's working rate, on
+    the frames where both wrists are tracked."""
+    fl, _, left, _ = seq.joint_arrays("left_wrist")
+    fr, _, right, _ = seq.joint_arrays("right_wrist")
+    _, il, ir = np.intersect1d(fl, fr, return_indices=True)
+    return np.stack([left[il, 0], left[il, 1], right[ir, 0], right[ir, 1]])
 
 
 def windows_from_cohort(cohort: Cohort, frames, window: int = 200,
@@ -116,20 +93,26 @@ def windows_from_cohort(cohort: Cohort, frames, window: int = 200,
 class AgeNet:
     """Three ReLU conv+pool blocks followed by three linear layers."""
 
-    def __init__(self, arch: ArchDescriptor = ArchDescriptor(), seed: int = 0,
-                 input_shape: tuple = (4, 200)):
-        self.arch = arch
-        self.seed = seed
-        self.plan = arch.layer_plan(*input_shape)
+    def __init__(self, seed: int = 0, input_shape: tuple = (4, 200)):
+        c, t = input_shape
+        need = 1   # fewest frames that leave one after every conv and pool
+        for _ in CONV_CHANNELS:
+            need = need * POOL + KERNEL - 1
+        if t < need:
+            raise ConfigError(f"window of {t} frames is too short for the "
+                              f"conv stack, which needs at least {need}")
+        shapes = []   # (out, in[, k]) of each layer, input to output
+        for out_c in CONV_CHANNELS:
+            shapes.append((out_c, c, KERNEL))
+            c, t = out_c, (t - KERNEL + 1) // POOL
+        width = c * t
+        for out_w in LINEAR + (1,):
+            shapes.append((out_w, width))
+            width = out_w
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
-        for kind, shape in self.plan:
-            if kind in ("conv", "linear", "linear_out"):   # (out, in[, k])
-                fan_in = np.prod(shape[1:])
-                self.weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                               shape))
-                self.biases.append(np.zeros(shape[0]))
+        self.weights = [rng.normal(0.0, np.sqrt(2.0 / np.prod(s[1:])), s)
+                        for s in shapes]
+        self.biases = [np.zeros(s[0]) for s in shapes]
 
     # -- parameter vector ---------------------------------------------------
 
@@ -155,46 +138,36 @@ class AgeNet:
         """Predict ages for a batch; x is (B, C, T) or a single (C, T).
 
         Inside, activations are channels-last (B, T, C): a conv's im2col rows
-        (B*To, C*K) times its (C*K, O) weights are (B, To, O) as they come."""
+        (B*To, C*K) times its (C*K, O) weights are (B, To, O) as they come.
+        ``cache`` gets one (im2col rows, pre-activation, ReLU output, pooled
+        output) per conv block, then one (input, pre-activation) per linear
+        layer."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 2
         if single:
             x = x[None]
-        layer_idx = 0
+        n_conv = len(CONV_CHANNELS)
         a = x.transpose(0, 2, 1)
-        for kind, shape in self.plan:
-            if kind == "conv":
-                W, b = self.weights[layer_idx], self.biases[layer_idx]
-                O, C, K = W.shape
-                To = a.shape[1] - K + 1
-                cols = np.stack([a[:, k:k + To] for k in range(K)],
-                                axis=-1).reshape(-1, C * K)
-                z = (cols @ W.reshape(O, C * K).T + b).reshape(-1, To, O)
-                if cache is not None:
-                    cache.append(("conv", cols, z, a.shape))
-                a = np.maximum(z, 0.0)
-                layer_idx += 1
-            elif kind == "pool":
-                p = shape
-                stop = a.shape[1] // p * p
-                m = a[:, 0:stop:p]
-                for j in range(1, p):
-                    m = np.maximum(m, a[:, j:stop:p])
-                if cache is not None:
-                    cache.append(("pool", a, m, p))
-                a = m
-            elif kind == "flatten":
-                if cache is not None:
-                    cache.append(("flatten", a.shape))
-                a = a.transpose(0, 2, 1).reshape(a.shape[0], -1)
-            else:
-                W, b = self.weights[layer_idx], self.biases[layer_idx]
-                z = a @ W.T + b
-                if cache is not None:
-                    cache.append((kind, a, z))
-                a = np.maximum(z, 0.0) if kind == "linear" else z
-                layer_idx += 1
-        out = a[:, 0]
+        for W, b in zip(self.weights[:n_conv], self.biases[:n_conv]):
+            O, C, K = W.shape
+            To = a.shape[1] - K + 1
+            cols = np.stack([a[:, k:k + To] for k in range(K)],
+                            axis=-1).reshape(-1, C * K)
+            z = (cols @ W.reshape(O, C * K).T + b).reshape(-1, To, O)
+            r = np.maximum(z, 0.0)
+            stop = To // POOL * POOL
+            a = r[:, 0:stop:POOL]
+            for j in range(1, POOL):
+                a = np.maximum(a, r[:, j:stop:POOL])
+            if cache is not None:
+                cache.append((cols, z, r, a))
+        a = a.transpose(0, 2, 1).reshape(a.shape[0], -1)
+        for W, b in zip(self.weights[n_conv:], self.biases[n_conv:]):
+            z = a @ W.T + b
+            if cache is not None:
+                cache.append((a, z))
+            a = np.maximum(z, 0.0)   # the output layer's z is the prediction
+        out = z[:, 0]
         return float(out[0]) if single else out
 
     def backward(self, cache, dout):
@@ -202,58 +175,50 @@ class AgeNet:
 
         Returns (dweights, dbiases) lists parallel to the parameter lists.
         """
+        n_conv, last = len(CONV_CHANNELS), len(self.weights) - 1
         dW = [None] * len(self.weights)
         db = [None] * len(self.biases)
-        layer_idx = len(self.weights) - 1
         grad = np.asarray(dout, dtype=float)[:, None]   # (B, 1)
+        for li in range(last, n_conv - 1, -1):
+            a, z = cache[li]
+            if li < last:
+                grad = grad * (z > 0.0)
+            dW[li] = grad.T @ a
+            db[li] = grad.sum(axis=0)
+            grad = grad @ self.weights[li]
+        B, T, C = cache[n_conv - 1][3].shape
+        grad = grad.reshape(B, C, T).transpose(0, 2, 1)
 
-        for entry in reversed(cache):
-            kind = entry[0]
-            if kind in ("linear", "linear_out"):
-                _, a, z = entry
-                if kind == "linear":
-                    grad = grad * (z > 0.0)
-                W = self.weights[layer_idx]
-                dW[layer_idx] = grad.T @ a
-                db[layer_idx] = grad.sum(axis=0)
-                grad = grad @ W
-                layer_idx -= 1
-            elif kind == "flatten":
-                B, T, C = entry[1]
-                grad = grad.reshape(B, C, T).transpose(0, 2, 1)
-            elif kind == "pool":
-                _, a, m, p = entry
-                # Route grad to the first max of each window. (m > 0) is the
-                # conv's ReLU mask there, applied p times smaller; the int64
-                # views write grad's exact bits, and +0.0 everywhere else.
-                bits = (grad * (m > 0.0)).view(np.int64)
-                grad = np.zeros(a.shape)
-                left = np.ones(m.shape, dtype=bool)
-                for j in range(p):
-                    hit = (a[:, j:m.shape[1] * p:p] == m) & left
-                    left &= ~hit
-                    np.multiply(bits, hit,
-                                out=grad[:, j:m.shape[1] * p:p].view(np.int64))
-            else:  # conv
-                _, cols, _, (B, T, C) = entry   # the pool applied the ReLU
-                W = self.weights[layer_idx]
-                O, _, K = W.shape
-                To = grad.shape[1]
-                g2 = grad.reshape(-1, O)
-                dW[layer_idx] = (g2.T @ cols).reshape(W.shape)
-                # numpy sums in memory order: a (B, O, To) copy keeps the
-                # rounding of the channels-first bias gradient
-                db[layer_idx] = np.ascontiguousarray(
-                    grad.transpose(0, 2, 1)).sum(axis=(0, 2))
-                if layer_idx == 0:
-                    break   # nothing reads the gradient of the input
-                # per-tap input gradients, (C, K, B, To), summed in tap order
-                taps = (W.reshape(O, C * K).T @ g2.T).reshape(C, K, B, To)
-                din = np.zeros((C, B, T))
-                for k in range(K):
-                    din[:, :, k:k + To] += taps[:, k]
-                grad = din.transpose(1, 2, 0)
-                layer_idx -= 1
+        for li in range(n_conv - 1, -1, -1):
+            cols, _, r, m = cache[li]
+            # Route grad to the first max of each pool window. (m > 0) is the
+            # ReLU mask there, applied POOL times smaller; the int64 views
+            # write grad's exact bits, and +0.0 everywhere else.
+            bits = (grad * (m > 0.0)).view(np.int64)
+            grad = np.zeros(r.shape)
+            left = np.ones(m.shape, dtype=bool)
+            stop = m.shape[1] * POOL
+            for j in range(POOL):
+                hit = (r[:, j:stop:POOL] == m) & left
+                left &= ~hit
+                np.multiply(bits, hit, out=grad[:, j:stop:POOL].view(np.int64))
+            W = self.weights[li]
+            O, C, K = W.shape
+            To = grad.shape[1]
+            g2 = grad.reshape(-1, O)
+            dW[li] = (g2.T @ cols).reshape(W.shape)
+            # numpy sums in memory order: a (B, O, To) copy keeps the
+            # rounding of the channels-first bias gradient
+            db[li] = np.ascontiguousarray(
+                grad.transpose(0, 2, 1)).sum(axis=(0, 2))
+            if li == 0:
+                break   # nothing reads the gradient of the input
+            # per-tap input gradients, (C, K, B, To), summed in tap order
+            taps = (W.reshape(O, C * K).T @ g2.T).reshape(C, K, B, To)
+            din = np.zeros((C, B, To + K - 1))
+            for k in range(K):
+                din[:, :, k:k + To] += taps[:, k]
+            grad = din.transpose(1, 2, 0)
         return dW, db
 
 
@@ -261,7 +226,6 @@ class AgeNet:
 
 @dataclass
 class TrainResult:
-    model: AgeNet
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_epoch: int = -1
@@ -283,8 +247,8 @@ def evaluate_mse(model, windows):
 
 def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
           seed: int = 0) -> TrainResult:
-    """SGD (learning rate 1e-3, momentum 0.9, batches of 16) on MSE loss;
-    returns the snapshot with the lowest validation loss (early stopping)."""
+    """SGD (learning rate 1e-3, momentum 0.9, batches of 16) on MSE loss that
+    leaves ``model`` at its lowest validation loss (early stopping)."""
     train_ids = {w.participant_id for w in train_windows}
     val_ids = {w.participant_id for w in val_windows}
     if train_ids & val_ids:
@@ -296,7 +260,7 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
     params = model.weights + model.biases
     vel = [np.zeros_like(p) for p in params]
 
-    result = TrainResult(model=model)
+    result = TrainResult()
     best_val, best_flat = float("inf"), model.get_flat()
     for epoch in range(epochs):
         order = rng.permutation(len(x))
@@ -324,8 +288,7 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
         if val_mse < best_val:
             best_val, best_flat = val_mse, model.get_flat()
             result.best_epoch = epoch
-    result.model = AgeNet(model.arch, model.seed, x.shape[1:])
-    result.model.set_flat(best_flat)
+    model.set_flat(best_flat)
     return result
 
 
@@ -340,11 +303,10 @@ class CrossValReport:
     warnings: tuple = ()
 
 
-def _bin_index(age):
-    for i, (lo, hi) in enumerate(AGE_BINS):
-        if lo <= age <= hi:
-            return i
-    return len(AGE_BINS) - 1 if age > AGE_BINS[-1][1] else 0
+def _bin_index(ages):
+    """AGE_BINS index of each age by lower edge, as whole years round down
+    (10.5 is in 9-10); ages outside 6-17 fall in the end bins."""
+    return np.searchsorted([lo for lo, _ in AGE_BINS[1:]], ages, side="right")
 
 
 def cross_validate(windows, folds: int = 5, epochs: int = 15, seed: int = 0,
@@ -381,22 +343,18 @@ def cross_validate(windows, folds: int = 5, epochs: int = 15, seed: int = 0,
         else:
             model = AgeNet(seed=seed * 1000 + fold,
                            input_shape=train_w[0].values.shape)
-            result = train(model, train_w, val_w, epochs=epochs,
-                           seed=seed * 1000 + fold)
-            _, preds = evaluate_mse(result.model, val_w)
+            train(model, train_w, val_w, epochs=epochs,
+                  seed=seed * 1000 + fold)
+            _, preds = evaluate_mse(model, val_w)
 
         labels = np.array([w.label for w in val_w])
         fold_rmse.append(float(np.sqrt(np.mean((preds - labels) ** 2))))
-        seen_bins = set()
-        for w, p in zip(val_w, preds):
-            predictions.append((fold, w.participant_id, w.label, float(p)))
-            ti = _bin_index(w.label)
-            pi = _bin_index(p)
-            confusion[ti, pi] += 1
-            seen_bins.add(ti)
-        for i in range(len(AGE_BINS)):
-            if i not in seen_bins:
-                warnings.append(f"fold {fold}: validation lacks bin {AGE_BINS[i]}")
+        true_bins = _bin_index(labels)
+        np.add.at(confusion, (true_bins, _bin_index(preds)), 1)
+        predictions += [(fold, w.participant_id, w.label, float(p))
+                        for w, p in zip(val_w, preds)]
+        warnings += [f"fold {fold}: validation lacks bin {AGE_BINS[i]}"
+                     for i in range(len(AGE_BINS)) if i not in true_bins]
 
     all_pred = np.array([p for *_, p in predictions])
     all_lab = np.array([lab for _, _, lab, _ in predictions])

@@ -282,9 +282,16 @@ def parse_joint_csv(stream) -> SkeletonSequence:
 
     deltas = np.concatenate([np.diff(s.times) for s in streams.values()])
     rate = 1.0 / float(np.median(deltas)) if deltas.size else 30.0
-    last = rows[-1]
-    camera_id = "" if is_3d else last[col["camera_id"]]
-    return SkeletonSequence(last[col["participant_id"]], camera_id, rate, streams)
+    ids = {"camera_id": ""}   # 3D files have no camera
+    for name in ["participant_id"] + ([] if is_3d else ["camera_id"]):
+        values = [row[col[name]] for row in rows]
+        if len(set(values)) > 1:   # name the first row that differs
+            n = next(n for n, v in enumerate(values) if v != values[0])
+            raise ParseError(f"column {name!r}: {values[n]!r} differs from "
+                             f"the first row's {values[0]!r}", row=rownums[n])
+        ids[name] = values[0]
+    return SkeletonSequence(ids["participant_id"], ids["camera_id"], rate,
+                            streams)
 
 
 def parse_target_csv(stream) -> TargetLog:
@@ -454,6 +461,10 @@ def load_session(directory) -> ParticipantSession:
         raise InputError(f"{directory}: no joints csv found")
     skeletons = [_parse_file(directory, name, parse_joint_csv)
                  for name in names]
+    pids = sorted({seq.participant_id for seq in skeletons})
+    if pids != [manifest.participant_id]:
+        raise InputError(f"{directory}: joint files name participant(s) "
+                         f"{pids}, not {manifest.participant_id!r}")
     cams = sorted(seq.camera_id for seq in skeletons)
     if sorted(manifest.camera_ids) != cams:
         raise InputError(f"{directory}: manifest camera ids "

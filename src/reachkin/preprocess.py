@@ -58,14 +58,18 @@ def reject_low_confidence(seq: SkeletonSequence, threshold: float = 0.75):
 
 
 def downsample(seq: SkeletonSequence, factor: int = 2) -> SkeletonSequence:
-    """Keep every factor-th frame, starting at the first frame per joint."""
+    """Keep the frames on one grid for every joint: those a multiple of
+    ``factor`` after the sequence's first frame. A joint missing rows keeps
+    only the grid frames it has, so the joints still share frame numbers."""
     if factor < 1:
         raise FactorTooLarge(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return seq
+    first = min(int(s.frames[0]) for s in seq.streams.values())
     streams = {}
     for joint, s in seq.streams.items():
-        kept = s._make(a[::factor] for a in s)
+        keep = (s.frames - first) % factor == 0
+        kept = s._make(a[keep] for a in s)
         if len(kept.frames) < 2:
             raise FactorTooLarge(
                 f"joint {joint!r}: factor {factor} leaves fewer than 2 frames")

@@ -2,19 +2,19 @@
 
 import numpy as np
 
-from reachkin.agenet import AgeNet
+from reachkin.agenet import CONV_CHANNELS, POOL, AgeNet
 
 
 def _activation_pattern(cache):
-    """Sign/argmax pattern of every nonlinearity, for kink-crossing detection."""
+    """Sign/argmax pattern of every nonlinearity, for kink-crossing detection:
+    each conv's ReLU signs and pool argmax, then each hidden layer's ReLU
+    signs (the output layer has no nonlinearity)."""
     pattern = []
-    for entry in cache:
-        if entry[0] in ("conv", "linear"):
-            pattern.append(entry[2] > 0.0)
-        elif entry[0] == "pool":
-            _, a, m, p = entry
-            pattern.append(a[:, :m.shape[1] * p].reshape(
-                *m.shape[:2], p, -1).argmax(axis=2))
+    for _, z, r, m in cache[:len(CONV_CHANNELS)]:
+        pattern.append(z > 0.0)
+        pattern.append(r[:, :m.shape[1] * POOL].reshape(
+            *m.shape[:2], POOL, -1).argmax(axis=2))
+    pattern.extend(z > 0.0 for _, z in cache[len(CONV_CHANNELS):-1])
     return pattern
 
 
@@ -24,7 +24,8 @@ def _at_kink(cache, margin):
     exact ties from constant input stretches move together under a
     finite-difference step, and any tie that does break shows up as an
     argmax pattern flip and excludes that parameter."""
-    zs = [entry[2] for entry in cache if entry[0] in ("conv", "linear")]
+    zs = [z for _, z, _, _ in cache[:len(CONV_CHANNELS)]]
+    zs += [z for _, z in cache[len(CONV_CHANNELS):-1]]
     return any(np.any((np.abs(z) < margin) & (z != 0.0)) for z in zs)
 
 

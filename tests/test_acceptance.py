@@ -221,7 +221,7 @@ CV_ARTIFACT_SHA256 = {
     "cv_report.csv":
         "63c2b0512b22f5830919a77fe52b46b5a33965a366454534607e2fc373c170ef",
     "confusion.csv":
-        "f2f033c064943f3407055d649ff8359e304dd3e57c591ec7cdd38faff59dabf7",
+        "a55df95779221d169123ff9b456f37c5d50ea9c0000f9e60e4651950b335b500",
 }
 
 

@@ -3,8 +3,11 @@ import pytest
 from gradcheck import grad_check
 
 from reachkin.agenet import (
+    CONV_CHANNELS,
+    KERNEL,
+    LINEAR,
+    POOL,
     AgeNet,
-    ArchDescriptor,
     MotionWindow,
     cross_validate,
     evaluate_mse,
@@ -112,72 +115,57 @@ def _einsum_forward_backward(model, x, dout):
     max-pool by argmax. The model's own passes must match it bit for bit,
     since every CV artifact depends on each rounding of training."""
     from numpy.lib.stride_tricks import sliding_window_view
-    cache, a, li = [], x, 0
-    for kind, shape in model.plan:
-        if kind == "conv":
-            W, b = model.weights[li], model.biases[li]
-            win = sliding_window_view(a, W.shape[2], axis=2)
-            z = np.einsum("ock,bctk->bot", W, win,
-                          optimize=True) + b[None, :, None]
-            cache.append(("conv", a, win, z))
-            a = np.maximum(z, 0.0)
-            li += 1
-        elif kind == "pool":
-            To = a.shape[2] // shape
-            blocks = a[:, :, :To * shape].reshape(a.shape[0], a.shape[1],
-                                                  To, shape)
-            idx = blocks.argmax(axis=3)
-            cache.append(("pool", a.shape, blocks, idx, shape))
-            a = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
-        elif kind == "flatten":
-            cache.append(("flatten", a.shape))
-            a = a.reshape(a.shape[0], -1)
-        else:
-            W, b = model.weights[li], model.biases[li]
-            z = a @ W.T + b
-            cache.append((kind, a, z))
-            a = np.maximum(z, 0.0) if kind == "linear" else z
-            li += 1
-    out = a[:, 0]
+    n_conv = len(CONV_CHANNELS)
+    convs, linears, a = [], [], x
+    for W, b in zip(model.weights[:n_conv], model.biases[:n_conv]):
+        assert W.shape[2] == KERNEL
+        win = sliding_window_view(a, KERNEL, axis=2)
+        z = np.einsum("ock,bctk->bot", W, win,
+                      optimize=True) + b[None, :, None]
+        r = np.maximum(z, 0.0)
+        To = r.shape[2] // POOL
+        blocks = r[:, :, :To * POOL].reshape(r.shape[0], r.shape[1], To, POOL)
+        idx = blocks.argmax(axis=3)
+        convs.append((a, win, z, blocks, idx))
+        a = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
+    pooled_shape = a.shape
+    a = a.reshape(a.shape[0], -1)
+    assert [W.shape[0] for W in model.weights[n_conv:]] == [*LINEAR, 1]
+    for W, b in zip(model.weights[n_conv:], model.biases[n_conv:]):
+        z = a @ W.T + b
+        linears.append((a, z))
+        a = np.maximum(z, 0.0)
+    out = z[:, 0]
 
     dW = [None] * len(model.weights)
     db = [None] * len(model.biases)
-    li = len(model.weights) - 1
     grad = np.asarray(dout, dtype=float)[:, None]
-    for entry in reversed(cache):
-        kind = entry[0]
-        if kind in ("linear", "linear_out"):
-            _, a, z = entry
-            if kind == "linear":
-                grad = grad * (z > 0.0)
-            dW[li] = grad.T @ a
-            db[li] = grad.sum(axis=0)
-            grad = grad @ model.weights[li]
-            li -= 1
-        elif kind == "flatten":
-            grad = grad.reshape(entry[1])
-        elif kind == "pool":
-            _, in_shape, blocks, idx, p = entry
-            dblocks = np.zeros_like(blocks)
-            np.put_along_axis(dblocks, idx[..., None], grad[..., None], axis=3)
-            din = np.zeros(in_shape)
-            To = blocks.shape[2]
-            din[:, :, :To * p] = dblocks.reshape(in_shape[0], in_shape[1],
-                                                 To * p)
-            grad = din
-        else:
-            _, a, win, z = entry
+    for li in reversed(range(n_conv, len(model.weights))):
+        a, z = linears[li - n_conv]
+        if li < len(model.weights) - 1:
             grad = grad * (z > 0.0)
-            W = model.weights[li]
-            dW[li] = np.einsum("bot,bctk->ock", grad, win, optimize=True)
-            db[li] = grad.sum(axis=(0, 2))
-            din = np.zeros_like(a)
-            To = grad.shape[2]
-            for k in range(W.shape[2]):
-                din[:, :, k:k + To] += np.einsum(
-                    "oc,bot->bct", W[:, :, k], grad, optimize=True)
-            grad = din
-            li -= 1
+        dW[li] = grad.T @ a
+        db[li] = grad.sum(axis=0)
+        grad = grad @ model.weights[li]
+    grad = grad.reshape(pooled_shape)
+    for li in reversed(range(n_conv)):
+        a, win, z, blocks, idx = convs[li]
+        dblocks = np.zeros_like(blocks)
+        np.put_along_axis(dblocks, idx[..., None], grad[..., None], axis=3)
+        din = np.zeros(z.shape)
+        To = blocks.shape[2]
+        din[:, :, :To * POOL] = dblocks.reshape(z.shape[0], z.shape[1],
+                                                To * POOL)
+        grad = din * (z > 0.0)
+        W = model.weights[li]
+        dW[li] = np.einsum("bot,bctk->ock", grad, win, optimize=True)
+        db[li] = grad.sum(axis=(0, 2))
+        din = np.zeros_like(a)
+        To = grad.shape[2]
+        for k in range(KERNEL):
+            din[:, :, k:k + To] += np.einsum(
+                "oc,bot->bct", W[:, :, k], grad, optimize=True)
+        grad = din
     return out, dW, db
 
 
@@ -217,19 +205,9 @@ def test_input_length_comes_from_the_input_shape():
     assert AgeNet(seed=0, input_shape=(4, 79)).forward(x).shape == (2,)
     with pytest.raises(ConfigError, match="needs at least 79"):
         AgeNet(seed=0, input_shape=(4, 78))
-    AgeNet(ArchDescriptor(conv_channels=()), input_shape=(4, 1))   # no convs
 
 
 # --- gradient check ----------------------------------------------------------
-
-def test_grad_check_linear_only_model():
-    arch = ArchDescriptor(conv_channels=(), linear=())
-    model = AgeNet(arch, seed=0)
-    x = normalize_window(np.random.default_rng(6).normal(size=(4, 200)))
-    err, checked = grad_check(model, x, n_params=300, seed=1)
-    assert checked >= 200
-    assert err < 1e-8
-
 
 def test_grad_check_reports_kink():
     model = AgeNet(seed=0)
@@ -362,6 +340,24 @@ def test_cross_validate_perfect_predictor():
     conf = report.confusion
     off_diag = conf.sum() - np.trace(conf)
     assert off_diag == 0
+
+
+@pytest.mark.parametrize("offset", [0.5, 0.99])
+def test_confusion_bins_fractional_predictions_by_lower_edge(offset):
+    # 8.5 is in 6-8, 10.99 in 9-10 and 13.5 in 11-13: whole years round down
+    report = cross_validate(_cv_windows(), folds=3, seed=0,
+                            predictor=lambda w: w.label + offset)
+    conf = report.confusion
+    assert conf.sum() == len(report.predictions) == np.trace(conf)
+
+
+@pytest.mark.parametrize("age, column", [(-3.0, 0), (5.99, 0), (17.5, 3),
+                                         (40.0, 3)])
+def test_confusion_puts_out_of_range_predictions_in_the_end_bins(age, column):
+    report = cross_validate(_cv_windows(), folds=3, seed=0,
+                            predictor=lambda w: age)
+    conf = report.confusion
+    assert conf[:, column].sum() == conf.sum() == len(report.predictions)
 
 
 def test_cross_validate_deterministic_for_fixed_seed():

@@ -248,6 +248,29 @@ def test_load_session_checks_manifest_camera_ids(tmp_path, sample_session):
             model_io.load_session(str(directory))
 
 
+@pytest.mark.parametrize("column, value", [(0, "p2"), (1, "cam1")])
+def test_parse_joint_csv_rejects_a_row_of_another_session(column, value):
+    lines = JOINTS_3ROW.splitlines()
+    cells = lines[3].split(",")
+    cells[column] = value
+    text = "\n".join(lines[:3] + [",".join(cells)]) + "\n"
+    with pytest.raises(ParseError, match=r"^row 4: column '\w+': "
+                       f"'{value}' differs from the first row's"):
+        model_io.parse_joint_csv(text)
+
+
+def test_load_session_checks_manifest_participant_id(tmp_path,
+                                                     sample_session):
+    from dataclasses import replace
+    manifest = replace(sample_session.manifest, participant_id="p012")
+    model_io.write_session(replace(sample_session, manifest=manifest),
+                           str(tmp_path))
+    message = (f"{tmp_path}: joint files name participant(s) ['p011'], "
+               "not 'p012'")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        model_io.load_session(str(tmp_path))
+
+
 def test_validate_clean_session(sample_session):
     assert model_io.validate_session(sample_session) == ()
 

@@ -66,6 +66,7 @@ def test_tuning_parameters_pinned():
     # these functions' tuning values are fixed in the code; a parameter
     # added back to one of them must show up here, as a reviewed change
     pinned = {
+        agenet.AgeNet: ("seed", "input_shape"),
         agenet.evaluate_mse: ("model", "windows"),
         agenet.train: ("model", "train_windows", "val_windows", "epochs",
                        "seed"),
@@ -397,6 +398,30 @@ def test_cli_preprocess_failure_writes_no_participant(tmp_path, capsys):
     assert cli.main(["preprocess", "--in", str(cohort), "--out", str(out)]) == 2
     assert "participant p001" in capsys.readouterr().err
     assert not (out / "p000" / "joints_clean.csv").exists()
+
+
+@pytest.mark.parametrize("cam9_rows", [199, 0])
+def test_cli_rejects_joint_rows_of_another_session(tmp_path, capsys,
+                                                   small_cohort_dir, cam9_rows):
+    # every row says participant p777; the first cam9_rows say camera cam9
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    path = cohort / "p001" / "joints.csv"
+    header, *rows = path.read_text().splitlines()
+    rows = [",".join(["p777", "cam9" if i < cam9_rows else cells[1]]
+                     + cells[2:])
+            for i, cells in enumerate(r.split(",") for r in rows)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["metrics", "--in", str(cohort), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if cam9_rows:
+        assert f"stage 'ingest' failed: {path}: row 201: column 'camera_id'" \
+            in err
+    else:
+        assert (f"stage 'ingest' failed: {cohort / 'p001'}: joint files "
+                "name participant(s) ['p777'], not 'p001'") in err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, lfilter
 
-from reachkin import preprocess
+from reachkin import agenet, preprocess
 from reachkin.errors import AllFramesRejected, FactorTooLarge, UnstableSpec
 from reachkin.model_io import JointStream, SkeletonSequence
 from reachkin.preprocess import (
@@ -88,6 +88,26 @@ def test_downsample_five_frames():
     seq = make_seq([(i, i) for i in range(5)])
     out = downsample(seq, 2)
     assert [s.frame_index for s in out.samples] == [0, 2, 4]
+
+
+def test_downsample_keeps_one_frame_grid_when_a_joint_misses_rows():
+    def stream(frames):   # position (frame, -frame) tells a sample's frame
+        pos = np.column_stack([frames, -frames]).astype(float)
+        return JointStream(frames, frames / 30.0, pos, np.ones(len(frames)))
+
+    frames = np.arange(1500)
+    gap = (frames >= 100) & (frames <= 108)
+    seq = SkeletonSequence("p1", "cam0", 30.0,
+                           {"left_wrist": stream(frames[~gap]),
+                            "right_wrist": stream(frames)})
+    out = downsample(seq, 2)
+    left = out.streams["left_wrist"].frames
+    right = out.streams["right_wrist"].frames
+    assert np.array_equal(right, frames[::2])
+    assert np.array_equal(left, right[(right < 100) | (right > 108)])
+    channels = agenet.wrist_channels(out)
+    assert channels.shape == (4, 745)
+    assert np.array_equal(channels[:2], channels[2:])   # paired by frame
 
 
 def test_downsample_factor_too_large():
