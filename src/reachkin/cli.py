@@ -9,7 +9,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from . import pipeline, reconstruct3d
+from . import pipeline
 from .errors import ConfigError, NumericalError
 # load_cohort is not called here, but perfbench's tracer test reads it
 from .model_io import AGE_BINS, load_cohort  # noqa: F401
@@ -134,6 +134,7 @@ def cmd_preprocess(args):
 
 
 def cmd_reconstruct(args):
+    from . import reconstruct3d
     _run(args, "reconstruct", {"calibration": lambda: (
         args.calibration, reconstruct3d.load_calibration(args.calibration))})
     return 0

@@ -10,6 +10,13 @@ A session on disk is one directory per participant holding three files:
 Reconstructed 3D joint files use the columns
 ``participant_id,frame,time_s,joint,x,y,z`` (no camera, no confidence).
 
+The readers raise a ParseError naming the row for a row whose field count
+differs from the header's, a cell that is not a finite number, a frame that
+is not an integer or repeats within a joint, and a target id that is not an
+integer. Plain joints files (the standard header, no quote, carriage return
+or blank line) take a column tokenizer; any other file the csv row reader.
+Both give the same sequence, or the same error, for the same text.
+
 In memory a ``SkeletonSequence`` maps each joint, in sorted order, to a
 ``JointStream`` of arrays ``frames (N,)``, ``times (N,)``, ``pos (N, D)`` and
 ``conf (N,)`` in frame order; its per-row ``samples`` are a derived view.
@@ -27,7 +34,6 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -222,7 +228,7 @@ def _read_table(stream, what, expected):
     for rownum, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=rownum)
         rows.append(row)
         rownums.append(rownum)
@@ -246,77 +252,142 @@ def _numbers(rows, rownums, col, names):
     return out.reshape(len(rows), len(idx))
 
 
-def parse_joint_csv(stream) -> SkeletonSequence:
-    """Parse a joints.csv character stream (2D or reconstructed 3D schema)."""
+def _integers(values, column, rownums):
+    """Whole-number floats as int64; the first that is fractional or outside
+    the int64 range raises a ParseError naming the column and row."""
+    bad = (values != np.floor(values)) | (values < -2.0**63) | \
+        (values >= 2.0**63)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"column {column!r}: not an integer in int64 range: "
+                         f"{float(values[i])!r}", row=rownums[i])
+    return values.astype(np.int64)
+
+
+_TEXT_COLUMNS = ("participant_id", "camera_id", "joint")
+_PLAIN_HEADERS = {",".join(h): h for h in (JOINTS_2D_HEADER, JOINTS_3D_HEADER)}
+
+
+def _joint_columns(text):
+    """Tokenize a plain joints file, one with a standard header, no quote,
+    carriage return or blank line, the header's field count on every line,
+    a final newline and only finite numbers, into (header, numbers, text
+    columns, row numbers) as ``_joint_rows`` would; None for any other."""
+    names = _PLAIN_HEADERS.get(text[:text.find("\n")])
+    if names is None or not text.endswith("\n") or '"' in text \
+            or "\r" in text:
+        return None
+    # every line, the header too, holds width - 1 commas: line i the i-th
+    # run of them, each after the newline before it and before its own
+    width = len(names)
+    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.flatnonzero(data == ord(","))
+    n = ends.size - 1
+    if n < 1 or commas.size != ends.size * (width - 1):
+        return None
+    commas = commas.reshape(-1, width - 1)
+    if (commas[1:, 0] < ends[:-1]).any() or (commas[:, -1] > ends).any():
+        return None
+    cells = text.replace("\n", ",").split(",")
+
+    def column(k):
+        return cells[width + k:width * (n + 1):width]
+    try:      # parses each cell as float() does
+        num = np.array([column(k) for k, name in enumerate(names)
+                        if name not in _TEXT_COLUMNS], dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(num).all():
+        return None
+    return (names, num.T,
+            {name: column(k) for k, name in enumerate(names)
+             if name in _TEXT_COLUMNS}, range(2, n + 2))
+
+
+def _joint_rows(text):
+    """Read any joints file row by row into what ``_joint_columns`` gives,
+    raising the typed, row-numbered error of the first bad row or cell."""
     col, rows, rownums = _read_table(
-        stream, "joints",
+        text, "joints",
         lambda header: JOINTS_3D_HEADER if "z" in header else JOINTS_2D_HEADER)
-    is_3d = "z" in col
-    axes = ["x", "y", "z"] if is_3d else ["x", "y"]
+    names = list(col)
     num = _numbers(rows, rownums, col,
-                   ["frame", "time_s", *axes] + ([] if is_3d else ["confidence"]))
-    frames = num[:, 0].astype(np.int64)
+                   [n for n in names if n not in _TEXT_COLUMNS])
+    return (names, num, {n: [row[col[n]] for row in rows]
+                         for n in _TEXT_COLUMNS if n in col}, rownums)
+
+
+def parse_joint_csv(stream) -> SkeletonSequence:
+    """Parse a joints.csv text or character stream (2D or reconstructed 3D
+    schema): a plain file by ``_joint_columns``, any other by ``_joint_rows``,
+    then the same checks on the arrays of either."""
+    text = stream if isinstance(stream, str) else stream.read()
+    names, num, texts, rownums = _joint_columns(text) or _joint_rows(text)
+    is_3d = "z" in names
+    frames = _integers(num[:, 0], "frame", rownums)
     times = num[:, 1]
-    pos = num[:, 2:2 + len(axes)]
-    conf = np.ones(len(rows)) if is_3d else num[:, -1]
+    pos = num[:, 2:5] if is_3d else num[:, 2:4]
+    conf = np.ones(len(num)) if is_3d else num[:, 4]
     out_of_range = (conf < 0.0) | (conf > 1.0)
     if out_of_range.any():
         i = int(np.argmax(out_of_range))
         raise ConfidenceOutOfRange(
             f"confidence {float(conf[i])} outside [0,1]", row=rownums[i])
 
-    joint_names, codes = np.unique([row[col["joint"]] for row in rows],
-                                   return_inverse=True)
+    joint_names = sorted(set(texts["joint"]))
+    code = {joint: k for k, joint in enumerate(joint_names)}
+    codes = np.fromiter(map(code.__getitem__, texts["joint"]), np.intp,
+                        len(num))
     order = np.lexsort((frames, codes))     # stable: ties keep file order
     bounds = np.cumsum(np.bincount(codes))
     streams = {}
-    for joint, sel in zip(joint_names.tolist(), np.split(order, bounds[:-1])):
-        t = times[sel]
+    for joint, sel in zip(joint_names, np.split(order, bounds[:-1])):
+        f, t = frames[sel], times[sel]
+        again = np.flatnonzero(f[1:] == f[:-1])
+        if again.size:
+            i = again[0] + 1
+            raise ParseError(f"joint {joint!r}: frame {int(f[i])} repeats row "
+                             f"{rownums[sel[i - 1]]}", row=rownums[sel[i]])
         later = np.flatnonzero(t[1:] <= t[:-1])
         if later.size:
             i = later[0] + 1
             raise NonMonotonicTime(
                 f"joint {joint!r}: time {float(t[i])} after {float(t[i - 1])} "
-                f"(frame {int(frames[sel[i]])})", row=rownums[sel[i]])
-        streams[joint] = JointStream(frames[sel], t, pos[sel], conf[sel])
+                f"(frame {int(f[i])})", row=rownums[sel[i]])
+        streams[joint] = JointStream(f, t, pos[sel], conf[sel])
 
     deltas = np.concatenate([np.diff(s.times) for s in streams.values()])
     rate = 1.0 / float(np.median(deltas)) if deltas.size else 30.0
-    ids = {"camera_id": ""}   # 3D files have no camera
     for name in ["participant_id"] + ([] if is_3d else ["camera_id"]):
-        values = [row[col[name]] for row in rows]
+        values = texts[name]
         if len(set(values)) > 1:   # name the first row that differs
             n = next(n for n, v in enumerate(values) if v != values[0])
             raise ParseError(f"column {name!r}: {values[n]!r} differs from "
                              f"the first row's {values[0]!r}", row=rownums[n])
-        ids[name] = values[0]
-    return SkeletonSequence(ids["participant_id"], ids["camera_id"], rate,
-                            streams)
+    return SkeletonSequence(texts["participant_id"][0],   # 3D: no camera
+                            texts.get("camera_id", [""])[0], rate, streams)
 
 
 def parse_target_csv(stream) -> TargetLog:
     """Parse a targets.csv character stream."""
     col, rows, rownums = _read_table(stream, "targets",
                                      lambda header: TARGETS_HEADER)
+    num = _numbers(rows, rownums, col,
+                   ["target_id", "x_norm", "y_norm", "t_appear_s"])
+    ids = _integers(num[:, 0], "target_id", rownums).tolist()
     events = []
-    for row, rownum in zip(rows, rownums):
+    for row, rownum, target_id, (x, y, t_appear) in zip(
+            rows, rownums, ids, num[:, 1:].tolist()):
         side = row[col["side"]].strip()
         if side not in ("left", "right"):
             raise ParseError(f"side must be left/right, got {side!r}", row=rownum)
-        t_appear = _float(row[col["t_appear_s"]], "t_appear_s", rownum)
         raw_hit = row[col["t_hit_s"]].strip()
         t_hit = None if raw_hit == "" else _float(raw_hit, "t_hit_s", rownum)
         if t_hit is not None and t_hit < t_appear:
             raise HitBeforeAppear(
                 f"t_hit {t_hit} precedes t_appear {t_appear}", row=rownum)
-        events.append(TargetEvent(
-            target_id=int(_float(row[col["target_id"]], "target_id", rownum)),
-            side=side,
-            position=(_float(row[col["x_norm"]], "x_norm", rownum),
-                      _float(row[col["y_norm"]], "y_norm", rownum)),
-            t_appear=t_appear,
-            t_hit=t_hit,
-        ))
+        events.append(TargetEvent(target_id, side, (x, y), t_appear, t_hit))
     events.sort(key=lambda e: (e.t_appear, e.target_id, e.side))
     log = TargetLog(tuple(events))
     for left, right in log.pairs():   # raises UnpairedTarget
@@ -333,18 +404,29 @@ def fnum(x):
     return repr(float(x))
 
 
+def _csv_cells(*values):
+    """The values as csv.writer writes them inside a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([*values, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_joint_csv(seq: SkeletonSequence, stream):
-    writer = csv.writer(stream, lineterminator="\n")
+    """Write a joints file as csv.writer would, floats in full precision
+    (``repr``), in one ``write``."""
     is_3d = seq.dims == 3
-    writer.writerow(JOINTS_3D_HEADER if is_3d else JOINTS_2D_HEADER)
-    lead = [seq.participant_id] if is_3d else [seq.participant_id, seq.camera_id]
+    lead = _csv_cells(seq.participant_id, *([] if is_3d else [seq.camera_id]))
+    rows = [",".join(JOINTS_3D_HEADER if is_3d else JOINTS_2D_HEADER) + "\n"]
     for joint, s in seq.streams.items():
-        n = len(s.frames)
-        coords = [map(repr, c) for c in s.pos.T.tolist()]
-        tail = [] if is_3d else [map(repr, s.conf.tolist())]
-        writer.writerows(zip(*(repeat(v, n) for v in lead), s.frames.tolist(),
-                             map(repr, s.times.tolist()), repeat(joint, n),
-                             *coords, *tail))
+        name = _csv_cells(joint)
+        # flat columns: no list per row for the garbage collector to track
+        cols = zip(s.frames.tolist(), s.times.tolist(), *s.pos.T.tolist(),
+                   s.conf.tolist())
+        rows += ([f"{lead},{f},{t!r},{name},{x!r},{y!r},{z!r}\n"
+                  for f, t, x, y, z, _ in cols] if is_3d else
+                 [f"{lead},{f},{t!r},{name},{x!r},{y!r},{c!r}\n"
+                  for f, t, x, y, c in cols])
+    stream.write("".join(rows))
 
 
 def write_target_csv(participant_id, log: TargetLog, stream):

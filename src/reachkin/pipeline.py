@@ -23,8 +23,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import (agenet, kinematics, preprocess, progress_spline, reconstruct3d,
-               stats)
 from .errors import (
     ConfigError,
     EmptyFile,
@@ -138,6 +136,7 @@ def read_artifact(path):
 
 def session_frames(session, config: PipelineConfig):
     """Confidence gate and decimate one session's 2D skeleton."""
+    from . import preprocess
     seq, _ = preprocess.reject_low_confidence(session.skeleton(),
                                               config.confidence_threshold)
     return preprocess.downsample(seq, config.decimation)
@@ -159,6 +158,7 @@ def cohort_frames(cohort: Cohort, config: PipelineConfig):
 
 def preprocess_session(seq, config: PipelineConfig):
     """Zero-phase filter a session's frames (see ``session_frames``)."""
+    from . import preprocess
     spec = preprocess.FilterSpec(config.filter_order, config.filter_cutoff_hz,
                                  seq.sample_rate)
     return preprocess.filter_sequence(seq, spec)
@@ -170,6 +170,7 @@ def analyze_session(session, seq):
     Returns (MetricSummary, repaired ReachSegments). Paths are in
     shoulder-width units; targets are mapped into the same frame.
     """
+    from . import kinematics, preprocess, reconstruct3d
     scale = reconstruct3d.shoulder_scale(seq)
     seq = reconstruct3d.normalize_by_shoulder_width(seq, scale)
     w, h = session.manifest.play_area_px
@@ -245,6 +246,7 @@ def read_metrics(path):
 
 
 def _metric_summary(fields, col, width, row):
+    from . import kinematics
     if len(fields) < width:
         raise ParseError(f"expected {width} fields, got {len(fields)}", row=row)
 
@@ -277,6 +279,7 @@ def _metric_summary(fields, col, width, row):
 
 def group_curves(cohort, segments_by_pid):
     """Pool backward-filtered progress curves per analysis group."""
+    from . import progress_spline
     curves = {label: [] for label in GROUP_LABELS}
     for session in cohort.sessions:
         label = group_label(session.age)
@@ -291,6 +294,7 @@ def group_curves(cohort, segments_by_pid):
 
 
 def fit_group_splines(curves_by_group):
+    from . import progress_spline
     fits = {}
     for label, curves in curves_by_group.items():
         if not curves:
@@ -302,6 +306,7 @@ def fit_group_splines(curves_by_group):
 
 
 def write_splines(fits, spline_path, curves_path, config):
+    from . import progress_spline
     rows = []
     curve_rows = []
     for label, (fit, rates, n_curves) in fits.items():
@@ -318,12 +323,14 @@ def write_splines(fits, spline_path, curves_path, config):
 
 
 def grouped_metric(summaries, attr):
+    from . import stats
     return stats.GroupedSamples(GROUP_LABELS, tuple(
         tuple(getattr(s, attr) for s in summaries if s.group == label)
         for label in GROUP_LABELS))
 
 
 def run_stats(summaries):
+    from . import stats
     results = {}
     for metric, attr in (("directness", "median_directness"),
                          ("max_speed", "median_max_speed")):
@@ -348,6 +355,7 @@ def write_stats(results, anova_path, tukey_path, config):
 
 
 def run_training(cohort, frames, config: PipelineConfig):
+    from . import agenet
     windows, skipped = agenet.windows_from_cohort(
         cohort, frames, config.window, config.stride)
     report = agenet.cross_validate(windows, folds=config.folds,
@@ -455,6 +463,7 @@ _GROUP_COLORS = ("#cc6677", "#ddaa33", "#4477aa", "#228833")
 
 
 def svg_progress(fits, path, config):
+    from . import progress_spline
     width, height, pad = 320, 320, 30
     body = (f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
             f'y2="{height - pad}" stroke="#999"/>\n'
@@ -510,6 +519,7 @@ def validate_cohort(cohort: Cohort):
 def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
     """(participant id, triangulated 3D sequence) of each two-camera session
     (at least one); ``calibration`` is (path, camera id -> CameraModel)."""
+    from . import reconstruct3d
     path, cams = calibration
     pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
              if len(s.skeletons) >= 2]

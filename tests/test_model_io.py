@@ -1,10 +1,14 @@
+import csv
 import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reachkin import model_io
+from reachkin import cli, model_io
 from reachkin.errors import (
     ConfidenceOutOfRange,
     EmptyFile,
@@ -317,3 +321,174 @@ def test_full_precision_float_rendering():
     back = model_io.parse_joint_csv(buf.getvalue())
     assert back.samples[0].position[0] == v
     assert back.samples[1].time == v
+
+
+@pytest.mark.parametrize("parse, line, expected", [
+    # x written with a decimal comma
+    (model_io.parse_joint_csv, "p1,cam0,1,0.1,left_wrist,1,5,0.5,0.9",
+     "row 3: expected 8 fields, got 9"),
+    (model_io.parse_joint_csv, "p1,cam0,1,0.1,left_wrist,11.0,21.0",
+     "row 3: expected 8 fields, got 7"),
+    (model_io.parse_target_csv, "p1,0,right,0.8,0.5,0.0,1.2,junk",
+     "row 3: expected 7 fields, got 8")])
+def test_a_row_with_another_field_count_is_rejected(parse, line, expected):
+    text = JOINTS_3ROW if parse is model_io.parse_joint_csv else TARGETS_PAIR
+    lines = text.splitlines()
+    lines[2] = line
+    with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+        parse("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("old, new, expected", [
+    ("p1,cam0,1,", "p1,cam0,0.7,",
+     "row 3: column 'frame': not an integer in int64 range: 0.7"),
+    ("p1,cam0,2,", "p1,cam0,1e19,",
+     "row 4: column 'frame': not an integer in int64 range: 1e+19"),
+    ("p1,cam0,2,", "p1,cam0,1,",
+     "row 4: joint 'left_wrist': frame 1 repeats row 3")])
+def test_parse_joint_csv_rejects_fractional_and_repeated_frames(old, new,
+                                                                expected):
+    with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+        model_io.parse_joint_csv(JOINTS_3ROW.replace(old, new))
+
+
+def test_parse_target_csv_rejects_a_fractional_target_id():
+    text = TARGETS_PAIR.replace("p1,0,right", "p1,1.9,right")
+    expected = "row 3: column 'target_id': not an integer in int64 range: 1.9"
+    with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+        model_io.parse_target_csv(text)
+
+
+def reconstructed_joints(tmp_path):
+    """The joints_3d.csv `reachkin reconstruct` writes for a stereo session."""
+    from test_reconstruct3d import (reconstruct, scene_points, stereo_rig,
+                                    write_stereo_session)
+    cams = stereo_rig()
+    write_stereo_session(tmp_path / "in", "p000", cams, scene_points(40))
+    assert reconstruct(tmp_path, cams) == 0
+    return tmp_path / "out" / "p000" / "joints_3d.csv"
+
+
+def test_written_joint_files_take_the_column_path(monkeypatch, tmp_path,
+                                                  small_cohort_dir):
+    def refuse(text):
+        raise AssertionError("the row reader was called")
+    monkeypatch.setattr(model_io, "_joint_rows", refuse)
+    model_io.load_cohort(small_cohort_dir)
+    out = tmp_path / "clean"
+    assert cli.main(["preprocess", "--in", str(small_cohort_dir),
+                     "--out", str(out)]) == 0
+    for path in [*sorted(out.glob("*/joints_clean.csv")),
+                 reconstructed_joints(tmp_path)]:
+        model_io.parse_joint_csv(path.read_text())
+
+
+def test_written_joint_files_round_trip_byte_for_byte(tmp_path,
+                                                      small_cohort_dir):
+    for path in (small_cohort_dir / "p000" / "joints.csv",
+                 reconstructed_joints(tmp_path)):
+        text = path.read_text()
+        buf = io.StringIO()
+        model_io.write_joint_csv(model_io.parse_joint_csv(text), buf)
+        assert buf.getvalue() == text
+
+
+JOINTS_3D = """participant_id,frame,time_s,joint,x,y,z
+p1,0,0.0,left_wrist,0.5,1.5,4.0
+p1,1,0.1,left_wrist,0.25,1.0,4.5
+p1,0,0.0,right_wrist,-0.5,1.25,4.0
+p1,1,0.1,right_wrist,-0.75,1.0,3.5
+"""
+
+JOINTS_2D = JOINTS_3ROW + """\
+p1,cam0,0,0.0,right_wrist,30.0,20.0,0.5
+p1,cam0,1,0.03333333333333333,right_wrist,31.0,21.0,1.0
+"""
+
+TARGETS_2PAIRS = TARGETS_PAIR + """\
+p1,1,left,0.3,0.6,2.0,3.5
+p1,1,right,0.7,0.6,2.0,
+"""
+
+MUTATIONS = ("abc", "nan", "inf", "-Infinity", "1_000", "pad", "", "extra",
+             "missing", "quoted", "quote", "blank", "0.5", "repeat", "other",
+             "1.5", "-0.1")
+
+
+def mutate(text, row, column, kind):
+    """text with one cell (of data row ``row``) or line changed by ``kind``."""
+    lines = text.splitlines()
+    row = 1 + row % (len(lines) - 1)
+    cells = lines[row].split(",")
+    column %= len(cells)
+    cell = cells[column]
+    if kind == "blank":
+        lines.insert(row, " " * column)
+    elif kind == "missing":
+        del cells[column]
+    elif kind == "extra":
+        cells.insert(column, "1")
+    else:
+        cells[column] = {
+            "pad": f" {cell} ", "quoted": f'"{cell}"', "quote": f'"{cell}',
+            "repeat": lines[row - 1].split(",")[column],
+            "other": cell + "x"}.get(kind, kind)
+    if kind != "blank":
+        lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of text: its value, or its error with the row."""
+    try:
+        seq = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.row
+    if isinstance(seq, model_io.TargetLog):
+        return seq
+    return (seq.participant_id, seq.camera_id, seq.sample_rate,
+            {joint: [(a.dtype.str, a.shape, a.tolist()) for a in s]
+             for joint, s in seq.streams.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([JOINTS_2D, JOINTS_3D]), st.integers(0, 99),
+       st.integers(0, 99), st.sampled_from(MUTATIONS))
+def test_column_path_matches_the_row_reader(text, row, column, kind):
+    text = mutate(text, row, column, kind)
+    got = outcome(model_io.parse_joint_csv, text)
+    with mock.patch.object(model_io, "_joint_columns", lambda text: None):
+        assert got == outcome(model_io.parse_joint_csv, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 99), st.integers(0, 99), st.sampled_from(MUTATIONS))
+def test_target_mutations_parse_or_raise_a_parse_error(row, column, kind):
+    outcome(model_io.parse_target_csv, mutate(TARGETS_2PAIRS, row, column,
+                                              kind))
+
+
+@pytest.mark.parametrize("is_3d", [False, True])
+def test_write_joint_csv_quotes_names_as_csv_writer_does(is_3d):
+    stream = model_io.JointStream(
+        np.array([0, 1]), np.array([0.0, 0.1]),
+        np.array([(0.1 + 0.2, 1.0 / 3.0, 4.0)[:3 if is_3d else 2],
+                  (2.0, -1e-7, 5.5)[:3 if is_3d else 2]]),
+        np.array([1.0, 1.0]) if is_3d else np.array([0.5, 0.25]))
+    seq = model_io.SkeletonSequence(
+        "p,1", "" if is_3d else 'cam "0"', 30.0,
+        {name: stream for name in ("a,b", 'say "hi"', "", "plain")})
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(model_io.JOINTS_3D_HEADER if is_3d
+                    else model_io.JOINTS_2D_HEADER)
+    for s in seq.samples:
+        writer.writerow([seq.participant_id,
+                         *([] if is_3d else [seq.camera_id]),
+                         s.frame_index, repr(s.time), s.joint,
+                         *map(repr, s.position),
+                         *([] if is_3d else [repr(s.confidence)])])
+    buf = io.StringIO()
+    model_io.write_joint_csv(seq, buf)
+    assert buf.getvalue() == expected.getvalue()
+    assert model_io.parse_joint_csv(buf.getvalue()).samples == seq.samples

@@ -429,8 +429,9 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     # no scipy module at all: scipy.signal and scipy.stats each cost about
     # 1 s of start-up; and the studentized range quadrature nodes are built
-    # on the first p-value, not on import
-    probe = ("import sys, reachkin.cli; "
+    # on the first p-value, not on import (of the stats layer, which the
+    # cli loads only when a command runs it)
+    probe = ("import sys, reachkin.cli, reachkin.stats; "
              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'],"
              " reachkin.stats._gauss_legendre.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
@@ -447,13 +448,16 @@ def test_commands_but_synth_leave_synth_unloaded(tmp_path, small_cohort_dir):
             ["metrics", "--in", cohort, "--out", out],
             ["reconstruct", "--in", cohort, "--out", out,
              "--calibration", str(calibration)]]
+    # none of these commands loads the generator, the age model or the stats
     probe = ("import sys\nfrom reachkin import cli\n"
              f"codes = [cli.main(argv) for argv in {runs!r}]\n"
-             "print('probe', codes, 'reachkin.synth' in sys.modules)")
+             "print('probe', codes, [f'reachkin.{m}' in sys.modules "
+             "for m in ('synth', 'agenet', 'stats')])")
     done = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "probe [0, 0, 2] False"
+    assert done.stdout.splitlines()[-1] == \
+        "probe [0, 0, 2] [False, False, False]"
 
 
 # sha256 of anova.csv and tukey.csv below their config-hash comment line, for
@@ -560,7 +564,7 @@ def test_cli_progress_writes_spline(tmp_path, small_cohort_dir):
 def test_run_training_uses_confidence_threshold(monkeypatch):
     cohort, _ = synth.generate_cohort(1, seed=2, duration=20.0)
     seen = []
-    monkeypatch.setattr(pipeline.agenet, "cross_validate",
+    monkeypatch.setattr(agenet, "cross_validate",
                         lambda windows, **kw: seen.append(windows))
     for threshold in (0.75, 0.9):
         config = PipelineConfig(confidence_threshold=threshold, window=50,
