@@ -10,12 +10,12 @@ A session on disk is one directory per participant holding three files:
 Reconstructed 3D joint files use the columns
 ``participant_id,frame,time_s,joint,x,y,z`` (no camera, no confidence).
 
-The readers raise a ParseError naming the row for a row whose field count
+Every CSV table, joints, targets, calibration or an artifact such as
+``metrics.csv``, is read by ``_read_table``: split in one pass when plain (no
+quote, carriage return or blank line), else by the csv module, to the same
+result or error. A ParseError names the row of a row whose field count
 differs from the header's, a cell that is not a finite number, a frame that
-is not an integer or repeats within a joint, and a target id that is not an
-integer. Plain joints files (the standard header, no quote, carriage return
-or blank line) take a column tokenizer; any other file the csv row reader.
-Both give the same sequence, or the same error, for the same text.
+is not an integer or repeats within a joint, or a non-integer target id.
 
 In memory a ``SkeletonSequence`` maps each joint, in sorted order, to a
 ``JointStream`` of arrays ``frames (N,)``, ``times (N,)``, ``pos (N, D)`` and
@@ -210,46 +210,93 @@ def _float(value, column, row):
     return x
 
 
-def _read_table(stream, what, expected):
-    """Read a CSV stream into ({column: index}, data rows, their row numbers);
-    ``expected(header)`` names the columns the header must hold."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+def _split(text, top):
+    """(header, columns, row numbers) of a plain table whose header is on
+    line ``top``, split in one pass as the csv reader reads it; None for any
+    other text. A plain table has no quote or carriage return, a final
+    newline, and as many commas on every line as in its header, so no blank
+    line."""
+    width = text.count(",", 0, text.find("\n")) + 1
+    if width < 2 or not text.endswith("\n") or '"' in text or "\r" in text:
+        return None
+    # every line, the header too, holds width - 1 commas: line i the i-th
+    # run of them, each after the newline before it and before its own
+    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.flatnonzero(data == ord(","))
+    if commas.size != ends.size * (width - 1):
+        return None
+    commas = commas.reshape(-1, width - 1)
+    if (commas[1:, 0] < ends[:-1]).any() or (commas[:, -1] > ends).any():
+        return None
+    cells = text.replace("\n", ",").split(",")
+    return (cells[:width], [cells[width + k:-1:width] for k in range(width)],
+            range(top + 1, top + ends.size))
+
+
+def _csv_table(text, top):
+    """What ``_split`` gives, for any text, by the csv reader; None for an
+    empty text. Blank lines are skipped. A row whose field count differs
+    from the header's, or text the reader refuses, raises a ParseError
+    naming the row."""
+    rows, rownum = [], top - 1
     try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise EmptyFile(f"empty {what} file")
+        for rownum, row in enumerate(csv.reader(io.StringIO(text)), top):
+            if not rows or (row and (len(row) > 1 or row[0].strip())):
+                rows.append((rownum, row))
+    except csv.Error as exc:
+        raise ParseError(f"not csv: {exc}", row=rownum + 1) from None
+    if not rows:
+        return None
+    (_, header), *rows = rows
+    for rownum, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                             row=rownum)
+    return (header, [[row[k] for _, row in rows] for k in range(len(header))],
+            [rownum for rownum, _ in rows])
+
+
+def _read_table(stream, what, expected, artifact=False):
+    """Read a CSV text or character stream into ({column: index}, columns,
+    row numbers), where columns[i] lists the cells of header column i and a
+    row number is the file line. ``expected(header)`` names the columns the
+    header must hold. A plain table is split in one pass (``_split``), any
+    other read by the csv reader (``_csv_table``), to the same result or
+    error. An artifact may start with one '#' comment line and may hold no
+    data rows."""
+    text = stream if isinstance(stream, str) else stream.read()
+    top = 1   # the header's line
+    if artifact and text.startswith("#"):
+        text, top = text.partition("\n")[2], 2
+    table = _split(text, top) or _csv_table(text, top)
+    if table is None:
+        raise EmptyFile(f"{what}: empty file")
+    header, columns, rownums = table
+    header = [h.strip() for h in header]
     names = expected(header)
     missing = [c for c in names if c not in header]
     if missing:
-        raise MissingColumn(f"{what}: missing column(s) {missing}", row=1)
-    rows, rownums = [], []
-    for rownum, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=rownum)
-        rows.append(row)
-        rownums.append(rownum)
-    if not rows:
+        raise MissingColumn(f"{what}: missing column(s) {missing}", row=top)
+    if not rownums and not artifact:
         raise EmptyFile(f"{what} file has a header but no data rows")
-    return {name: header.index(name) for name in names}, rows, rownums
+    return {name: header.index(name) for name in names}, columns, rownums
 
 
-def _numbers(rows, rownums, col, names):
-    """Parse the named columns of every row into an (N, len(names)) array;
-    the first bad or non-finite cell in file order raises a ParseError."""
-    idx = [col[n] for n in names]
+def _numbers(columns, rownums, col, names):
+    """The named columns as an (N, len(names)) array, each cell parsed as
+    float() does; the first bad or non-finite cell in file order raises a
+    ParseError."""
+    cells = [columns[col[n]] for n in names]
     try:
-        out = np.array([float(row[i]) for row in rows for i in idx])
+        out = np.array(cells, dtype=float)
     except ValueError:
         out = np.array([np.nan])
     if not np.isfinite(out).all():
-        for row, rownum in zip(rows, rownums):
-            for name, i in zip(names, idx):
-                _float(row[i], name, rownum)
-    return out.reshape(len(rows), len(idx))
+        for rownum, row in zip(rownums, zip(*cells)):
+            for name, value in zip(names, row):
+                _float(value, name, rownum)
+    return out.T
 
 
 def _integers(values, column, rownums):
@@ -265,66 +312,18 @@ def _integers(values, column, rownums):
 
 
 _TEXT_COLUMNS = ("participant_id", "camera_id", "joint")
-_PLAIN_HEADERS = {",".join(h): h for h in (JOINTS_2D_HEADER, JOINTS_3D_HEADER)}
-
-
-def _joint_columns(text):
-    """Tokenize a plain joints file, one with a standard header, no quote,
-    carriage return or blank line, the header's field count on every line,
-    a final newline and only finite numbers, into (header, numbers, text
-    columns, row numbers) as ``_joint_rows`` would; None for any other."""
-    names = _PLAIN_HEADERS.get(text[:text.find("\n")])
-    if names is None or not text.endswith("\n") or '"' in text \
-            or "\r" in text:
-        return None
-    # every line, the header too, holds width - 1 commas: line i the i-th
-    # run of them, each after the newline before it and before its own
-    width = len(names)
-    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    commas = np.flatnonzero(data == ord(","))
-    n = ends.size - 1
-    if n < 1 or commas.size != ends.size * (width - 1):
-        return None
-    commas = commas.reshape(-1, width - 1)
-    if (commas[1:, 0] < ends[:-1]).any() or (commas[:, -1] > ends).any():
-        return None
-    cells = text.replace("\n", ",").split(",")
-
-    def column(k):
-        return cells[width + k:width * (n + 1):width]
-    try:      # parses each cell as float() does
-        num = np.array([column(k) for k, name in enumerate(names)
-                        if name not in _TEXT_COLUMNS], dtype=float)
-    except ValueError:
-        return None
-    if not np.isfinite(num).all():
-        return None
-    return (names, num.T,
-            {name: column(k) for k, name in enumerate(names)
-             if name in _TEXT_COLUMNS}, range(2, n + 2))
-
-
-def _joint_rows(text):
-    """Read any joints file row by row into what ``_joint_columns`` gives,
-    raising the typed, row-numbered error of the first bad row or cell."""
-    col, rows, rownums = _read_table(
-        text, "joints",
-        lambda header: JOINTS_3D_HEADER if "z" in header else JOINTS_2D_HEADER)
-    names = list(col)
-    num = _numbers(rows, rownums, col,
-                   [n for n in names if n not in _TEXT_COLUMNS])
-    return (names, num, {n: [row[col[n]] for row in rows]
-                         for n in _TEXT_COLUMNS if n in col}, rownums)
 
 
 def parse_joint_csv(stream) -> SkeletonSequence:
     """Parse a joints.csv text or character stream (2D or reconstructed 3D
-    schema): a plain file by ``_joint_columns``, any other by ``_joint_rows``,
-    then the same checks on the arrays of either."""
-    text = stream if isinstance(stream, str) else stream.read()
-    names, num, texts, rownums = _joint_columns(text) or _joint_rows(text)
-    is_3d = "z" in names
+    schema)."""
+    col, columns, rownums = _read_table(
+        stream, "joints",
+        lambda header: JOINTS_3D_HEADER if "z" in header else JOINTS_2D_HEADER)
+    texts = {name: columns[col[name]] for name in _TEXT_COLUMNS if name in col}
+    num = _numbers(columns, rownums, col, [n for n in col if n not in texts])
+    del columns   # frees the number cells
+    is_3d = "z" in col
     frames = _integers(num[:, 0], "frame", rownums)
     times = num[:, 1]
     pos = num[:, 2:5] if is_3d else num[:, 2:4]
@@ -371,18 +370,19 @@ def parse_joint_csv(stream) -> SkeletonSequence:
 
 def parse_target_csv(stream) -> TargetLog:
     """Parse a targets.csv character stream."""
-    col, rows, rownums = _read_table(stream, "targets",
-                                     lambda header: TARGETS_HEADER)
-    num = _numbers(rows, rownums, col,
+    col, columns, rownums = _read_table(stream, "targets",
+                                        lambda header: TARGETS_HEADER)
+    num = _numbers(columns, rownums, col,
                    ["target_id", "x_norm", "y_norm", "t_appear_s"])
     ids = _integers(num[:, 0], "target_id", rownums).tolist()
     events = []
-    for row, rownum, target_id, (x, y, t_appear) in zip(
-            rows, rownums, ids, num[:, 1:].tolist()):
-        side = row[col["side"]].strip()
+    for rownum, target_id, (x, y, t_appear), side, raw_hit in zip(
+            rownums, ids, num[:, 1:].tolist(), columns[col["side"]],
+            columns[col["t_hit_s"]]):
+        side = side.strip()
         if side not in ("left", "right"):
             raise ParseError(f"side must be left/right, got {side!r}", row=rownum)
-        raw_hit = row[col["t_hit_s"]].strip()
+        raw_hit = raw_hit.strip()
         t_hit = None if raw_hit == "" else _float(raw_hit, "t_hit_s", rownum)
         if t_hit is not None and t_hit < t_appear:
             raise HitBeforeAppear(
@@ -513,21 +513,16 @@ def write_session(session: ParticipantSession, directory):
         write_target_csv(session.participant_id, session.targets, fh)
 
 
-def in_file(path, exc: ParseError) -> ParseError:
-    """A parse error of the same type and row with the file's path in front."""
-    err = type(exc)(f"{path}: {exc}")
-    err.row = exc.row
-    return err
-
-
 def _parse_file(directory, name, parse):
     """``parse`` of the open file; a parse error names the file."""
     path = os.path.join(directory, name)
     with open(path) as fh:
         try:
             return parse(fh)
-        except ParseError as exc:
-            raise in_file(path, exc) from exc
+        except ParseError as exc:   # same type and row, the path in front
+            err = type(exc)(f"{path}: {exc}")
+            err.row = exc.row
+            raise err from exc
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 

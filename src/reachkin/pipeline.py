@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    EmptyFile,
     InputError,
-    MissingColumn,
     NumericalError,
     ParseError,
     ReachkinError,
@@ -35,8 +33,8 @@ from .errors import (
     ZeroInitialDistance,
     ZeroPathLength,
 )
-from .model_io import (AGE_BINS, Cohort, _float, _parse_file, fnum, in_file,
-                       load_cohort, validate_session, write_joint_csv)
+from .model_io import (AGE_BINS, Cohort, _numbers, _parse_file, _read_table,
+                       fnum, load_cohort, validate_session, write_joint_csv)
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
 GROUP_LABELS = tuple(f"{lo}-{hi}" for lo, hi in ANALYSIS_GROUPS)
@@ -116,20 +114,13 @@ def write_artifact(path, header, rows, config: PipelineConfig):
         fh.write(buf.getvalue())
 
 
-def _artifact_lines(fh):
-    """(line number, fields) of each line of a CSV artifact but its comments."""
-    numbered = [(n, ln) for n, ln in enumerate(fh, start=1)
-                if not ln.startswith("#")]
-    if not numbered:
-        raise EmptyFile("empty file")
-    return list(zip((n for n, _ in numbered),
-                    csv.reader(ln for _, ln in numbered)))
-
-
 def read_artifact(path):
-    """Read a CSV artifact, skipping comment lines; returns (header, rows)."""
-    (_, header), *rows = _parse_file(*os.path.split(path), _artifact_lines)
-    return header, [fields for _, fields in rows]
+    """Read a CSV artifact past its comment line; returns (header, rows)."""
+    col, columns, _ = _parse_file(
+        *os.path.split(path),
+        lambda fh: _read_table(fh, "artifact", lambda header: header,
+                               artifact=True))
+    return list(col), [list(row) for row in zip(*columns)]
 
 
 # --- per-participant analysis ----------------------------------------------
@@ -221,60 +212,48 @@ def write_metrics(summaries, path, config):
 
 
 def read_metrics(path):
-    """The participant summaries of a ``metrics.csv``. An empty or non-UTF-8
-    file, a short row, a cell that is not a finite number or an integer, a
-    group that is not the analysis group of the row's age, or a participant
-    already read raises a ParseError naming the file and any row (line)."""
-    (_, header), *rows = _parse_file(*os.path.split(path), _artifact_lines)
-    missing = [name for name in METRIC_COLUMNS if name not in header]
-    if missing:
-        raise MissingColumn(f"{path}: missing column(s) {missing}")
-    col = {name: header.index(name) for name in METRIC_COLUMNS}
-    rows = [(row, fields) for row, fields in rows if fields]
-    first_row = {}
-    try:
-        summaries = [_metric_summary(fields, col, len(header), row)
-                     for row, fields in rows]
-        for (row, _), s in zip(rows, summaries):
-            pid = s.participant_id
-            if first_row.setdefault(pid, row) != row:
-                raise ParseError(f"participant {pid!r} repeats row "
-                                 f"{first_row[pid]}", row=row)
-    except ParseError as exc:
-        raise in_file(path, exc) from exc
+    """The participant summaries of a ``metrics.csv``, read by the one table
+    reader of every CSV file. An empty or non-UTF-8 file, a row whose field
+    count differs from the header's, a cell that is not a finite number or
+    an integer, a group that is not the analysis group of the row's age, or
+    a participant already read raises a ParseError naming the file and any
+    row (line)."""
+    return _parse_file(*os.path.split(path), _parse_metrics)
+
+
+def _parse_metrics(fh):
+    from . import kinematics
+    col, columns, rownums = _read_table(fh, "metrics",
+                                        lambda header: METRIC_COLUMNS,
+                                        artifact=True)
+    num = _numbers(columns, rownums, col,
+                   ["median_directness", "median_max_speed"]).tolist()
+    cells = zip(rownums, *(columns[col[n]] for n in METRIC_COLUMNS), num)
+    summaries, first_row = [], {}
+    for row, pid, age, group, _, _, count, (directness, speed) in cells:
+        age = _integer(age, "age", row)
+        if group not in GROUP_LABELS:
+            raise ParseError(f"column 'group': {group!r} is not one of "
+                             f"{list(GROUP_LABELS)}", row=row)
+        lo, hi = ANALYSIS_GROUPS[GROUP_LABELS.index(group)]
+        if not lo <= age <= hi:
+            raise ParseError(f"column 'age': {age} is outside group {group!r}",
+                             row=row)
+        count = _integer(count, "reach_count", row)
+        if first_row.setdefault(pid, row) != row:
+            raise ParseError(f"participant {pid!r} repeats row "
+                             f"{first_row[pid]}", row=row)
+        summaries.append(kinematics.MetricSummary(pid, age, group, directness,
+                                                  speed, count))
     return summaries
 
 
-def _metric_summary(fields, col, width, row):
-    from . import kinematics
-    if len(fields) < width:
-        raise ParseError(f"expected {width} fields, got {len(fields)}", row=row)
-
-    def integer(name):
-        try:
-            return int(fields[col[name]])
-        except ValueError:
-            raise ParseError(f"column {name!r}: not an integer: "
-                             f"{fields[col[name]]!r}", row=row) from None
-
-    age, group = integer("age"), fields[col["group"]]
-    if group not in GROUP_LABELS:
-        raise ParseError(f"column 'group': {group!r} is not one of "
-                         f"{list(GROUP_LABELS)}", row=row)
-    lo, hi = ANALYSIS_GROUPS[GROUP_LABELS.index(group)]
-    if not lo <= age <= hi:
-        raise ParseError(f"column 'age': {age} is outside group {group!r}",
-                         row=row)
-    return kinematics.MetricSummary(
-        participant_id=fields[col["participant_id"]],
-        age=age,
-        group=group,
-        median_directness=_float(fields[col["median_directness"]],
-                                 "median_directness", row),
-        median_max_speed=_float(fields[col["median_max_speed"]],
-                                "median_max_speed", row),
-        reach_count=integer("reach_count"),
-    )
+def _integer(value, column, row):
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"column {column!r}: not an integer: {value!r}",
+                         row=row) from None
 
 
 def group_curves(cohort, segments_by_pid):

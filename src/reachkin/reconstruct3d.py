@@ -25,7 +25,7 @@ from .errors import (
     RayParallel,
     ShouldersUntracked,
 )
-from .model_io import (JointStream, SkeletonSequence, _float, _parse_file,
+from .model_io import (JointStream, SkeletonSequence, _numbers, _parse_file,
                        _read_table)
 
 
@@ -331,15 +331,16 @@ def load_calibration(path):
 
 
 def _parse_calibration(fh):
-    col, rows, rownums = _read_table(
+    col, columns, rownums = _read_table(
         fh, "calibration",
         lambda header: ["camera_id", "fx", "fy", "cx", "cy"]
         + (_EXTRINSICS if set(_EXTRINSICS) <= set(header) else []))
     cams = {}
-    for row, rownum in zip(rows, rownums):
+    for rownum, *row in zip(rownums, *columns):
         has_pose = "r11" in col and row[col["r11"]] != ""
         names = ["fx", "fy", "cx", "cy"] + (_EXTRINSICS if has_pose else [])
-        v = [_float(row[col[name]], name, rownum) for name in names]
+        # the row as a one-row table: its cells are read in file order
+        v = _numbers([[cell] for cell in row], [rownum], col, names)[0].tolist()
         pose = (np.reshape(v[4:13], (3, 3)), v[13:]) if has_pose else ()
         camera_id = row[col["camera_id"]]
         try:

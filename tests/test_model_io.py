@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachkin import cli, model_io
+from reachkin import cli, model_io, pipeline, reconstruct3d
 from reachkin.errors import (
     ConfidenceOutOfRange,
     EmptyFile,
@@ -371,16 +371,20 @@ def reconstructed_joints(tmp_path):
 
 def test_written_joint_files_take_the_column_path(monkeypatch, tmp_path,
                                                   small_cohort_dir):
-    def refuse(text):
-        raise AssertionError("the row reader was called")
-    monkeypatch.setattr(model_io, "_joint_rows", refuse)
-    model_io.load_cohort(small_cohort_dir)
+    # every table reachkin writes is split in one pass, never csv-read
+    def refuse(text, top):
+        raise AssertionError("the csv reader was called")
+    monkeypatch.setattr(model_io, "_csv_table", refuse)
+    cohort = model_io.load_cohort(small_cohort_dir)
     out = tmp_path / "clean"
-    assert cli.main(["preprocess", "--in", str(small_cohort_dir),
-                     "--out", str(out)]) == 0
+    for command in ("preprocess", "metrics"):
+        assert cli.main([command, "--in", str(small_cohort_dir),
+                         "--out", str(out)]) == 0
     for path in [*sorted(out.glob("*/joints_clean.csv")),
                  reconstructed_joints(tmp_path)]:
         model_io.parse_joint_csv(path.read_text())
+    assert len(pipeline.read_metrics(out / "metrics.csv")) == \
+        len(cohort.sessions)
 
 
 def test_written_joint_files_round_trip_byte_for_byte(tmp_path,
@@ -412,7 +416,7 @@ p1,1,right,0.7,0.6,2.0,
 
 MUTATIONS = ("abc", "nan", "inf", "-Infinity", "1_000", "pad", "", "extra",
              "missing", "quoted", "quote", "blank", "0.5", "repeat", "other",
-             "1.5", "-0.1")
+             "1.5", "-0.1", "\r")
 
 
 def mutate(text, row, column, kind):
@@ -444,7 +448,7 @@ def outcome(parse, text):
         seq = parse(text)
     except ParseError as exc:
         return type(exc), str(exc), exc.row
-    if isinstance(seq, model_io.TargetLog):
+    if not isinstance(seq, model_io.SkeletonSequence):
         return seq
     return (seq.participant_id, seq.camera_id, seq.sample_rate,
             {joint: [(a.dtype.str, a.shape, a.tolist()) for a in s]
@@ -457,15 +461,44 @@ def outcome(parse, text):
 def test_column_path_matches_the_row_reader(text, row, column, kind):
     text = mutate(text, row, column, kind)
     got = outcome(model_io.parse_joint_csv, text)
-    with mock.patch.object(model_io, "_joint_columns", lambda text: None):
+    with mock.patch.object(model_io, "_split", lambda text, top: None):
         assert got == outcome(model_io.parse_joint_csv, text)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 99), st.integers(0, 99), st.sampled_from(MUTATIONS))
-def test_target_mutations_parse_or_raise_a_parse_error(row, column, kind):
-    outcome(model_io.parse_target_csv, mutate(TARGETS_2PAIRS, row, column,
-                                              kind))
+CALIBRATION = ("camera_id,fx,fy,cx,cy,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
+               "t1,t2,t3\n"
+               "cam1,800.0,800.0,320.0,240.0,1,0,0,0,1,0,0,0,1,0,0,0\n"
+               "cam2,800.0,810.0,320.0,240.0,0,0,1,0,1,0,-1,0,0,-4,0,4\n"
+               "cam3,700.0,700.0,300.0,200.0,,,,,,,,,,,,\n")
+
+METRICS = ("participant_id,age,group,median_directness,median_max_speed,"
+           "reach_count\n"
+           "p000,7,6-10,0.4,3.5,48\np001,12,11-13,0.6,3.1,50\n"
+           "p002,15,14-17,0.8,2.9,40\n")
+
+
+def parse_metrics_artifact(text):
+    """A metrics table as ``metrics.csv`` holds it, under a comment line."""
+    return pipeline._parse_metrics("# reachkin config_hash=0 seed=0\n" + text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from([(model_io.parse_target_csv, TARGETS_2PAIRS),
+                        (reconstruct3d._parse_calibration, CALIBRATION),
+                        (parse_metrics_artifact, METRICS)]),
+       st.integers(0, 99), st.integers(0, 99), st.sampled_from(MUTATIONS))
+def test_target_mutations_parse_or_raise_a_parse_error(table, row, column,
+                                                       kind):
+    # targets, calibration and metrics tables: a value or a ParseError
+    parse, text = table
+    outcome(parse, mutate(text, row, column, kind))
+
+
+def test_a_carriage_return_in_a_cell_is_a_parse_error():
+    text = TARGETS_PAIR.replace("p1,0,right", "p1,0\r1,right")
+    with pytest.raises(ParseError, match="^row 3: not csv: ") as info:
+        model_io.parse_target_csv(text)
+    assert info.value.row == 3
 
 
 @pytest.mark.parametrize("is_3d", [False, True])

@@ -14,6 +14,7 @@ from reachkin import (agenet, cli, pipeline, preprocess, progress_spline,
                       reconstruct3d, stats, synth)
 from reachkin.errors import (AllFramesRejected, ConfigError, InputError,
                              NumericalError, ParseError)
+from reachkin.kinematics import MetricSummary
 from reachkin.model_io import parse_joint_csv
 from reachkin.pipeline import (
     PipelineConfig,
@@ -359,16 +360,34 @@ def test_cli_stats_rejects_bad_metrics_cell(tmp_path, capsys, row, cell,
     assert not (tmp_path / "out").exists()
 
 
-def test_read_metrics_rejects_short_row(tmp_path):
+def test_read_metrics_rejects_short_row(tmp_path, capsys):
+    # and a long one
     metrics = tmp_path / "metrics.csv"
-    metrics.write_text(_METRICS_ROWS + "p004,15,14-17,0.8\n")
-    with pytest.raises(ParseError, match=r"row 6: expected 6 fields, got 4") \
-            as info:
-        read_metrics(str(metrics))
-    assert info.value.row == 6 and str(metrics) in str(info.value)
+    for line, fields in (("p004,15,14-17,0.8", 4),
+                         ("p004,15,14-17,0.8,2.9,40,junk", 7)):
+        metrics.write_text(_METRICS_ROWS + line + "\n")
+        message = f"row 6: expected 6 fields, got {fields}"
+        with pytest.raises(ParseError, match=message) as info:
+            read_metrics(str(metrics))
+        assert info.value.row == 6 and str(metrics) in str(info.value)
+        assert cli.main(["stats", "--metrics", str(metrics),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"{metrics}: {message}" in capsys.readouterr().err
     # a blank line is skipped
     metrics.write_text(_METRICS_ROWS + "\n")
     assert len(read_metrics(str(metrics))) == 4
+
+
+def test_hash_prefixed_participant_ids_are_data(tmp_path):
+    # only an artifact's first line is its comment
+    summaries = [MetricSummary("#p1", 7, "6-10", 0.4, 3.5, 48),
+                 MetricSummary("p2", 12, "11-13", 0.6, 3.1, 50)]
+    path = str(tmp_path / "metrics.csv")
+    write_metrics(summaries, path, PipelineConfig())
+    assert read_metrics(path) == summaries
+    header, rows = read_artifact(path)
+    assert header == list(pipeline.METRIC_COLUMNS)
+    assert [row[0] for row in rows] == ["#p1", "p2"]
 
 
 def test_cli_stats_rejects_repeated_participant(tmp_path, capsys):
