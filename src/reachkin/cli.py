@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import pipeline
 from .errors import ConfigError, NumericalError
@@ -31,26 +31,18 @@ def _config_from_args(args):
         if key in PipelineConfig.__dataclass_fields__ and value is not None})
 
 
-def _add_common(p):
-    p.add_argument("--in", dest="input_dir", required=True,
-                   help="input directory of participant sessions")
-    p.add_argument("--out", dest="out_dir", default=None,
-                   help="output directory")
-    p.add_argument("--config", default=None, help="pipeline config file (JSON)")
-    p.add_argument("--seed", type=int, default=None)
-
-
-def _add_preprocess(p):
-    p.add_argument("--filter-order", type=int, default=None)
-    p.add_argument("--filter-cutoff-hz", type=float, default=None)
-    p.add_argument("--confidence-threshold", type=float, default=None)
-    p.add_argument("--decimation", type=int, default=None)
-
-
-def _add_train(p):
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None)
+# the stage commands and their help, in the order `reachkin -h` lists them
+STAGE_COMMANDS = {
+    "ingest": "load and validate sessions",
+    "preprocess": "write cleaned joint streams",
+    "reconstruct": "two-view 3D reconstruction",
+    "metrics": "per-participant kinematic metrics",
+    "progress": "progress-to-goal group splines",
+    "stats": "ANOVA + Tukey over metrics.csv",
+    "train": "cross-validated age regression",
+    "report": "plot-data files and SVG figures",
+    "pipeline": "run every stage end to end",
+}
 
 
 def build_parser():
@@ -66,41 +58,24 @@ def build_parser():
     p.add_argument("--duration", type=float, default=50.0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("ingest", help="load and validate sessions")
-    _add_common(p)
-
-    p = sub.add_parser("preprocess", help="write cleaned joint streams")
-    _add_common(p)
-    _add_preprocess(p)
-
-    p = sub.add_parser("reconstruct", help="two-view 3D reconstruction")
-    _add_common(p)
-    p.add_argument("--calibration", required=True,
-                   help="camera calibration csv")
-
-    p = sub.add_parser("metrics", help="per-participant kinematic metrics")
-    _add_common(p)
-
-    p = sub.add_parser("progress", help="progress-to-goal group splines")
-    _add_common(p)
-
-    p = sub.add_parser("stats", help="ANOVA + Tukey over metrics.csv")
-    p.add_argument("--metrics", required=True, help="metrics.csv path")
-    p.add_argument("--out", dest="out_dir", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("train", help="cross-validated age regression")
-    _add_common(p)
-    _add_train(p)
-
-    p = sub.add_parser("report", help="plot-data files and SVG figures")
-    _add_common(p)
-
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    _add_common(p)
-    _add_preprocess(p)
-    _add_train(p)
+    for command, text in STAGE_COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "stats":
+            p.add_argument("--metrics", required=True, help="metrics.csv path")
+        else:
+            p.add_argument("--in", dest="input_dir", required=True,
+                           help="input directory of participant sessions")
+        if command == "reconstruct":
+            p.add_argument("--calibration", required=True,
+                           help="camera calibration csv")
+        p.add_argument("--out", dest="out_dir", required=command == "stats",
+                       help="output directory")
+        p.add_argument("--config", help="pipeline config file (JSON)")
+        # every other config field, overriding the config file when given
+        for field in fields(PipelineConfig):
+            if field.name not in ("input_dir", "out_dir"):
+                p.add_argument("--" + field.name.replace("_", "-"),
+                               type=type(field.default))
     return parser
 
 

@@ -182,12 +182,21 @@ class SessionManifest:
 
 @dataclass(frozen=True)
 class ParticipantSession:
-    participant_id: str
-    age: int
     skeletons: tuple          # one SkeletonSequence per camera
     targets: TargetLog
-    score: int
     manifest: SessionManifest
+
+    @property
+    def participant_id(self):
+        return self.manifest.participant_id
+
+    @property
+    def age(self):
+        return self.manifest.age_years
+
+    @property
+    def score(self):
+        return self.manifest.score
 
     def skeleton(self):
         return self.skeletons[0]
@@ -548,14 +557,7 @@ def load_session(directory) -> ParticipantSession:
                          f"{list(manifest.camera_ids)} are not those of its "
                          f"joint files, {cams}")
     targets = _parse_file(directory, "targets.csv", parse_target_csv)
-    return ParticipantSession(
-        participant_id=manifest.participant_id,
-        age=manifest.age_years,
-        skeletons=tuple(skeletons),
-        targets=targets,
-        score=manifest.score,
-        manifest=manifest,
-    )
+    return ParticipantSession(tuple(skeletons), targets, manifest)
 
 
 def load_cohort(root) -> Cohort:
@@ -589,7 +591,13 @@ def validate_session(session: ParticipantSession) -> tuple:
             "ScoreMismatch",
             f"manifest score {session.score} != {hit_pairs} collected pairs"))
 
+    fps = session.manifest.native_fps
     for seq in session.skeletons:
+        if abs(seq.sample_rate - fps) > 0.01 * fps:
+            findings.append((
+                "FrameRateMismatch",
+                f"camera {seq.camera_id!r}: joints at {seq.sample_rate:g} Hz, "
+                f"manifest native_fps {fps:g}"))
         present = set(seq.joints)
         for joint in CORE_JOINTS:
             if joint not in present:

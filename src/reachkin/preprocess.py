@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AllFramesRejected, FactorTooLarge, TooFewInliers,
-                     UnstableSpec)
+from .errors import (AllFramesRejected, FactorTooLarge, NumericalError,
+                     TooFewInliers, UnstableSpec)
 from .model_io import SkeletonSequence
 
 
@@ -152,10 +152,16 @@ def butterworth_filter(channel, spec: FilterSpec):
 
 
 def filter_sequence(seq: SkeletonSequence, spec: FilterSpec) -> SkeletonSequence:
-    """Apply the zero-phase filter independently to every joint coordinate."""
-    return replace(seq, streams={
-        joint: s._replace(pos=butterworth_filter(s.pos, spec))
-        for joint, s in seq.streams.items()})
+    """Apply the zero-phase filter independently to every joint coordinate.
+    An output that is not finite (an input cell near the float limit
+    overflows) raises a NumericalError naming the joint."""
+    streams = {}
+    for joint, s in seq.streams.items():
+        pos = butterworth_filter(s.pos, spec)
+        if not np.isfinite(pos).all():
+            raise NumericalError(f"joint {joint!r}: filter output is not finite")
+        streams[joint] = s._replace(pos=pos)
+    return replace(seq, streams=streams)
 
 
 def interpolate_outliers(positions):

@@ -224,11 +224,4 @@ def generate_session(params: StrategyParams, age: int, seed,
         camera_ids=("webcam",),
         score=score,
     )
-    return ParticipantSession(
-        participant_id=participant_id,
-        age=age,
-        skeletons=(skeleton,),
-        targets=targets,
-        score=score,
-        manifest=manifest,
-    )
+    return ParticipantSession((skeleton,), targets, manifest)

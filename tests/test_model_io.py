@@ -281,7 +281,8 @@ def test_validate_clean_session(sample_session):
 
 def test_validate_score_mismatch(sample_session):
     from dataclasses import replace
-    bad = replace(sample_session, score=sample_session.score + 1)
+    bad = replace(sample_session, manifest=replace(
+        sample_session.manifest, score=sample_session.score + 1))
     findings = model_io.validate_session(bad)
     assert any(code == "ScoreMismatch" for code, _ in findings)
 
@@ -299,7 +300,8 @@ def test_validate_missing_joint(sample_session):
 
 def test_validate_age_out_of_range(sample_session):
     from dataclasses import replace
-    bad = replace(sample_session, age=42)
+    bad = replace(sample_session,
+                  manifest=replace(sample_session.manifest, age_years=42))
     findings = model_io.validate_session(bad)
     assert any(code == "AgeOutOfRange" for code, _ in findings)
 

@@ -5,7 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -740,7 +740,7 @@ def test_cli_failure_names_the_stage_and_writes_nothing(
 
 def test_cli_ingest_writes_nothing_in_the_working_directory(
         tmp_path, small_cohort_dir, monkeypatch):
-    # ingest has no --out, so its out_dir is the default `out`
+    # ingest is given no --out, so its out_dir is the default `out`
     monkeypatch.chdir(tmp_path)
     assert cli.main(["ingest", "--in", str(small_cohort_dir)]) == 0
     assert os.listdir(tmp_path) == []
@@ -795,3 +795,120 @@ def test_benchmark_tracer_finds_every_function(monkeypatch):
         assert tracer.missing == set()
     finally:
         tracer.uninstall()
+
+
+# --- every config field is an option of every stage command ------------------
+
+KNOBS = [f for f in fields(PipelineConfig)
+         if f.name not in ("input_dir", "out_dir")]
+
+
+def _required(command, tmp_path):
+    if command == "stats":
+        return ["--metrics", "m.csv", "--out", str(tmp_path)]
+    extra = ["--calibration", "c.csv"] if command == "reconstruct" else []
+    return ["--in", str(tmp_path), *extra]
+
+
+@pytest.mark.parametrize("command", list(cli.STAGE_COMMANDS))
+def test_stage_command_options_are_the_config_fields(command, tmp_path):
+    parser = cli.build_parser()
+    argv = [command, *_required(command, tmp_path)]
+    source = {"stats": {"metrics"}, "reconstruct": {"input_dir", "calibration"}}
+    expected = {"command", "config", "out_dir",
+                *source.get(command, {"input_dir"}),
+                *(f.name for f in KNOBS)}
+    args = parser.parse_args(argv)
+    assert set(vars(args)) == expected
+    assert all(getattr(args, f.name) is None for f in KNOBS)
+    given = parser.parse_args(argv + [
+        arg for f in KNOBS
+        for arg in ("--" + f.name.replace("_", "-"), str(f.default))])
+    for f in KNOBS:
+        value = getattr(given, f.name)
+        assert type(value) is type(f.default) and value == f.default, f.name
+
+
+# field -> (command that reads it, the value given, an artifact it changes);
+# train runs with the config file's epochs and folds below. A new field needs
+# its own entry.
+OPTION_CASES = {
+    "seed": ("train", 7, "cv_report.csv"),
+    "confidence_threshold": ("preprocess", 0.9, "p000/joints_clean.csv"),
+    "decimation": ("preprocess", 1, "p000/joints_clean.csv"),
+    "filter_order": ("preprocess", 3, "p000/joints_clean.csv"),
+    "filter_cutoff_hz": ("metrics", 3.0, "metrics.csv"),
+    "window": ("train", 150, "cv_report.csv"),
+    "stride": ("train", 50, "cv_report.csv"),
+    "folds": ("train", 3, "cv_report.csv"),
+    "epochs": ("train", 2, "cv_report.csv"),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in KNOBS])
+def test_option_and_config_file_write_the_same_artifacts(
+        tmp_path, small_cohort_dir, field):
+    command, value, changed = OPTION_CASES[field]
+    base = {"epochs": 1, "folds": 2} if command == "train" else {}
+
+    def run(name, config, options=()):
+        # one output directory for all three runs, as the config hash
+        # covers out_dir
+        cfg, out = tmp_path / "config.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([command, "--in", str(small_cohort_dir), "--out",
+                         str(out), "--config", str(cfg), *options]) == 0
+        out.rename(tmp_path / name)
+        return {str(p.relative_to(tmp_path / name)): p.read_bytes()
+                for p in sorted((tmp_path / name).rglob("*")) if p.is_file()}
+
+    option = "--" + field.replace("_", "-")
+    by_option = run("option", base, [option, str(value)])
+    by_file = run("file", {**base, field: value})
+    default = run("default", base)
+    assert by_option == by_file
+    assert set(by_option) == set(default)
+
+    def data(text):      # past the comment line of config hash and seed
+        return text.split(b"\n", 1)[1]
+    assert data(by_option[changed]) != data(default[changed])
+
+
+def _overflow_cohort(tmp_path, small_cohort_dir):
+    # one finite left_wrist x cell so large that the filter overflows
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    path = cohort / "p000" / "joints.csv"
+    header, *rows = path.read_text().splitlines()
+    at = next(i for i, r in enumerate(rows) if ",left_wrist," in r)
+    cells = rows[at + 10].split(",")
+    cells[header.split(",").index("x")] = "1.7e308"
+    rows[at + 10] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return cohort
+
+
+@pytest.mark.parametrize("command", ["preprocess", "metrics", "pipeline"])
+def test_cli_filter_overflow_names_the_participant_and_joint(
+        tmp_path, small_cohort_dir, capsys, command):
+    cohort, out = _overflow_cohort(tmp_path, small_cohort_dir), tmp_path / "out"
+    assert cli.main([command, "--in", str(cohort), "--out", str(out),
+                     "--epochs", "1", "--folds", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'preprocess' failed: participant "
+                          "p000: joint 'left_wrist': filter output is not "
+                          "finite")
+    assert not out.exists()
+
+
+def test_cli_ingest_reports_a_frame_rate_mismatch(tmp_path, small_cohort_dir,
+                                                  capsys):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    manifest = cohort / "p004" / "manifest.json"
+    manifest.write_text(json.dumps(
+        {**json.loads(manifest.read_text()), "native_fps": 60.0}))
+    assert cli.main(["ingest", "--in", str(cohort)]) == 2
+    assert ("error: stage 'validate' failed: participant p004: camera "
+            "'webcam': joints at 30 Hz, manifest native_fps 60"
+            in capsys.readouterr().err)

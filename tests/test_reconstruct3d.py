@@ -385,7 +385,7 @@ def write_stereo_session(root, pid, cams, pts):
                                tuple(cam.camera_id for cam in cams))
     targets = TargetLog((TargetEvent(1, "left", (0.4, 0.5), 0.0),
                          TargetEvent(1, "right", (0.6, 0.5), 0.0)))
-    write_session(ParticipantSession(pid, 8, views, targets, 0, manifest),
+    write_session(ParticipantSession(views, targets, manifest),
                   str(root / pid))
 
 
