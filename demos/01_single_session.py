@@ -26,7 +26,7 @@ print(f"\nreaches extracted: {len(segments)} (shoulder-width units)")
 for seg in segments:
     from reachkin import kinematics
     d = kinematics.segment_directness(seg)
-    v = kinematics.segment_max_speed(seg)
+    v = kinematics.max_speed(seg.path, seg.dt)
     dist = np.linalg.norm(seg.path[-1] - seg.path[0])
     print(f"  {seg.hand:>5} hand, target {seg.target.target_id}: "
           f"{seg.n_frames} frames, reach {dist:.2f} units, "

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DivergedLoss, SequenceTooShort,
-                     TooFewParticipants)
+from .errors import (ConfigError, DivergedLoss, NumericalError,
+                     SequenceTooShort, TooFewParticipants)
 from .model_io import AGE_BINS, Cohort
 
 
@@ -52,6 +52,8 @@ def window_dataset(sequences, window: int = 200, stride: int = 100):
     values is (4, n_frames) wrist coordinates at the working frame rate.
     Windows never cross participants. Participants shorter than one window
     are skipped (with the skip recorded in the returned list of warnings).
+    A window that does not normalize to finite values raises a
+    NumericalError naming the participant and the window's first frame.
     """
     windows, skipped = [], []
     for pid, age, values in sequences:
@@ -61,9 +63,14 @@ def window_dataset(sequences, window: int = 200, stride: int = 100):
             skipped.append(pid)
             continue
         for start in range(0, n - window + 1, stride):
-            windows.append(MotionWindow(
-                values=normalize_window(values[:, start:start + window]),
-                label=float(age), participant_id=pid))
+            with np.errstate(all="ignore"):     # checked just below
+                norm = normalize_window(values[:, start:start + window])
+            if not np.isfinite(norm).all():
+                raise NumericalError(
+                    f"participant {pid}: the window from frame {start} of "
+                    f"{n} (working rate) does not normalize to finite values")
+            windows.append(MotionWindow(values=norm, label=float(age),
+                                        participant_id=pid))
     if not windows:
         raise SequenceTooShort("no participant has enough frames for a window")
     return windows, skipped
@@ -127,10 +134,6 @@ class AgeNet:
             i += p.size
         if i != flat.size:
             raise ValueError("parameter vector size mismatch")
-
-    @property
-    def n_params(self):
-        return sum(p.size for p in self.weights + self.biases)
 
     # -- forward / backward -------------------------------------------------
 

@@ -12,13 +12,8 @@ from dataclasses import fields, replace
 from . import pipeline
 from .errors import ConfigError, NumericalError
 # load_cohort is not called here, but perfbench's tracer test reads it
-from .model_io import AGE_BINS, load_cohort  # noqa: F401
+from .model_io import load_cohort  # noqa: F401
 from .pipeline import PipelineConfig, StageFailure
-
-
-def _parse_bins(text):
-    return tuple(tuple(int(age) for age in part.split("-"))
-                 for part in text.split(","))
 
 
 def _config_from_args(args):
@@ -53,7 +48,6 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--n-per-bin", type=int, default=20)
-    p.add_argument("--bins", type=_parse_bins, default=AGE_BINS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=50.0)
     p.add_argument("--out", required=True)
@@ -81,8 +75,14 @@ def build_parser():
 
 def cmd_synth(args):
     from . import synth     # loaded here: no other command needs it
+    if args.n_per_bin < 1:
+        raise ConfigError(f"--n-per-bin must be >= 1, got {args.n_per_bin}")
+    # a session has round(duration * FPS) frames, and needs one
+    if not 0.5 < args.duration * synth.FPS < float("inf"):
+        raise ConfigError(f"--duration must be finite and hold one frame "
+                          f"at {synth.FPS:g} fps, got {args.duration}")
     cohort, truth = synth.generate_cohort(
-        args.n_per_bin, args.bins, args.seed, args.duration)
+        args.n_per_bin, seed=args.seed, duration=args.duration)
     synth.write_cohort(cohort, truth, args.out)
     print(f"wrote {len(cohort.sessions)} sessions to {args.out}")
     return 0
@@ -103,25 +103,21 @@ def cmd_ingest(args):
     return 0
 
 
-def cmd_preprocess(args):
-    _run(args, "preprocess")
-    return 0
+def _stage_command(stage):
+    def command(args):
+        _run(args, stage)
+        return 0
+    return command
+
+
+cmd_preprocess, cmd_metrics, cmd_progress, cmd_report = map(
+    _stage_command, ("preprocess", "metrics", "progress", "report"))
 
 
 def cmd_reconstruct(args):
     from . import reconstruct3d
     _run(args, "reconstruct", {"calibration": lambda: (
         args.calibration, reconstruct3d.load_calibration(args.calibration))})
-    return 0
-
-
-def cmd_metrics(args):
-    _run(args, "metrics")
-    return 0
-
-
-def cmd_progress(args):
-    _run(args, "progress")
     return 0
 
 
@@ -140,29 +136,14 @@ def cmd_train(args):
     return 0
 
 
-def cmd_report(args):
-    _run(args, "report")
-    return 0
-
-
 def cmd_pipeline(args):
     out = pipeline.run_pipeline(_config_from_args(args))
     print(f"pipeline complete; artifacts in {out}")
     return 0
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "preprocess": cmd_preprocess,
-    "reconstruct": cmd_reconstruct,
-    "metrics": cmd_metrics,
-    "progress": cmd_progress,
-    "stats": cmd_stats,
-    "train": cmd_train,
-    "report": cmd_report,
-    "pipeline": cmd_pipeline,
-}
+COMMANDS = {name: globals()["cmd_" + name]
+            for name in ("synth", *STAGE_COMMANDS)}
 
 
 def main(argv=None):

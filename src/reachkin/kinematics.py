@@ -95,14 +95,13 @@ def velocity_profile(path, dt) -> np.ndarray:
     the endpoints fall back to one-sided differences.
     """
     path = np.asarray(path, dtype=float)
-    n = len(path)
-    if n < 2:
+    if len(path) < 2:
         raise ZeroPathLength("need at least 2 frames for a velocity profile")
-    speeds = np.empty(n)
-    speeds[0] = np.linalg.norm(path[1] - path[0]) / dt
-    speeds[-1] = np.linalg.norm(path[-1] - path[-2]) / dt
-    if n > 2:
-        speeds[1:-1] = np.linalg.norm(path[2:] - path[:-2], axis=1) / (2.0 * dt)
+    steps = np.gradient(path, axis=0)
+    speeds = np.linalg.norm(steps, axis=1) / dt
+    # one vector's norm is a dot product, which rounds the last bit unlike
+    # the batched norm for about a tenth of vectors: the ends keep it
+    speeds[[0, -1]] = [np.linalg.norm(s) / dt for s in steps[[0, -1]]]
     return speeds
 
 
@@ -114,10 +113,6 @@ def segment_directness(segment: ReachSegment) -> float:
     return directness(segment.path)
 
 
-def segment_max_speed(segment: ReachSegment) -> float:
-    return max_speed(segment.path, segment.dt)
-
-
 def participant_medians(segments, participant_id, age, group) -> MetricSummary:
     """Pool both hands' reaches and take the median of each measure.
 
@@ -127,7 +122,7 @@ def participant_medians(segments, participant_id, age, group) -> MetricSummary:
     if not segments:
         raise NoFramesInWindow("no segments")
     d = [segment_directness(s) for s in segments]
-    v = [segment_max_speed(s) for s in segments]
+    v = [max_speed(s.path, s.dt) for s in segments]
     return MetricSummary(
         participant_id=participant_id,
         age=age,

@@ -32,8 +32,7 @@ import io
 import json
 import math
 import os
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +81,8 @@ class JointStream(NamedTuple):
     conf: np.ndarray     # (N,) in [0, 1]
 
 
-class SampleRows(Sequence):
-    """Read-only rows by (joint, frame), built on iteration or indexing."""
+class SampleRows:
+    """Read-only rows by (joint, frame), built on iteration."""
 
     def __init__(self, streams):
         self._streams = streams
@@ -96,12 +95,6 @@ class SampleRows(Sequence):
             for f, t, p, c in zip(s.frames.tolist(), s.times.tolist(),
                                   s.pos.tolist(), s.conf.tolist()):
                 yield JointSample(f, t, joint, tuple(p), c)
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,14 +442,7 @@ def write_target_csv(participant_id, log: TargetLog, stream):
 
 
 def write_manifest(manifest: SessionManifest, stream):
-    json.dump({
-        "participant_id": manifest.participant_id,
-        "age_years": manifest.age_years,
-        "play_area_px": list(manifest.play_area_px),
-        "native_fps": manifest.native_fps,
-        "camera_ids": list(manifest.camera_ids),
-        "score": manifest.score,
-    }, stream, indent=2)
+    json.dump(asdict(manifest), stream, indent=2)
     stream.write("\n")
 
 

@@ -496,8 +496,8 @@ def validate_cohort(cohort: Cohort):
 
 
 def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
-    """(participant id, triangulated 3D sequence) of each two-camera session
-    (at least one); ``calibration`` is (path, camera id -> CameraModel)."""
+    """The triangulated 3D sequence of each two-camera session (at least
+    one); ``calibration`` is (path, camera id -> CameraModel)."""
     from . import reconstruct3d
     path, cams = calibration
     pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
@@ -509,16 +509,17 @@ def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
             if seq.camera_id not in cams:
                 raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
                                  f"is not in {path}")
-    return [(pid, per_participant(
+    return [per_participant(
         pid, reconstruct3d.triangulate_sequences, seq1, seq2,
         cams[seq1.camera_id], cams[seq2.camera_id],
-        config.confidence_threshold)) for pid, (seq1, seq2) in pairs]
+        config.confidence_threshold) for pid, (seq1, seq2) in pairs]
 
 
 def write_streams(streams, path):
-    """Write each (participant id, sequence) to <pid>/<name> beside path."""
+    """Write each sequence to <its participant id>/<name> beside path."""
     directory, name = os.path.split(path)
-    for pid, seq in streams:
+    for seq in streams:
+        pid = seq.participant_id
         os.makedirs(os.path.join(directory, pid), exist_ok=True)
         with open(os.path.join(directory, pid, name), "w") as fh:
             write_joint_csv(seq, fh)
@@ -548,8 +549,8 @@ STAGES = {
     "frames": (("ingest", "validate"),
                lambda r, c: cohort_frames(r["ingest"], c), (), None),
     "preprocess": (("ingest", "frames"),
-                   lambda r, c: [(s.participant_id, per_participant(
-                       s.participant_id, preprocess_session, seq, c))
+                   lambda r, c: [per_participant(
+                       s.participant_id, preprocess_session, seq, c)
                        for s, seq in zip(r["ingest"].sessions, r["frames"])],
                    ("joints_clean.csv",),
                    lambda r, c, path: write_streams(r["preprocess"], path)),
@@ -559,8 +560,7 @@ STAGES = {
                     ("joints_3d.csv",),
                     lambda r, c, path: write_streams(r["reconstruct"], path)),
     "metrics": (("ingest", "preprocess"),
-                lambda r, c: cohort_metrics(
-                    r["ingest"], [seq for _, seq in r["preprocess"]]),
+                lambda r, c: cohort_metrics(r["ingest"], r["preprocess"]),
                 ("metrics.csv",),
                 lambda r, c, path: write_metrics(r["metrics"][0], path, c)),
     "progress": (("ingest", "metrics"),

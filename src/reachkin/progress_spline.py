@@ -18,7 +18,6 @@ class ProgressCurve:
     tau: np.ndarray    # elapsed fraction of the reach, strictly increasing, 0..1
     rho: np.ndarray    # progress to goal, 0 at start, 1 at collection
     d_start: float     # initial distance to target
-    d_end: float       # final distance to target
     d_max: float       # largest distance to target seen during the reach
 
 
@@ -65,7 +64,7 @@ def progress_curve(segment: ReachSegment) -> ProgressCurve:
     rho = (d0 - d) / (d0 - dn)
     tau = np.linspace(0.0, 1.0, len(path))
     return ProgressCurve(tau=tau, rho=rho, d_start=float(d0),
-                         d_end=float(dn), d_max=float(d.max()))
+                         d_max=float(d.max()))
 
 
 def filter_backward_reaches(curves):

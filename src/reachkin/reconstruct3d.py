@@ -47,26 +47,18 @@ class Intrinsics:
                          [0.0, 0.0, 1.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraModel:
     camera_id: str
     intrinsics: Intrinsics
-    R: tuple   # 3x3 row-major, world -> camera
-    t: tuple   # length-3
+    rotation: np.ndarray      # (3, 3) world -> camera, read-only
+    translation: np.ndarray   # (3,), read-only
 
     def __post_init__(self):
         R = self.rotation
         if np.linalg.norm(R @ R.T - np.eye(3)) > 1e-9 or \
                 abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("rotation must be orthonormal with det +1")
-
-    @property
-    def rotation(self):
-        return np.asarray(self.R, dtype=float).reshape(3, 3)
-
-    @property
-    def translation(self):
-        return np.asarray(self.t, dtype=float)
 
     @property
     def P(self):
@@ -88,9 +80,10 @@ class CameraModel:
 
 
 def make_camera(camera_id, intr, R=None, t=None):
-    R = np.eye(3) if R is None else np.asarray(R, dtype=float)
-    t = np.zeros(3) if t is None else np.asarray(t, dtype=float)
-    return CameraModel(camera_id, intr, tuple(map(tuple, R)), tuple(t))
+    R = np.eye(3) if R is None else np.array(R, dtype=float).reshape(3, 3)
+    t = np.zeros(3) if t is None else np.array(t, dtype=float).reshape(3)
+    R.flags.writeable = t.flags.writeable = False
+    return CameraModel(camera_id, intr, R, t)
 
 
 # --- relative pose ---------------------------------------------------------

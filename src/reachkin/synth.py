@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -371,7 +371,7 @@ def sample_params(age: int, rng) -> StrategyParams:
     )
 
 
-def generate_cohort(n_per_bin: int, bins=AGE_BINS, seed: int = 0,
+def generate_cohort(n_per_bin: int, seed: int = 0,
                     duration: float = 50.0) -> tuple:
     """Generate a deterministic cohort; returns (Cohort, ground_truth rows).
 
@@ -381,7 +381,7 @@ def generate_cohort(n_per_bin: int, bins=AGE_BINS, seed: int = 0,
     sessions = []
     truth = []
     idx = 0
-    for lo, hi in bins:
+    for lo, hi in AGE_BINS:
         for _ in range(n_per_bin):
             child_ss = root_ss.spawn(1)[0]
             rng = np.random.default_rng(child_ss)
@@ -391,15 +391,8 @@ def generate_cohort(n_per_bin: int, bins=AGE_BINS, seed: int = 0,
             session = generate_session(params, age, child_ss.spawn(1)[0],
                                        participant_id=pid, duration=duration)
             sessions.append(session)
-            truth.append({
-                "participant_id": pid, "age": age, "score": session.score,
-                "peak_speed_scale": params.peak_speed_scale,
-                "detour_amplitude": params.detour_amplitude,
-                "submovement_count": params.submovement_count,
-                "reaction_delay": params.reaction_delay,
-                "anticipation": params.anticipation,
-                "noise_sigma": params.noise_sigma,
-            })
+            truth.append({"participant_id": pid, "age": age,
+                          "score": session.score, **asdict(params)})
             idx += 1
     return Cohort(tuple(sessions)), truth
 

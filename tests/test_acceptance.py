@@ -133,7 +133,7 @@ def test_bezier_control_point_recovery():
     s = np.linspace(0.0, 1.0, 200)
     pts = progress_spline.bezier_point(control, s)
     curve = progress_spline.ProgressCurve(tau=pts[:, 0], rho=pts[:, 1],
-                                          d_start=1.0, d_end=0.0, d_max=1.0)
+                                          d_start=1.0, d_max=1.0)
     fit = progress_spline.fit_cubic_bezier([curve], rounds=5)
     assert np.allclose(fit.p1, control[1], atol=1e-6)
     assert np.allclose(fit.p2, control[2], atol=1e-6)

@@ -75,7 +75,7 @@ def test_window_dataset_all_too_short():
 
 def test_forward_zero_parameters_predicts_zero():
     model = AgeNet(seed=0)
-    model.set_flat(np.zeros(model.n_params))
+    model.set_flat(np.zeros(model.get_flat().size))
     x = np.random.default_rng(3).normal(size=(4, 200))
     assert model.forward(x) == 0.0
 
@@ -211,7 +211,7 @@ def test_input_length_comes_from_the_input_shape():
 
 def test_grad_check_reports_kink():
     model = AgeNet(seed=0)
-    model.set_flat(np.zeros(model.n_params))
+    model.set_flat(np.zeros(model.get_flat().size))
     model.biases[0][0] = 1e-12   # first conv pre-activation sits on the kink
     err, checked = grad_check(model, np.zeros((4, 200)), n_params=20)
     assert checked == 0

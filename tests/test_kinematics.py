@@ -102,6 +102,35 @@ def test_velocity_profile_reversal_symmetry():
     assert np.allclose(v, velocity_profile(path[::-1], 0.1)[::-1])
 
 
+def _old_velocity_profile(path, dt):
+    """The hand-written differences velocity_profile replaced: one-sided at
+    the ends, |x[t+1] - x[t-1]| / (2 dt) inside."""
+    speeds = np.empty(len(path))
+    speeds[0] = np.linalg.norm(path[1] - path[0]) / dt
+    speeds[-1] = np.linalg.norm(path[-1] - path[-2]) / dt
+    if len(path) > 2:
+        speeds[1:-1] = np.linalg.norm(path[2:] - path[:-2], axis=1) / (2 * dt)
+    return speeds
+
+
+# pixel and shoulder-width coordinates: 0 or of magnitude 1e-100 to 1e100,
+# where no square in a norm under- or overflows, so halving stays exact
+_COORD = st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
+                   st.floats(-1e100, -1e-100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), dims=st.sampled_from([2, 3]),
+       data=st.data(), dt=st.floats(1e-3, 10.0))
+def test_velocity_profile_matches_the_difference_formula(n, dims, data, dt):
+    path = np.array(data.draw(st.lists(st.lists(_COORD, min_size=dims,
+                                                max_size=dims),
+                                       min_size=n, max_size=n)))
+    got = velocity_profile(path, dt)
+    assert got.view(np.int64).tolist() == \
+        _old_velocity_profile(path, dt).view(np.int64).tolist()
+
+
 def test_velocity_profile_too_short():
     with pytest.raises(ZeroPathLength):
         velocity_profile([(0.0, 0.0)], 0.1)

@@ -39,7 +39,7 @@ def test_parse_joint_csv_three_rows():
     assert seq.camera_id == "cam0"
     assert seq.joints == ("left_wrist",)
     assert seq.sample_rate == pytest.approx(30.0)
-    assert seq.samples[0].position == (10.0, 20.0)
+    assert list(seq.samples)[0].position == (10.0, 20.0)
 
 
 def test_parse_joint_csv_confidence_out_of_range():
@@ -109,7 +109,7 @@ def test_parse_joint_csv_3d_schema():
             "p1,1,0.1,left_wrist,1.5,2.5,3.5\n")
     seq = model_io.parse_joint_csv(text)
     assert seq.dims == 3
-    assert seq.samples[0].confidence == 1.0
+    assert list(seq.samples)[0].confidence == 1.0
 
 
 def test_parse_target_csv_pair():
@@ -169,7 +169,7 @@ def test_preprocessed_stream_parses_back(sample_session):
     buf = io.StringIO()
     model_io.write_joint_csv(seq, buf)
     back = model_io.parse_joint_csv(buf.getvalue())
-    assert back.samples == seq.samples
+    assert list(back.samples) == list(seq.samples)
 
 
 def test_target_roundtrip_identity(sample_session):
@@ -224,7 +224,8 @@ def test_session_directory_roundtrip(tmp_path, sample_session):
     assert back.age == sample_session.age
     assert back.score == sample_session.score
     assert back.targets.events == sample_session.targets.events
-    assert back.skeletons[0].samples == sample_session.skeletons[0].samples
+    assert list(back.skeletons[0].samples) == \
+        list(sample_session.skeletons[0].samples)
 
 
 def test_load_cohort(small_cohort_dir):
@@ -321,8 +322,8 @@ def test_full_precision_float_rendering():
     buf = io.StringIO()
     model_io.write_joint_csv(seq, buf)
     back = model_io.parse_joint_csv(buf.getvalue())
-    assert back.samples[0].position[0] == v
-    assert back.samples[1].time == v
+    assert list(back.samples)[0].position[0] == v
+    assert list(back.samples)[1].time == v
 
 
 @pytest.mark.parametrize("parse, line, expected", [
@@ -526,4 +527,5 @@ def test_write_joint_csv_quotes_names_as_csv_writer_does(is_3d):
     buf = io.StringIO()
     model_io.write_joint_csv(seq, buf)
     assert buf.getvalue() == expected.getvalue()
-    assert model_io.parse_joint_csv(buf.getvalue()).samples == seq.samples
+    back = model_io.parse_joint_csv(buf.getvalue())
+    assert list(back.samples) == list(seq.samples)

@@ -565,6 +565,24 @@ def test_cli_synth_writes_cohort(tmp_path, capsys):
     assert (out / "ground_truth.csv").is_file()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--n-per-bin", "0"), ("--duration", "0"), ("--duration", "-3"),
+    ("--duration", "0.01"), ("--duration", "inf")])
+def test_cli_synth_rejects_empty_sizes(tmp_path, capsys, option, value):
+    out = tmp_path / "cohort"
+    argv = {"--n-per-bin": "1", "--duration": "10", option: value}
+    assert cli.main(["synth", "--out", str(out),
+                     *(a for kv in argv.items() for a in kv)]) == 4
+    assert capsys.readouterr().err.startswith(f"config error: {option} ")
+    assert not out.exists()
+
+
+def test_cli_synth_has_no_bins_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--out", str(tmp_path), "--bins", "6-8,9-17"])
+    assert exc.value.code == 2
+
+
 def test_cli_progress_writes_spline(tmp_path, small_cohort_dir):
     out = tmp_path / "out"
     assert cli.main(["progress", "--in", str(small_cohort_dir),
@@ -789,12 +807,21 @@ def test_benchmark_tracer_finds_every_function(monkeypatch):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     import tracing
+    original = dict(cli.COMMANDS)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         assert tracer.missing == set()
+        # main dispatches through COMMANDS: each entry must be the wrapper
+        # the tracer put in place of its cmd_<name>, or its span is lost
+        wrapped = {"synth", *tracing.CLI_COMMANDS}
+        for name, command in cli.COMMANDS.items():
+            assert command is getattr(cli, "cmd_" + name)
+            assert (command.__wrapped__ if name in wrapped else command) \
+                is original[name], name
     finally:
         tracer.uninstall()
+    assert cli.COMMANDS == original
 
 
 # --- every config field is an option of every stage command ------------------
@@ -898,6 +925,19 @@ def test_cli_filter_overflow_names_the_participant_and_joint(
     assert err.startswith("error: stage 'preprocess' failed: participant "
                           "p000: joint 'left_wrist': filter output is not "
                           "finite")
+    assert not out.exists()
+
+
+def test_cli_train_overflow_names_the_participant(tmp_path, small_cohort_dir,
+                                                   capsys):
+    # train reads the gated, decimated frames, which no filter has checked
+    cohort, out = _overflow_cohort(tmp_path, small_cohort_dir), tmp_path / "out"
+    assert cli.main(["train", "--in", str(cohort), "--out", str(out),
+                     "--epochs", "1", "--folds", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'train' failed: participant p000: "
+                          "the window from frame 0 of ")
+    assert err.rstrip().endswith("does not normalize to finite values")
     assert not out.exists()
 
 

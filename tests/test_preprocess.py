@@ -33,7 +33,7 @@ def make_seq(positions, confidences=None, joint="left_wrist", rate=30.0):
 def test_confidence_gate_all_good_is_identity():
     seq = make_seq([(0, 0), (1, 1), (2, 2)])
     out, mask = reject_low_confidence(seq, 0.75)
-    assert out.samples == seq.samples
+    assert list(out.samples) == list(seq.samples)
     assert not mask.any()
 
 
@@ -41,8 +41,8 @@ def test_confidence_gate_interpolates_midpoint():
     seq = make_seq([(0.0, 0.0), (10.0, 4.0), (2.0, 2.0)],
                    confidences=[0.9, 0.2, 0.9])
     out, mask = reject_low_confidence(seq, 0.75)
-    assert out.samples[1].position == (1.0, 1.0)
-    assert out.samples[1].confidence == 1.0
+    assert list(out.samples)[1].position == (1.0, 1.0)
+    assert list(out.samples)[1].confidence == 1.0
     assert mask.any()
     assert list(mask.flags["left_wrist"]) == [False, True, False]
 
@@ -51,7 +51,7 @@ def test_confidence_gate_holds_edge_gaps():
     seq = make_seq([(9.0, 9.0), (1.0, 1.0), (2.0, 2.0)],
                    confidences=[0.1, 0.9, 0.9])
     out, _ = reject_low_confidence(seq, 0.75)
-    assert out.samples[0].position == (1.0, 1.0)
+    assert list(out.samples)[0].position == (1.0, 1.0)
 
 
 def test_confidence_gate_all_rejected():
@@ -65,7 +65,7 @@ def test_confidence_gate_idempotent():
                    confidences=[0.9, 0.2, 0.9, 0.5])
     once, _ = reject_low_confidence(seq, 0.75)
     twice, mask = reject_low_confidence(once, 0.75)
-    assert twice.samples == once.samples
+    assert list(twice.samples) == list(once.samples)
     assert not mask.any()
 
 
@@ -76,7 +76,7 @@ def test_downsample_halves_frame_count_and_rate():
     out = downsample(seq, 2)
     assert len(out.samples) == 750
     assert out.sample_rate == 15.0
-    assert [s.frame_index for s in out.samples[:3]] == [0, 2, 4]
+    assert [s.frame_index for s in list(out.samples)[:3]] == [0, 2, 4]
 
 
 def test_downsample_factor_one_is_identity():

@@ -21,7 +21,6 @@ def test_progress_curve_straight_constant_speed():
     assert np.allclose(curve.rho, curve.tau, atol=1e-12)
     assert curve.rho[0] == 0.0 and curve.rho[-1] == 1.0
     assert curve.d_start == pytest.approx(2.0)
-    assert curve.d_end == pytest.approx(0.0)
 
 
 def test_progress_curve_stationary_start():
@@ -56,7 +55,7 @@ def test_progress_curve_requires_target():
 def _curve_with_dmax(d_max):
     return ps.ProgressCurve(tau=np.linspace(0, 1, 5),
                             rho=np.linspace(0, 1, 5),
-                            d_start=1.0, d_end=0.0, d_max=d_max)
+                            d_start=1.0, d_max=d_max)
 
 
 def test_filter_backward_reaches_threshold():
@@ -71,7 +70,7 @@ def _sampled_curve(control, n=150):
     pts = ps.bezier_point(np.asarray(control, dtype=float),
                           np.linspace(0.0, 1.0, n))
     return ps.ProgressCurve(tau=pts[:, 0], rho=pts[:, 1],
-                            d_start=1.0, d_end=0.0, d_max=1.0)
+                            d_start=1.0, d_max=1.0)
 
 
 def test_fit_recovers_control_points():
@@ -86,8 +85,7 @@ def test_fit_recovers_control_points():
 def test_fit_diagonal_curve():
     # straight diagonal data: fitted curve stays on the diagonal
     tau = np.linspace(0.0, 1.0, 60)
-    curve = ps.ProgressCurve(tau=tau, rho=tau.copy(), d_start=1.0,
-                             d_end=0.0, d_max=1.0)
+    curve = ps.ProgressCurve(tau=tau, rho=tau.copy(), d_start=1.0, d_max=1.0)
     fit = ps.fit_cubic_bezier([curve])
     on_curve = ps.sample_fit(fit, 50)
     assert np.allclose(on_curve[:, 0], on_curve[:, 1], atol=1e-9)
@@ -100,8 +98,7 @@ def test_fit_residual_trace_non_increasing():
     rho = np.clip(synth.minimum_jerk(tau) + rng.normal(0, 0.03, tau.shape),
                   0, 1)
     rho[0], rho[-1] = 0.0, 1.0
-    curve = ps.ProgressCurve(tau=tau, rho=rho, d_start=1.0, d_end=0.0,
-                             d_max=1.0)
+    curve = ps.ProgressCurve(tau=tau, rho=rho, d_start=1.0, d_max=1.0)
     fit = ps.fit_cubic_bezier([curve], rounds=6)
     trace = np.array(fit.residual_trace)
     assert len(trace) == 7
@@ -121,12 +118,12 @@ def test_fit_pools_multiple_curves():
 
 def test_fit_rank_deficient_inputs():
     same = ps.ProgressCurve(tau=np.full(10, 0.5), rho=np.full(10, 0.5),
-                            d_start=1.0, d_end=0.0, d_max=1.0)
+                            d_start=1.0, d_max=1.0)
     with pytest.raises(RankDeficient):
         ps.fit_cubic_bezier([same])
     short = ps.ProgressCurve(tau=np.array([0.0, 1.0]),
                              rho=np.array([0.0, 1.0]),
-                             d_start=1.0, d_end=0.0, d_max=1.0)
+                             d_start=1.0, d_max=1.0)
     with pytest.raises(RankDeficient):
         ps.fit_cubic_bezier([short])
 

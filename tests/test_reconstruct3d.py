@@ -322,7 +322,7 @@ def test_triangulated_stream_parses_back():
     write_joint_csv(out, buf)
     back = parse_joint_csv(buf.getvalue())
     assert back.dims == 3
-    assert back.samples == out.samples
+    assert list(back.samples) == list(out.samples)
 
 
 # --- calibration files -------------------------------------------------------

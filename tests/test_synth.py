@@ -96,7 +96,8 @@ def test_generate_session_deterministic(sample_session):
     again = generate_session(params, 12, seed=11, participant_id="p011",
                              duration=20.0)
     assert again.targets.events == sample_session.targets.events
-    assert again.skeletons[0].samples == sample_session.skeletons[0].samples
+    assert list(again.skeletons[0].samples) == \
+        list(sample_session.skeletons[0].samples)
 
 
 def test_generate_session_hit_rule(sample_session):
@@ -149,7 +150,7 @@ def test_generate_cohort_deterministic():
     assert ta == tb
     for sa, sb in zip(a.sessions, b.sessions):
         assert sa.targets.events == sb.targets.events
-        assert sa.skeletons[0].samples == sb.skeletons[0].samples
+        assert list(sa.skeletons[0].samples) == list(sb.skeletons[0].samples)
 
 
 def test_cohort_scores_rise_with_age(default_cohort):
@@ -172,7 +173,7 @@ def test_write_cohort_round_trip(small_cohort_dir):
         assert disk.age == mem.age
         assert disk.score == mem.score
         assert disk.targets.events == mem.targets.events
-        assert disk.skeletons[0].samples == mem.skeletons[0].samples
+        assert list(disk.skeletons[0].samples) == list(mem.skeletons[0].samples)
     assert (small_cohort_dir / "ground_truth.csv").is_file()
 
 
