@@ -177,6 +177,8 @@ class AgeNet:
         """Gradients of a scalar loss; dout is d(loss)/d(prediction), (B,).
 
         Returns (dweights, dbiases) lists parallel to the parameter lists.
+        Each layer's ``cache`` entry is set to None once its gradients are
+        computed, so its arrays are freed for the rest of the pass.
         """
         n_conv, last = len(CONV_CHANNELS), len(self.weights) - 1
         dW = [None] * len(self.weights)
@@ -189,6 +191,7 @@ class AgeNet:
             dW[li] = grad.T @ a
             db[li] = grad.sum(axis=0)
             grad = grad @ self.weights[li]
+            cache[li] = None
         B, T, C = cache[n_conv - 1][3].shape
         grad = grad.reshape(B, C, T).transpose(0, 2, 1)
 
@@ -214,6 +217,7 @@ class AgeNet:
             # rounding of the channels-first bias gradient
             db[li] = np.ascontiguousarray(
                 grad.transpose(0, 2, 1)).sum(axis=(0, 2))
+            cache[li] = None
             if li == 0:
                 break   # nothing reads the gradient of the input
             # per-tap input gradients, (C, K, B, To), summed in tap order

@@ -77,6 +77,8 @@ def cmd_synth(args):
     from . import synth     # loaded here: no other command needs it
     if args.n_per_bin < 1:
         raise ConfigError(f"--n-per-bin must be >= 1, got {args.n_per_bin}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     # a session has round(duration * FPS) frames, and needs one
     if not 0.5 < args.duration * synth.FPS < float("inf"):
         raise ConfigError(f"--duration must be finite and hold one frame "

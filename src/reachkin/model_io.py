@@ -336,7 +336,8 @@ def parse_joint_csv(stream) -> SkeletonSequence:
         raise ConfidenceOutOfRange(
             f"confidence {float(conf[i])} outside [0,1]", row=rownums[i])
 
-    joint_names = sorted(set(texts["joint"]))
+    # copies, here and below: a kept cell string pins its allocator arena
+    joint_names = [_copy(joint) for joint in sorted(set(texts["joint"]))]
     code = {joint: k for k, joint in enumerate(joint_names)}
     codes = np.fromiter(map(code.__getitem__, texts["joint"]), np.intp,
                         len(num))
@@ -366,8 +367,14 @@ def parse_joint_csv(stream) -> SkeletonSequence:
             n = next(n for n, v in enumerate(values) if v != values[0])
             raise ParseError(f"column {name!r}: {values[n]!r} differs from "
                              f"the first row's {values[0]!r}", row=rownums[n])
-    return SkeletonSequence(texts["participant_id"][0],   # 3D: no camera
-                            texts.get("camera_id", [""])[0], rate, streams)
+    return SkeletonSequence(_copy(texts["participant_id"][0]),   # 3D: no camera
+                            _copy(texts.get("camera_id", [""])[0]), rate,
+                            streams)
+
+
+def _copy(text):
+    """A new string equal to ``text``, sharing no memory block with it."""
+    return text.encode(errors="surrogatepass").decode(errors="surrogatepass")
 
 
 def parse_target_csv(stream) -> TargetLog:

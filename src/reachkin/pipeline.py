@@ -13,13 +13,14 @@ configuration hash and seed.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass, replace
+import sys
+import zlib
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +48,9 @@ def group_label(age):
     raise InputError(f"age {age} outside analysis groups {ANALYSIS_GROUPS}")
 
 
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     input_dir: str = "."
@@ -64,8 +68,23 @@ class PipelineConfig:
     epochs: int = 15
 
     def __post_init__(self):
-        if self.decimation < 1 or self.folds < 1 or self.epochs < 0:
-            raise ConfigError("decimation/folds/epochs out of range")
+        # each field takes the type of its default (a bool is no int), a
+        # float field a finite int or float: abs(NaN) <= max is false
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind) or (
+                    kind is float and not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{f.name} must be {_KINDS[kind]}, got "
+                                  f"{value!r}")
+        for name, low in (("seed", 0), ("decimation", 1), ("folds", 1),
+                          ("epochs", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got "
+                                  f"{getattr(self, name)}")
+        if not 0.0 <= self.confidence_threshold <= 1.0:
+            raise ConfigError(f"confidence_threshold must be in [0, 1], got "
+                              f"{self.confidence_threshold}")
         if self.window < 1 or self.stride < 1:
             raise ConfigError(f"window and stride must be >= 1, got "
                               f"{self.window} and {self.stride}")
@@ -84,14 +103,18 @@ class PipelineConfig:
     def from_file(cls, path):
         try:
             with open(path) as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+                d = json.load(fh)
+        except (OSError, ValueError) as exc:     # ValueError: JSON or UTF-8
             raise ConfigError(f"cannot read config {path}: {exc}")
+        if not isinstance(d, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        return cls.from_dict(d)
 
     @property
     def config_hash(self):
+        # CRC-32, not hashlib: that would map OpenSSL into every command
         canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        return f"{zlib.crc32(canon.encode()):08x}"
 
 
 def write_artifact(path, header, rows, config: PipelineConfig):

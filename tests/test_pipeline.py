@@ -100,9 +100,10 @@ def test_config_from_file(tmp_path):
     path.write_text(json.dumps({"seed": 4, "epochs": 2}))
     config = PipelineConfig.from_file(path)
     assert config.seed == 4 and config.epochs == 2
-    path.write_text("{bad")
-    with pytest.raises(ConfigError):
-        PipelineConfig.from_file(path)
+    for text in (b"{bad", b"[]", b"5", b'{"seed": "\xff"}'):
+        path.write_bytes(text)
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_file(path)
 
 
 def test_group_label():
@@ -520,6 +521,29 @@ def test_stage_commands_load_no_scipy(tmp_path, small_cohort_dir):
         assert hashlib.sha256(body).hexdigest() == want, name
 
 
+def test_stage_commands_load_no_openssl(tmp_path, small_cohort_dir):
+    # the commands that draw no random numbers must not map OpenSSL's
+    # libcrypto; train, pipeline and synth are out of scope, because
+    # numpy.random imports _hashlib through secrets and hmac
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cohort, out = str(small_cohort_dir), str(tmp_path)
+    runs = [["ingest", "--in", cohort],
+            *([command, "--in", cohort, "--out", out]
+              for command in ("preprocess", "metrics", "progress")),
+            ["stats", "--metrics", os.path.join(out, "metrics.csv"),
+             "--out", out],
+            ["report", "--in", cohort, "--out", out]]
+    probe = ("import sys\nfrom reachkin import cli\n"
+             f"for argv in {runs!r}:\n"
+             "    print('probe', argv[0], cli.main(argv),"
+             " '_hashlib' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert [ln for ln in done.stdout.splitlines() if ln.startswith("probe")] == [
+        f"probe {argv[0]} 0 False" for argv in runs]
+
+
 @pytest.mark.parametrize("command", ["metrics", "train", "pipeline"])
 def test_cli_gating_error_names_the_participant(tmp_path, small_cohort_dir,
                                                 capsys, command):
@@ -567,7 +591,7 @@ def test_cli_synth_writes_cohort(tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--n-per-bin", "0"), ("--duration", "0"), ("--duration", "-3"),
-    ("--duration", "0.01"), ("--duration", "inf")])
+    ("--duration", "0.01"), ("--duration", "inf"), ("--seed", "-1")])
 def test_cli_synth_rejects_empty_sizes(tmp_path, capsys, option, value):
     out = tmp_path / "cohort"
     argv = {"--n-per-bin": "1", "--duration": "10", option: value}
@@ -683,6 +707,36 @@ def test_cli_train_rejects_bad_settings(tmp_path, small_cohort_dir, capsys,
                      "--config", str(cfg), *argv]) == 4
     assert message in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("command, argv, config, field", [
+    ("pipeline", [], {"seed": 1.5}, "seed"),
+    ("pipeline", [], {"folds": "5"}, "folds"),
+    ("pipeline", [], {"epochs": 2.5}, "epochs"),
+    ("pipeline", [], {"window": 200.0}, "window"),
+    ("pipeline", [], {"confidence_threshold": "0.5"}, "confidence_threshold"),
+    ("pipeline", [], {"filter_cutoff_hz": float("inf")}, "filter_cutoff_hz"),
+    ("pipeline", [], {"decimation": True}, "decimation"),
+    ("pipeline", [], {"out_dir": 5}, "out_dir"),
+    ("pipeline", ["--seed", "-1"], {}, "seed"),
+    ("train", ["--seed", "-1"], {}, "seed"),
+    ("pipeline", ["--confidence-threshold", "nan"], {}, "confidence_threshold"),
+    ("pipeline", ["--confidence-threshold", "1.5"], {},
+     "confidence_threshold"),
+    ("pipeline", ["--epochs", "0"], {}, "epochs"),
+], ids=["seed-float", "folds-str", "epochs-float", "window-float",
+        "threshold-str", "cutoff-inf", "decimation-bool", "out-int",
+        "seed-negative", "train-seed-negative", "threshold-nan",
+        "threshold-above-1", "epochs-0"])
+def test_cli_config_values_checked_when_built(tmp_path, small_cohort_dir,
+                                              capsys, command, argv, config,
+                                              field):
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([command, "--in", str(small_cohort_dir), "--out", str(out),
+                     "--config", str(cfg), *argv]) == 4
+    assert capsys.readouterr().err.startswith(f"config error: {field} ")
+    assert not out.exists()
 
 
 def test_cli_window_sets_the_model_input_length(tmp_path, small_cohort_dir):
