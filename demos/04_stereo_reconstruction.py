@@ -1,9 +1,10 @@
-"""Two-view 3D recovery from scratch: pose from correspondences, then
-triangulation, with and without pixel noise.
+"""Two-view triangulation with a known camera rig, with and without pixel
+noise.
 
-The demo triangulates one point at a time with ``triangulate``;
-``triangulate_sequences`` runs the same solver batched over every frame of a
-joint, as ``reachkin reconstruct`` does.
+Both poses are given, as ``reachkin reconstruct`` reads them from its
+``--calibration`` file. The demo triangulates one point at a time with
+``triangulate``; ``triangulate_sequences`` runs the same solver batched over
+every frame of a joint, as ``reconstruct`` does.
 """
 
 import numpy as np
@@ -25,11 +26,6 @@ rng = np.random.default_rng(0)
 points = np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50),
                           rng.uniform(3, 6, 50)])
 px1, px2 = cam1.project(points), cam2.project(points)
-
-got1, got2 = r3d.solve_relative_pose(px1, px2, intr, intr)
-rot_err = np.linalg.norm(got2.rotation - cam2.rotation)
-print(f"pose recovery: rotation error {rot_err:.2e} "
-      "(translation known up to scale)")
 
 errs = []
 for X, a, b in zip(points, px1, px2):

@@ -76,10 +76,6 @@ class TooFewInliers(InputError):
 
 # --- 3D reconstruction -----------------------------------------------------
 
-class InsufficientCorrespondences(InputError):
-    pass
-
-
 class DegenerateConfiguration(NumericalError):
     pass
 

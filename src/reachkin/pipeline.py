@@ -77,11 +77,15 @@ class PipelineConfig:
                     kind is float and not abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{f.name} must be {_KINDS[kind]}, got "
                                   f"{value!r}")
-        for name, low in (("seed", 0), ("decimation", 1), ("folds", 1),
-                          ("epochs", 1)):
+        for name, low in (("seed", 0), ("decimation", 1), ("filter_order", 1),
+                          ("folds", 1), ("epochs", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got "
                                   f"{getattr(self, name)}")
+        # the Nyquist bound needs the data's rate: FilterSpec checks it
+        if not self.filter_cutoff_hz > 0:
+            raise ConfigError(f"filter_cutoff_hz must be > 0, got "
+                              f"{self.filter_cutoff_hz}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ConfigError(f"confidence_threshold must be in [0, 1], got "
                               f"{self.confidence_threshold}")

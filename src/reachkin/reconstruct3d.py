@@ -1,12 +1,11 @@
-"""Two-view 3D recovery: relative pose from correspondences, per-frame
-triangulation by reprojection-error minimization, and shoulder-width
-normalization.
+"""Two-view 3D recovery: per-frame triangulation by reprojection-error
+minimization, and shoulder-width normalization.
 
 Triangulation is batched: one vectorized Gauss-Newton refines every frame of
 a joint at once; per-point masks keep each result what it would be alone.
 
-Camera 1 is fixed at the identity pose; camera 2 is recovered up to scale.
-The global scale is fixed downstream by shoulder normalization.
+Both camera poses come from the calibration file. The global scale is fixed
+downstream by shoulder normalization.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import (
     DegenerateConfiguration,
     InputError,
-    InsufficientCorrespondences,
     NoConvergence,
     ParseError,
     RayParallel,
@@ -84,81 +82,6 @@ def make_camera(camera_id, intr, R=None, t=None):
     t = np.zeros(3) if t is None else np.array(t, dtype=float).reshape(3)
     R.flags.writeable = t.flags.writeable = False
     return CameraModel(camera_id, intr, R, t)
-
-
-# --- relative pose ---------------------------------------------------------
-
-def _normalized(K, px):
-    """Pixel -> normalized image coordinates."""
-    Kinv = np.linalg.inv(K)
-    h = np.column_stack([px, np.ones(len(px))])
-    n = h @ Kinv.T
-    return n[:, :2]
-
-
-def solve_relative_pose(pts1, pts2, intr1: Intrinsics, intr2: Intrinsics):
-    """Recover the second camera's pose from pixel correspondences.
-
-    Normalized 8-point essential-matrix estimation followed by cheirality
-    disambiguation. Translation is unit-norm (scale-free).
-    """
-    pts1 = np.asarray(pts1, dtype=float)
-    pts2 = np.asarray(pts2, dtype=float)
-    if len(pts1) < 8 or len(pts2) < 8:
-        raise InsufficientCorrespondences(
-            f"need >= 8 correspondences, got {min(len(pts1), len(pts2))}")
-    if len(pts1) != len(pts2):
-        raise InsufficientCorrespondences("correspondence lists differ in length")
-
-    x1 = _normalized(intr1.K, pts1)
-    x2 = _normalized(intr2.K, pts2)
-
-    # Hartley conditioning in normalized coordinates.
-    def condition(x):
-        c = x.mean(axis=0)
-        s = np.sqrt(2.0) / max(np.mean(np.linalg.norm(x - c, axis=1)), 1e-12)
-        T = np.array([[s, 0, -s * c[0]], [0, s, -s * c[1]], [0, 0, 1.0]])
-        xh = np.column_stack([x, np.ones(len(x))]) @ T.T
-        return xh, T
-
-    h1, T1 = condition(x1)
-    h2, T2 = condition(x2)
-
-    A = np.column_stack([
-        h2[:, 0] * h1[:, 0], h2[:, 0] * h1[:, 1], h2[:, 0] * h1[:, 2],
-        h2[:, 1] * h1[:, 0], h2[:, 1] * h1[:, 1], h2[:, 1] * h1[:, 2],
-        h2[:, 2] * h1[:, 0], h2[:, 2] * h1[:, 1], h2[:, 2] * h1[:, 2]])
-    _, sv, Vt = np.linalg.svd(A)
-    # For 8 exact correspondences a 1-D null space is required; points on a
-    # line or plane through both centers inflate it.
-    if sv[-2] < 1e-8 * max(sv[0], 1e-12):
-        raise DegenerateConfiguration("correspondences are degenerate "
-                                      "(collinear or otherwise rank deficient)")
-    E = Vt[-1].reshape(3, 3)
-    E = T2.T @ E @ T1
-
-    U, s, Vt = np.linalg.svd(E)
-    E = U @ np.diag([1.0, 1.0, 0.0]) @ Vt
-    U, _, Vt = np.linalg.svd(E)
-    if np.linalg.det(U) < 0:
-        U = -U
-    if np.linalg.det(Vt) < 0:
-        Vt = -Vt
-    W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-    cam1 = make_camera("cam1", intr1)
-    best = None
-    for R in (U @ W @ Vt, U @ W.T @ Vt):
-        for tsign in (U[:, 2], -U[:, 2]):
-            cam2 = make_camera("cam2", intr2, R, tsign)
-            X, status = _linear_batch(pts1, pts2, cam1, cam2)
-            front = np.count_nonzero((status == 0) & (_depth(X, cam1) > 0)
-                                     & (_depth(X, cam2) > 0))
-            if best is None or front > best[0]:
-                best = (front, cam2)
-    if best is None or best[0] == 0:
-        raise DegenerateConfiguration("no pose places points in front of both cameras")
-    return cam1, best[1]
 
 
 # --- triangulation ---------------------------------------------------------
@@ -314,11 +237,11 @@ def load_calibration(path):
     """Read a per-camera calibration csv.
 
     Columns: ``camera_id,fx,fy,cx,cy`` with an optional extrinsics block
-    ``r11..r33,t1,t2,t3`` (row-major rotation). Cameras without extrinsics
-    get the identity pose (use solve_relative_pose to recover the second
-    camera). A missing, non-numeric or non-finite number, a non-positive
-    focal length or a non-rotation raises a ParseError naming the file and
-    the row.
+    ``r11..r33,t1,t2,t3`` (row-major rotation), all of whose columns the
+    header holds or none. A camera whose extrinsics are absent or all blank
+    gets the identity pose. A missing (a partly blank extrinsics block
+    included), non-numeric or non-finite number, a non-positive focal length
+    or a non-rotation raises a ParseError naming the file and the row.
     """
     return _parse_file(*os.path.split(path), _parse_calibration)
 
@@ -327,10 +250,10 @@ def _parse_calibration(fh):
     col, columns, rownums = _read_table(
         fh, "calibration",
         lambda header: ["camera_id", "fx", "fy", "cx", "cy"]
-        + (_EXTRINSICS if set(_EXTRINSICS) <= set(header) else []))
+        + (_EXTRINSICS if set(_EXTRINSICS) & set(header) else []))
     cams = {}
     for rownum, *row in zip(rownums, *columns):
-        has_pose = "r11" in col and row[col["r11"]] != ""
+        has_pose = any(row[col[n]] != "" for n in _EXTRINSICS if n in col)
         names = ["fx", "fy", "cx", "cy"] + (_EXTRINSICS if has_pose else [])
         # the row as a one-row table: its cells are read in file order
         v = _numbers([[cell] for cell in row], [rownum], col, names)[0].tolist()

@@ -724,10 +724,12 @@ def test_cli_train_rejects_bad_settings(tmp_path, small_cohort_dir, capsys,
     ("pipeline", ["--confidence-threshold", "1.5"], {},
      "confidence_threshold"),
     ("pipeline", ["--epochs", "0"], {}, "epochs"),
+    ("ingest", ["--filter-order", "0"], {}, "filter_order"),
+    ("pipeline", [], {"filter_cutoff_hz": -6.0}, "filter_cutoff_hz"),
 ], ids=["seed-float", "folds-str", "epochs-float", "window-float",
         "threshold-str", "cutoff-inf", "decimation-bool", "out-int",
         "seed-negative", "train-seed-negative", "threshold-nan",
-        "threshold-above-1", "epochs-0"])
+        "threshold-above-1", "epochs-0", "filter-order-0", "cutoff-negative"])
 def test_cli_config_values_checked_when_built(tmp_path, small_cohort_dir,
                                               capsys, command, argv, config,
                                               field):

@@ -8,7 +8,6 @@ from reachkin import cli
 from reachkin import reconstruct3d as r3d
 from reachkin.errors import (
     DegenerateConfiguration,
-    InsufficientCorrespondences,
     ParseError,
     RayParallel,
     ShouldersUntracked,
@@ -86,54 +85,6 @@ def test_look_at_cameras_center_the_origin():
         R, t = look_at(pos)
         cam = r3d.make_camera("c", INTR, R, t)
         assert np.allclose(cam.project([0.0, 0.0, 0.0]), (320.0, 240.0))
-
-
-# --- relative pose -----------------------------------------------------------
-
-def test_pose_recovery_from_exact_correspondences():
-    cam1, cam2 = stereo_rig()
-    pts = scene_points(40, seed=1)
-    px1 = cam1.project(pts)
-    px2 = cam2.project(pts)
-    got1, got2 = r3d.solve_relative_pose(px1, px2, INTR, INTR)
-
-    assert np.allclose(got1.rotation, np.eye(3))
-    assert np.linalg.norm(got2.rotation - cam2.rotation) < 1e-6
-    # translation is recovered up to scale only
-    t_true = cam2.translation / np.linalg.norm(cam2.translation)
-    assert np.linalg.norm(got2.translation - t_true) < 1e-6
-
-
-def test_pose_needs_eight_correspondences():
-    pts = scene_points(7)
-    cam1, cam2 = stereo_rig()
-    px1, px2 = cam1.project(pts), cam2.project(pts)
-    with pytest.raises(InsufficientCorrespondences):
-        r3d.solve_relative_pose(px1, px2, INTR, INTR)
-    with pytest.raises(InsufficientCorrespondences):
-        r3d.solve_relative_pose(cam1.project(scene_points(9)), px2, INTR, INTR)
-
-
-def test_pose_collinear_points_degenerate():
-    cam1, cam2 = stereo_rig()
-    u = np.linspace(0, 1, 12)
-    pts = np.column_stack([u, 0.5 * u, 4.0 + u])   # all on one line
-    with pytest.raises(DegenerateConfiguration):
-        r3d.solve_relative_pose(cam1.project(pts), cam2.project(pts),
-                                INTR, INTR)
-
-
-def test_recovered_pose_triangulates_consistently():
-    cam1, cam2 = stereo_rig()
-    pts = scene_points(20, seed=3)
-    px1, px2 = cam1.project(pts), cam2.project(pts)
-    got1, got2 = r3d.solve_relative_pose(px1, px2, INTR, INTR)
-    # reconstruction differs from the truth by the unknown scale only
-    X0, _ = r3d.triangulate(px1[0], px2[0], got1, got2)
-    scale = np.linalg.norm(pts[0]) / np.linalg.norm(X0)
-    for a, b, X in zip(px1[1:6], px2[1:6], pts[1:6]):
-        Xh, _ = r3d.triangulate(a, b, got1, got2)
-        assert np.allclose(Xh * scale, X, atol=1e-5)
 
 
 # --- triangulation -----------------------------------------------------------
@@ -284,9 +235,14 @@ def test_parallel_rays_flagged_per_point():
     assert np.abs(np.delete(X, 1, axis=0) - np.delete(pts, 1, axis=0)).max() < 1e-9
     with pytest.raises(RayParallel):
         r3d.triangulate(px1[1], px2[1], cam1, cam2)
-    # the pose search skips the point instead of failing on it
-    _, got2 = r3d.solve_relative_pose(px1, px2, INTR, INTR)
-    assert np.linalg.norm(got2.rotation - cam2.rotation) < 1e-6
+
+
+def test_point_behind_both_cameras_degenerate():
+    cam1, cam2 = stereo_rig()
+    X = np.array([0.2, 0.1, -4.0])
+    with pytest.raises(DegenerateConfiguration,
+                       match="^point is not in front of both cameras$"):
+        r3d.triangulate(cam1.project(X), cam2.project(X), cam1, cam2)
 
 
 def camera_seq(cam, pts, confs, pid="p1"):
@@ -352,6 +308,16 @@ def test_load_calibration_missing_columns(tmp_path):
         r3d.load_calibration(path)
 
 
+def test_load_calibration_extrinsics_header_without_t3(tmp_path):
+    # a partial extrinsics block is refused, not read as no extrinsics
+    from reachkin.errors import MissingColumn
+    path = tmp_path / "calib.csv"
+    path.write_text("camera_id,fx,fy,cx,cy," + ",".join(r3d._EXTRINSICS[:-1])
+                    + "\ncam2,800,800,320,240,0,0,1,0,1,0,-1,0,0,0.5,0\n")
+    with pytest.raises(MissingColumn, match=r"row 1: .*\['t3'\]"):
+        r3d.load_calibration(path)
+
+
 def write_calibration(path, cams):
     lines = ["camera_id,fx,fy,cx,cy,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
              "t1,t2,t3"]
@@ -375,6 +341,23 @@ def test_load_calibration_bad_cell_names_row(tmp_path, column, cell):
     lines[2] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="row 3"):
+        r3d.load_calibration(path)
+
+
+@pytest.mark.parametrize("blank", [r3d._EXTRINSICS[:1], r3d._EXTRINSICS[:-1]],
+                         ids=["r11-blank", "only-t3-set"])
+def test_load_calibration_partly_blank_pose_names_row(tmp_path, blank):
+    # only an all-blank extrinsics block stands for the identity pose
+    path = tmp_path / "calib.csv"
+    write_calibration(path, stereo_rig())
+    lines = path.read_text().splitlines()
+    header, fields = lines[0].split(","), lines[2].split(",")
+    for column in blank:
+        fields[header.index(column)] = ""
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError,
+                       match="row 3: column 'r11': not a number: ''"):
         r3d.load_calibration(path)
 
 
