@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DivergedLoss, NumericalError,
-                     SequenceTooShort, TooFewParticipants)
+from .errors import ConfigError, InputError, NumericalError
 from .model_io import AGE_BINS, Cohort
 
 
@@ -72,7 +71,7 @@ def window_dataset(sequences, window: int = 200, stride: int = 100):
             windows.append(MotionWindow(values=norm, label=float(age),
                                         participant_id=pid))
     if not windows:
-        raise SequenceTooShort("no participant has enough frames for a window")
+        raise InputError("no participant has enough frames for a window")
     return windows, skipped
 
 
@@ -280,7 +279,7 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
             err = preds - yb
             loss = float(np.mean(err ** 2))
             if not np.isfinite(loss):
-                raise DivergedLoss(
+                raise NumericalError(
                     f"non-finite loss at epoch {epoch}; trace: {result.train_loss}")
             epoch_loss += loss * len(sel)
             dout = 2.0 * err / len(sel)
@@ -329,7 +328,7 @@ def cross_validate(windows, folds: int = 5, epochs: int = 15, seed: int = 0,
         by_pid.setdefault(w.participant_id, []).append(w)
     pids = sorted(by_pid)
     if len(pids) < 10:
-        raise TooFewParticipants(f"need >= 10 participants, got {len(pids)}")
+        raise InputError(f"need >= 10 participants, got {len(pids)}")
 
     rng = np.random.default_rng(seed)
     fold_rmse = []

@@ -2,7 +2,9 @@
 
 Three broad families map onto the CLI exit codes: input problems (bad or
 inconsistent data files), numerical failures (solvers that cannot produce a
-trustworthy answer), and configuration mistakes.
+trustworthy answer), and configuration mistakes. A failure is told apart by
+its message, which names what failed; the only subclasses are those a caller
+catches by name.
 """
 
 
@@ -22,9 +24,9 @@ class ConfigError(ReachkinError):
     """Bad pipeline configuration. CLI exit code 4."""
 
 
-# --- parsing / model-io ----------------------------------------------------
-
 class ParseError(InputError):
+    """A data file that cannot be read; ``row`` is its line, when known."""
+
     def __init__(self, message, row=None):
         self.row = row
         if row is not None:
@@ -32,69 +34,9 @@ class ParseError(InputError):
         super().__init__(message)
 
 
-class MissingColumn(ParseError):
-    pass
-
-
-class EmptyFile(ParseError):
-    pass
-
-
-class NonMonotonicTime(ParseError):
-    pass
-
-
-class ConfidenceOutOfRange(ParseError):
-    pass
-
-
-class HitBeforeAppear(ParseError):
-    pass
-
-
-class UnpairedTarget(ParseError):
-    pass
-
-
-# --- preprocessing ---------------------------------------------------------
-
-class AllFramesRejected(InputError):
-    pass
-
-
-class FactorTooLarge(InputError):
-    pass
-
-
-class UnstableSpec(ConfigError):
-    pass
-
+# --- caught by the metrics stage, which drops the reach --------------------
 
 class TooFewInliers(InputError):
-    pass
-
-
-# --- 3D reconstruction -----------------------------------------------------
-
-class DegenerateConfiguration(NumericalError):
-    pass
-
-
-class RayParallel(NumericalError):
-    pass
-
-
-class NoConvergence(NumericalError):
-    pass
-
-
-class ShouldersUntracked(InputError):
-    pass
-
-
-# --- kinematics / splines --------------------------------------------------
-
-class NoFramesInWindow(InputError):
     pass
 
 
@@ -103,36 +45,4 @@ class ZeroPathLength(NumericalError):
 
 
 class ZeroInitialDistance(NumericalError):
-    pass
-
-
-class RankDeficient(NumericalError):
-    pass
-
-
-class VerticalTangent(NumericalError):
-    pass
-
-
-# --- statistics ------------------------------------------------------------
-
-class ZeroWithinVariance(NumericalError):
-    pass
-
-
-class TooFewSamples(InputError):
-    pass
-
-
-# --- age model -------------------------------------------------------------
-
-class SequenceTooShort(InputError):
-    pass
-
-
-class TooFewParticipants(InputError):
-    pass
-
-
-class DivergedLoss(NumericalError):
     pass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFramesInWindow, ZeroPathLength
+from .errors import InputError, ZeroPathLength
 from .model_io import SkeletonSequence, TargetEvent, TargetLog
 
 HAND_JOINT = {"left": "left_wrist", "right": "right_wrist"}
@@ -61,7 +61,7 @@ def segment_reaches(seq: SkeletonSequence, targets: TargetLog,
             _, times, pos, _ = arrays[ev.side]
             sel = (times >= ev.t_appear - dt / 2) & (times <= ev.t_hit + dt / 2)
             if sel.sum() < 2:
-                raise NoFramesInWindow(
+                raise InputError(
                     f"target {ev.target_id} ({ev.side}): "
                     f"{int(sel.sum())} frame(s) in [{ev.t_appear}, {ev.t_hit}]")
             tpos = None
@@ -120,7 +120,7 @@ def participant_medians(segments, participant_id, age, group) -> MetricSummary:
     default convention).
     """
     if not segments:
-        raise NoFramesInWindow("no segments")
+        raise InputError("no segments")
     d = [segment_directness(s) for s in segments]
     v = [max_speed(s.path, s.dt) for s in segments]
     return MetricSummary(

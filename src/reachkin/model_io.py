@@ -37,16 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfidenceOutOfRange,
-    EmptyFile,
-    HitBeforeAppear,
-    InputError,
-    MissingColumn,
-    NonMonotonicTime,
-    ParseError,
-    UnpairedTarget,
-)
+from .errors import InputError, ParseError
 
 JOINTS_2D_HEADER = ["participant_id", "camera_id", "frame", "time_s",
                     "joint", "x", "y", "confidence"]
@@ -153,7 +144,7 @@ class TargetLog:
         for tid in sorted(by_id):
             sides = by_id[tid]
             if set(sides) != {"left", "right"}:
-                raise UnpairedTarget(f"target {tid} missing a side")
+                raise ParseError(f"target {tid} missing a side")
             out.append((sides["left"], sides["right"]))
         return out
 
@@ -273,15 +264,15 @@ def _read_table(stream, what, expected, artifact=False):
         text, top = text.partition("\n")[2], 2
     table = _split(text, top) or _csv_table(text, top)
     if table is None:
-        raise EmptyFile(f"{what}: empty file")
+        raise ParseError(f"{what}: empty file")
     header, columns, rownums = table
     header = [h.strip() for h in header]
     names = expected(header)
     missing = [c for c in names if c not in header]
     if missing:
-        raise MissingColumn(f"{what}: missing column(s) {missing}", row=top)
+        raise ParseError(f"{what}: missing column(s) {missing}", row=top)
     if not rownums and not artifact:
-        raise EmptyFile(f"{what} file has a header but no data rows")
+        raise ParseError(f"{what} file has a header but no data rows")
     return {name: header.index(name) for name in names}, columns, rownums
 
 
@@ -333,7 +324,7 @@ def parse_joint_csv(stream) -> SkeletonSequence:
     out_of_range = (conf < 0.0) | (conf > 1.0)
     if out_of_range.any():
         i = int(np.argmax(out_of_range))
-        raise ConfidenceOutOfRange(
+        raise ParseError(
             f"confidence {float(conf[i])} outside [0,1]", row=rownums[i])
 
     # copies, here and below: a kept cell string pins its allocator arena
@@ -354,7 +345,7 @@ def parse_joint_csv(stream) -> SkeletonSequence:
         later = np.flatnonzero(t[1:] <= t[:-1])
         if later.size:
             i = later[0] + 1
-            raise NonMonotonicTime(
+            raise ParseError(
                 f"joint {joint!r}: time {float(t[i])} after {float(t[i - 1])} "
                 f"(frame {int(f[i])})", row=rownums[sel[i]])
         streams[joint] = JointStream(f, t, pos[sel], conf[sel])
@@ -394,14 +385,14 @@ def parse_target_csv(stream) -> TargetLog:
         raw_hit = raw_hit.strip()
         t_hit = None if raw_hit == "" else _float(raw_hit, "t_hit_s", rownum)
         if t_hit is not None and t_hit < t_appear:
-            raise HitBeforeAppear(
+            raise ParseError(
                 f"t_hit {t_hit} precedes t_appear {t_appear}", row=rownum)
         events.append(TargetEvent(target_id, side, (x, y), t_appear, t_hit))
     events.sort(key=lambda e: (e.t_appear, e.target_id, e.side))
     log = TargetLog(tuple(events))
-    for left, right in log.pairs():   # raises UnpairedTarget
+    for left, right in log.pairs():   # raises on an unpaired target
         if left.t_appear != right.t_appear:
-            raise UnpairedTarget(
+            raise ParseError(
                 f"target {left.target_id}: sides appear at different times")
     return log
 
@@ -465,7 +456,13 @@ def parse_manifest(stream) -> SessionManifest:
     for key in ("participant_id", "age_years", "play_area_px", "native_fps",
                 "camera_ids"):
         if key not in raw:
-            raise MissingColumn(f"manifest: missing key {key!r}")
+            raise ParseError(f"manifest: missing key {key!r}")
+    pid = raw["participant_id"]
+    # the id names the participant's directory in every output directory
+    if not isinstance(pid, str) or pid[:1] in ("", ".") or \
+            not pid.isprintable() or "/" in pid or "\\" in pid:
+        raise ParseError(f"manifest: 'participant_id' must be a plain "
+                         f"directory name, got {pid!r}")
     cams = raw["camera_ids"]
     if not isinstance(cams, list) or not all(isinstance(c, str) for c in cams):
         raise ParseError(f"manifest: 'camera_ids' must be a list of strings, "
@@ -475,7 +472,7 @@ def parse_manifest(stream) -> SessionManifest:
         raise ParseError(f"manifest: 'play_area_px' must be [width, height], "
                          f"got {area!r}")
     return SessionManifest(
-        participant_id=str(raw["participant_id"]),
+        participant_id=pid,
         age_years=_manifest_int(raw["age_years"], "age_years"),
         play_area_px=tuple(_manifest_positive(v, "play_area_px") for v in area),
         native_fps=float(_manifest_positive(raw["native_fps"], "native_fps")),
@@ -521,8 +518,8 @@ def _parse_file(directory, name, parse):
     with open(path) as fh:
         try:
             return parse(fh)
-        except ParseError as exc:   # same type and row, the path in front
-            err = type(exc)(f"{path}: {exc}")
+        except ParseError as exc:   # same row, the path in front
+            err = ParseError(f"{path}: {exc}")
             err.row = exc.row
             raise err from exc
         except UnicodeDecodeError as exc:

@@ -77,6 +77,10 @@ class PipelineConfig:
                     kind is float and not abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{f.name} must be {_KINDS[kind]}, got "
                                   f"{value!r}")
+            # os.path.realpath raises a bare ValueError on a NUL
+            if kind is str and "\0" in value:
+                raise ConfigError(f"{f.name} must not hold a NUL character, "
+                                  f"got {value!r}")
         for name, low in (("seed", 0), ("decimation", 1), ("filter_order", 1),
                           ("folds", 1), ("epochs", 1)):
             if getattr(self, name) < low:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AllFramesRejected, FactorTooLarge, NumericalError,
-                     TooFewInliers, UnstableSpec)
+from .errors import ConfigError, InputError, NumericalError, TooFewInliers
 from .model_io import SkeletonSequence
 
 
@@ -50,7 +49,7 @@ def reject_low_confidence(seq: SkeletonSequence, threshold: float = 0.75):
     for joint, s in seq.streams.items():
         bad = s.conf < threshold
         if bad.all():
-            raise AllFramesRejected(f"joint {joint!r}: every frame below {threshold}")
+            raise InputError(f"joint {joint!r}: every frame below {threshold}")
         pos = _interp_gaps(s.pos, bad) if bad.any() else s.pos
         flags[joint] = bad
         streams[joint] = s._replace(pos=pos, conf=np.where(bad, 1.0, s.conf))
@@ -62,7 +61,7 @@ def downsample(seq: SkeletonSequence, factor: int = 2) -> SkeletonSequence:
     ``factor`` after the sequence's first frame. A joint missing rows keeps
     only the grid frames it has, so the joints still share frame numbers."""
     if factor < 1:
-        raise FactorTooLarge(f"factor must be >= 1, got {factor}")
+        raise InputError(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return seq
     first = min(int(s.frames[0]) for s in seq.streams.values())
@@ -71,7 +70,7 @@ def downsample(seq: SkeletonSequence, factor: int = 2) -> SkeletonSequence:
         keep = (s.frames - first) % factor == 0
         kept = s._make(a[keep] for a in s)
         if len(kept.frames) < 2:
-            raise FactorTooLarge(
+            raise InputError(
                 f"joint {joint!r}: factor {factor} leaves fewer than 2 frames")
         streams[joint] = kept
     return replace(seq, streams=streams, sample_rate=seq.sample_rate / factor)
@@ -85,9 +84,9 @@ class FilterSpec:
 
     def __post_init__(self):
         if self.order < 1:
-            raise UnstableSpec(f"filter order must be >= 1, got {self.order}")
+            raise ConfigError(f"filter order must be >= 1, got {self.order}")
         if not 0.0 < self.cutoff < self.sample_rate / 2.0:
-            raise UnstableSpec(
+            raise ConfigError(
                 f"cutoff {self.cutoff} Hz outside (0, Nyquist={self.sample_rate / 2}) Hz")
 
 
@@ -139,7 +138,7 @@ def butterworth_filter(channel, spec: FilterSpec):
     if x.ndim not in (1, 2):
         raise ValueError("butterworth_filter expects an (N,) or (N, D) series")
     if len(x) < 3 * spec.order:
-        raise UnstableSpec(
+        raise ConfigError(
             f"series of length {len(x)} too short for order {spec.order}")
 
     b, a = (c.tolist() for c in butterworth_coefficients(spec))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, VerticalTangent, ZeroInitialDistance
+from .errors import NumericalError, ZeroInitialDistance
 from .kinematics import ReachSegment
 
 
@@ -101,7 +101,7 @@ def _solve_control_points(points, s):
     rhs = points - np.outer(B[:, 0], BezierFit.P0) - np.outer(B[:, 3], BezierFit.P3)
     AtA = A.T @ A
     if np.linalg.cond(AtA) > 1e12:
-        raise RankDeficient("sample parameters do not determine the control points")
+        raise NumericalError("sample parameters do not determine the control points")
     sol = np.linalg.solve(AtA, A.T @ rhs)  # (2, 2): rows P1, P2
     return sol[0], sol[1]
 
@@ -179,9 +179,9 @@ def fit_cubic_bezier(curves, rounds: int = 3) -> BezierFit:
     """
     pts = np.concatenate([np.column_stack([c.tau, c.rho]) for c in curves])
     if len(pts) < 4:
-        raise RankDeficient(f"need >= 4 pooled samples, got {len(pts)}")
+        raise NumericalError(f"need >= 4 pooled samples, got {len(pts)}")
     if np.allclose(pts, pts[0]):
-        raise RankDeficient("all pooled samples identical")
+        raise NumericalError("all pooled samples identical")
 
     s = pts[:, 0].clip(0.0, 1.0).copy()
     p1, p2 = _solve_control_points(pts, s)
@@ -229,7 +229,7 @@ def endpoint_rates(fit: BezierFit) -> RateTriple:
     dx0, dy0 = p1 - p0
     dx1, dy1 = p3 - p2
     if abs(dx0) < 1e-12 or abs(dx1) < 1e-12:
-        raise VerticalTangent("endpoint tangent is vertical in the (tau, rho) plane")
+        raise NumericalError("endpoint tangent is vertical in the (tau, rho) plane")
     return RateTriple(initial_rate=float(dy0 / dx0), final_rate=float(dy1 / dx1))
 
 

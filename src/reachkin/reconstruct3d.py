@@ -15,14 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    InputError,
-    NoConvergence,
-    ParseError,
-    RayParallel,
-    ShouldersUntracked,
-)
+from .errors import InputError, NumericalError, ParseError
 from .model_io import (JointStream, SkeletonSequence, _numbers, _parse_file,
                        _read_table)
 
@@ -87,16 +80,15 @@ def make_camera(camera_id, intr, R=None, t=None):
 # --- triangulation ---------------------------------------------------------
 
 # Per-point outcome of a batched triangulation: 0 is success, any other code
-# names the error a failing point raises.
+# names the message of the NumericalError a failing point raises.
 _PARALLEL, _AT_INFINITY, _SINGULAR, _NO_CONVERGENCE, _BEHIND = range(1, 6)
 _FAILURES = {
-    _PARALLEL: (RayParallel, "viewing rays are (near-)parallel"),
-    _AT_INFINITY: (RayParallel, "point at infinity"),
-    _SINGULAR: (RayParallel, "normal equations singular during refinement"),
-    _NO_CONVERGENCE: (NoConvergence, "no convergence after 50 iterations "
-                      "(best rms {rms:.3g} px)"),
-    _BEHIND: (DegenerateConfiguration,
-              "point is not in front of both cameras"),
+    _PARALLEL: "viewing rays are (near-)parallel",
+    _AT_INFINITY: "point at infinity",
+    _SINGULAR: "normal equations singular during refinement",
+    _NO_CONVERGENCE: "no convergence after 50 iterations "
+                     "(best rms {rms:.3g} px)",
+    _BEHIND: "point is not in front of both cameras",
 }
 
 
@@ -187,9 +179,8 @@ def _triangulate_batch(px1, px2, cam1, cam2, where=None):
     bad = np.flatnonzero(status)
     if bad.size:
         i = bad[0]
-        error, message = _FAILURES[status[i]]
-        raise error((f"{where(i)}: " if where else "")
-                    + message.format(rms=rms[i]))
+        raise NumericalError((f"{where(i)}: " if where else "")
+                             + _FAILURES[status[i]].format(rms=rms[i]))
     return X, rms
 
 
@@ -274,16 +265,16 @@ def shoulder_scale(seq: SkeletonSequence) -> float:
         fl, _, pl, _ = seq.joint_arrays("left_shoulder")
         fr, _, pr, _ = seq.joint_arrays("right_shoulder")
     except InputError:
-        raise ShouldersUntracked("both shoulders must be tracked")
+        raise InputError("both shoulders must be tracked")
     common, il, ir = np.intersect1d(fl, fr, return_indices=True)
     if not common.size:
-        raise ShouldersUntracked("shoulders never tracked on a common frame")
+        raise InputError("shoulders never tracked on a common frame")
     width = float(np.median(np.linalg.norm(pl[il] - pr[ir], axis=1)))
     # coincident shoulders keep a residue width from gating interpolation and
     # filtering; the floor scales with the coordinates, pixels or 3D units
     size = max(np.abs(pl[il]).max(), np.abs(pr[ir]).max())
     if width <= 1e-3 * size:
-        raise ShouldersUntracked(f"degenerate shoulder width {width:.3g}")
+        raise InputError(f"degenerate shoulder width {width:.3g}")
     return width
 
 

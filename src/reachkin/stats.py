@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, TooFewSamples, ZeroWithinVariance
+from .errors import InputError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,10 @@ class GroupedSamples:
         if len(self.labels) != len(self.groups):
             raise ValueError("labels and groups differ in length")
         if len(self.groups) < 2:
-            raise TooFewSamples("need at least 2 groups")
+            raise InputError("need at least 2 groups")
         for label, g in zip(self.labels, self.groups):
             if len(g) < 2:
-                raise TooFewSamples(f"group {label!r} needs at least 2 values")
+                raise InputError(f"group {label!r} needs at least 2 values")
 
     @property
     def k(self):
@@ -126,7 +126,7 @@ def one_way_anova(samples: GroupedSamples) -> AnovaResult:
     ss_within = sum(((g - g.mean()) ** 2).sum() for g in groups)
     df_between, df_within = k - 1, n - k
     if ss_within == 0.0:
-        raise ZeroWithinVariance("all groups are internally constant")
+        raise NumericalError("all groups are internally constant")
     ms_between = ss_between / df_between
     ms_within = ss_within / df_within
     F = ms_between / ms_within

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachkin import kinematics, synth
-from reachkin.errors import NoFramesInWindow, ZeroPathLength
+from reachkin.errors import InputError, ZeroPathLength
 from reachkin.kinematics import (
     directness,
     max_speed,
@@ -48,7 +48,8 @@ def test_segment_reaches_empty_window():
     seq = make_session_seq(n=30)
     events = (TargetEvent(0, "left", (0.2, 0.4), 5.0, 5.01),
               TargetEvent(0, "right", (0.8, 0.4), 5.0, 5.01))
-    with pytest.raises(NoFramesInWindow):
+    with pytest.raises(InputError, match=r"^target 0 \(left\): 0 frame\(s\) "
+                                         r"in \[5\.0, 5\.01\]$"):
         segment_reaches(seq, TargetLog(events))
 
 
@@ -161,5 +162,5 @@ def test_participant_medians_even_count():
 
 
 def test_participant_medians_no_segments():
-    with pytest.raises(NoFramesInWindow):
+    with pytest.raises(InputError, match="^no segments$"):
         participant_medians([], "p1", 9, "6-10")

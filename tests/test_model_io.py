@@ -9,16 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachkin import cli, model_io, pipeline, reconstruct3d
-from reachkin.errors import (
-    ConfidenceOutOfRange,
-    EmptyFile,
-    HitBeforeAppear,
-    InputError,
-    MissingColumn,
-    NonMonotonicTime,
-    ParseError,
-    UnpairedTarget,
-)
+from reachkin.errors import InputError, ParseError
 
 JOINTS_3ROW = """participant_id,camera_id,frame,time_s,joint,x,y,confidence
 p1,cam0,0,0.0,left_wrist,10.0,20.0,0.9
@@ -44,27 +35,31 @@ def test_parse_joint_csv_three_rows():
 
 def test_parse_joint_csv_confidence_out_of_range():
     bad = JOINTS_3ROW.replace("12.0,22.0,0.9", "12.0,22.0,1.2")
-    with pytest.raises(ConfidenceOutOfRange):
+    with pytest.raises(ParseError,
+                       match=r"^row 4: confidence 1\.2 outside \[0,1\]$"):
         model_io.parse_joint_csv(bad)
 
 
 def test_parse_joint_csv_missing_column():
     text = JOINTS_3ROW.replace("confidence", "conf")
-    with pytest.raises(MissingColumn):
+    with pytest.raises(ParseError, match=r"^row 1: joints: missing column\(s\) "
+                                         r"\['confidence'\]$"):
         model_io.parse_joint_csv(text)
 
 
 def test_parse_joint_csv_empty():
-    with pytest.raises(EmptyFile):
+    with pytest.raises(ParseError, match="^joints: empty file$"):
         model_io.parse_joint_csv("")
     header_only = JOINTS_3ROW.splitlines()[0] + "\n"
-    with pytest.raises(EmptyFile):
+    with pytest.raises(ParseError,
+                       match="^joints file has a header but no data rows$"):
         model_io.parse_joint_csv(header_only)
 
 
 def test_parse_joint_csv_non_monotonic_time():
     rows = JOINTS_3ROW.replace("2,0.06666666666666667", "2,0.01")
-    with pytest.raises(NonMonotonicTime):
+    with pytest.raises(ParseError, match=r"^row 4: joint 'left_wrist': time "
+                                         r"0\.01 after 0\.03333333333333333 "):
         model_io.parse_joint_csv(rows)
 
 
@@ -130,13 +125,14 @@ def test_parse_target_csv_uncollected():
 
 def test_parse_target_csv_hit_before_appear():
     text = TARGETS_PAIR.replace("0.0,1.2", "2.0,1.2")
-    with pytest.raises((HitBeforeAppear, UnpairedTarget)):
+    with pytest.raises(ParseError,
+                       match=r"^row 3: t_hit 1\.2 precedes t_appear 2\.0$"):
         model_io.parse_target_csv(text)
 
 
 def test_parse_target_csv_unpaired():
     text = "\n".join(TARGETS_PAIR.splitlines()[:2]) + "\n"
-    with pytest.raises(UnpairedTarget):
+    with pytest.raises(ParseError, match="^target 0 missing a side$"):
         model_io.parse_target_csv(text)
 
 
@@ -196,7 +192,7 @@ def test_manifest_roundtrip(sample_session):
 
 
 def test_manifest_missing_key():
-    with pytest.raises(MissingColumn):
+    with pytest.raises(ParseError, match="^manifest: missing key 'age_years'$"):
         model_io.parse_manifest('{"participant_id": "p1"}')
     with pytest.raises(ParseError):
         model_io.parse_manifest("{not json")
@@ -207,7 +203,11 @@ def test_manifest_missing_key():
     ("play_area_px", "[990]"), ("native_fps", "Infinity"),
     ("native_fps", '"30"'), ("age_years", '"abc"'), ("age_years", "[8]"),
     ("age_years", "8.5"), ("score", "true"), ("camera_ids", '"webcam"'),
-    ("camera_ids", "[1]")])
+    ("camera_ids", "[1]"), ("participant_id", "null"),
+    ("participant_id", "[1, 2]"), ("participant_id", '""'),
+    ("participant_id", '"../../escaped"'),
+    ("participant_id", '".reachkin-staging"'), ("participant_id", '"a\\\\b"'),
+    ("participant_id", '"a\\u0000b"'), ("participant_id", '"a\\tb"')])
 def test_manifest_rejects_ill_typed_values(key, value):
     fields = {"participant_id": '"p1"', "age_years": "8",
               "play_area_px": "[990, 720]", "native_fps": "30.0",

@@ -12,8 +12,7 @@ import pytest
 
 from reachkin import (agenet, cli, pipeline, preprocess, progress_spline,
                       reconstruct3d, stats, synth)
-from reachkin.errors import (AllFramesRejected, ConfigError, InputError,
-                             NumericalError, ParseError)
+from reachkin.errors import ConfigError, InputError, NumericalError, ParseError
 from reachkin.kinematics import MetricSummary
 from reachkin.model_io import parse_joint_csv
 from reachkin.pipeline import (
@@ -420,6 +419,24 @@ def test_cli_preprocess_failure_writes_no_participant(tmp_path, capsys):
     assert not (out / "p000" / "joints_clean.csv").exists()
 
 
+@pytest.mark.parametrize("pid", ["../../escaped", ".reachkin-staging"])
+def test_cli_refuses_a_participant_id_that_is_no_directory_name(
+        tmp_path, capsys, pid):
+    # the id names the participant's output directory
+    cohort = tmp_path / "cohort"
+    assert cli.main(["synth", "--n-per-bin", "1", "--seed", "1",
+                     "--duration", "10", "--out", str(cohort)]) == 0
+    for name in ("manifest.json", "joints.csv", "targets.csv"):
+        path = cohort / "p000" / name
+        path.write_text(path.read_text().replace('"p000"', json.dumps(pid))
+                        .replace("\np000,", f"\n{pid},"))
+    out = tmp_path / "run" / "out"
+    assert cli.main(["preprocess", "--in", str(cohort), "--out", str(out)]) == 2
+    assert f"'participant_id' must be a plain directory name, got {pid!r}" \
+        in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cohort"]
+
+
 @pytest.mark.parametrize("cam9_rows", [199, 0])
 def test_cli_rejects_joint_rows_of_another_session(tmp_path, capsys,
                                                    small_cohort_dir, cam9_rows):
@@ -561,7 +578,8 @@ def test_cohort_frames_keeps_the_error_type(tmp_path, small_cohort_dir):
     cohort = tmp_path / "cohort"
     shutil.copytree(small_cohort_dir, cohort)
     _lower_confidences(cohort, "p001")
-    with pytest.raises(AllFramesRejected, match="^participant p001: joint "):
+    with pytest.raises(InputError, match="^participant p001: joint '[a-z_]+': "
+                                         "every frame below 0.75$"):
         pipeline.cohort_frames(pipeline.load_cohort(str(cohort)),
                                PipelineConfig())
 
@@ -726,10 +744,12 @@ def test_cli_train_rejects_bad_settings(tmp_path, small_cohort_dir, capsys,
     ("pipeline", ["--epochs", "0"], {}, "epochs"),
     ("ingest", ["--filter-order", "0"], {}, "filter_order"),
     ("pipeline", [], {"filter_cutoff_hz": -6.0}, "filter_cutoff_hz"),
+    ("metrics", [], {"out_dir": "o\u0000x"}, "out_dir"),
 ], ids=["seed-float", "folds-str", "epochs-float", "window-float",
         "threshold-str", "cutoff-inf", "decimation-bool", "out-int",
         "seed-negative", "train-seed-negative", "threshold-nan",
-        "threshold-above-1", "epochs-0", "filter-order-0", "cutoff-negative"])
+        "threshold-above-1", "epochs-0", "filter-order-0", "cutoff-negative",
+        "out-nul"])
 def test_cli_config_values_checked_when_built(tmp_path, small_cohort_dir,
                                               capsys, command, argv, config,
                                               field):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.signal import butter, lfilter
 
 from reachkin import agenet, preprocess
-from reachkin.errors import AllFramesRejected, FactorTooLarge, UnstableSpec
+from reachkin.errors import ConfigError, InputError
 from reachkin.model_io import JointStream, SkeletonSequence
 from reachkin.preprocess import (
     FilterSpec,
@@ -56,7 +56,7 @@ def test_confidence_gate_holds_edge_gaps():
 
 def test_confidence_gate_all_rejected():
     seq = make_seq([(0, 0), (1, 1)], confidences=[0.1, 0.2])
-    with pytest.raises(AllFramesRejected):
+    with pytest.raises(InputError, match="every frame below 0.75$"):
         reject_low_confidence(seq, 0.75)
 
 
@@ -112,9 +112,9 @@ def test_downsample_keeps_one_frame_grid_when_a_joint_misses_rows():
 
 def test_downsample_factor_too_large():
     seq = make_seq([(i, i) for i in range(5)])
-    with pytest.raises(FactorTooLarge):
+    with pytest.raises(InputError, match="factor 5 leaves fewer than 2 frames$"):
         downsample(seq, 5)
-    with pytest.raises(FactorTooLarge):
+    with pytest.raises(InputError, match="^factor must be >= 1, got 0$"):
         downsample(seq, 0)
 
 
@@ -145,14 +145,14 @@ def test_filter_is_linear():
 
 
 def test_filter_rejects_bad_specs():
-    with pytest.raises(UnstableSpec):
+    with pytest.raises(ConfigError, match=r"^cutoff 15\.0 Hz outside "):
         FilterSpec(cutoff=15.0, sample_rate=30.0)   # at Nyquist
-    with pytest.raises(UnstableSpec):
+    with pytest.raises(ConfigError, match=r"^cutoff -1\.0 Hz outside "):
         FilterSpec(cutoff=-1.0)
-    with pytest.raises(UnstableSpec):
+    with pytest.raises(ConfigError, match="^filter order must be >= 1, got 0$"):
         FilterSpec(order=0)
-    with pytest.raises(UnstableSpec):
-        butterworth_filter(np.zeros(5), FilterSpec(order=2))  # too short
+    with pytest.raises(ConfigError, match="^series of length 5 too short "):
+        butterworth_filter(np.zeros(5), FilterSpec(order=2))
 
 
 @settings(max_examples=150, deadline=None)
