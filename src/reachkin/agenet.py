@@ -137,17 +137,13 @@ class AgeNet:
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x, cache=None):
-        """Predict ages for a batch; x is (B, C, T) or a single (C, T).
+        """Predict ages (B,) for a batch x of shape (B, C, T).
 
         Inside, activations are channels-last (B, T, C): a conv's im2col rows
         (B*To, C*K) times its (C*K, O) weights are (B, To, O) as they come.
         ``cache`` gets one (im2col rows, pre-activation, ReLU output, pooled
         output) per conv block, then one (input, pre-activation) per linear
         layer."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 2
-        if single:
-            x = x[None]
         n_conv = len(CONV_CHANNELS)
         a = x.transpose(0, 2, 1)
         for W, b in zip(self.weights[:n_conv], self.biases[:n_conv]):
@@ -169,8 +165,7 @@ class AgeNet:
             if cache is not None:
                 cache.append((a, z))
             a = np.maximum(z, 0.0)   # the output layer's z is the prediction
-        out = z[:, 0]
-        return float(out[0]) if single else out
+        return z[:, 0]
 
     def backward(self, cache, dout):
         """Gradients of a scalar loss; dout is d(loss)/d(prediction), (B,).

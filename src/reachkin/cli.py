@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure, 4 config error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -83,6 +84,9 @@ def cmd_synth(args):
     if not 0.5 < args.duration * synth.FPS < float("inf"):
         raise ConfigError(f"--duration must be finite and hold one frame "
                           f"at {synth.FPS:g} fps, got {args.duration}")
+    # files of an earlier cohort would mix with this one's
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        raise ConfigError(f"--out {args.out} is not empty")
     cohort, truth = synth.generate_cohort(
         args.n_per_bin, seed=args.seed, duration=args.duration)
     synth.write_cohort(cohort, truth, args.out)

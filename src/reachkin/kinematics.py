@@ -24,7 +24,7 @@ class ReachSegment:
     target: TargetEvent
     path: np.ndarray          # (N, D) wrist positions, t_appear..t_hit
     dt: float
-    target_position: np.ndarray | None = None   # target in the path's frame
+    target_position: np.ndarray   # target in the path's frame
 
     @property
     def n_frames(self):
@@ -42,13 +42,13 @@ class MetricSummary:
 
 
 def segment_reaches(seq: SkeletonSequence, targets: TargetLog,
-                    target_to_path=None):
+                    target_to_path):
     """Cut one segment per (hand, collected target) out of a session.
 
     The left hand is paired with the left-side target of each pair and the
     right hand with the right-side target. Uncollected targets are skipped.
-    ``target_to_path`` optionally maps a normalized-screen target position to
-    the path's coordinate frame (needed for progress curves).
+    ``target_to_path`` maps a normalized-screen target position to an array
+    in the path's coordinate frame.
     """
     segments = []
     dt = 1.0 / seq.sample_rate
@@ -64,16 +64,13 @@ def segment_reaches(seq: SkeletonSequence, targets: TargetLog,
                 raise InputError(
                     f"target {ev.target_id} ({ev.side}): "
                     f"{int(sel.sum())} frame(s) in [{ev.t_appear}, {ev.t_hit}]")
-            tpos = None
-            if target_to_path is not None:
-                tpos = np.asarray(target_to_path(ev.position), dtype=float)
             segments.append(ReachSegment(
                 participant_id=seq.participant_id,
                 hand=ev.side,
                 target=ev,
                 path=pos[sel].copy(),
                 dt=dt,
-                target_position=tpos,
+                target_position=target_to_path(ev.position),
             ))
     return segments
 

@@ -99,10 +99,6 @@ class SkeletonSequence:
         object.__setattr__(self, "streams", dict(sorted(self.streams.items())))
 
     @property
-    def joints(self):
-        return tuple(self.streams)
-
-    @property
     def dims(self):
         return max((s.pos.shape[1] for s in self.streams.values()), default=0)
 
@@ -368,17 +364,21 @@ def _copy(text):
     return text.encode(errors="surrogatepass").decode(errors="surrogatepass")
 
 
-def parse_target_csv(stream) -> TargetLog:
-    """Parse a targets.csv character stream."""
+def parse_target_csv(stream, participant_id) -> TargetLog:
+    """Parse a targets.csv text or character stream; every row must name
+    ``participant_id``, the session's."""
     col, columns, rownums = _read_table(stream, "targets",
                                         lambda header: TARGETS_HEADER)
     num = _numbers(columns, rownums, col,
                    ["target_id", "x_norm", "y_norm", "t_appear_s"])
     ids = _integers(num[:, 0], "target_id", rownums).tolist()
     events = []
-    for rownum, target_id, (x, y, t_appear), side, raw_hit in zip(
-            rownums, ids, num[:, 1:].tolist(), columns[col["side"]],
-            columns[col["t_hit_s"]]):
+    for rownum, pid, target_id, (x, y, t_appear), side, raw_hit in zip(
+            rownums, columns[col["participant_id"]], ids, num[:, 1:].tolist(),
+            columns[col["side"]], columns[col["t_hit_s"]]):
+        if pid != participant_id:
+            raise ParseError(f"participant_id {pid!r} is not the session's "
+                             f"{participant_id!r}", row=rownum)
         side = side.strip()
         if side not in ("left", "right"):
             raise ParseError(f"side must be left/right, got {side!r}", row=rownum)
@@ -546,7 +546,9 @@ def load_session(directory) -> ParticipantSession:
         raise InputError(f"{directory}: manifest camera ids "
                          f"{list(manifest.camera_ids)} are not those of its "
                          f"joint files, {cams}")
-    targets = _parse_file(directory, "targets.csv", parse_target_csv)
+    targets = _parse_file(
+        directory, "targets.csv",
+        lambda fh: parse_target_csv(fh, manifest.participant_id))
     return ParticipantSession(tuple(skeletons), targets, manifest)
 
 
@@ -569,30 +571,25 @@ def load_cohort(root) -> Cohort:
 # --- validation ------------------------------------------------------------
 
 def validate_session(session: ParticipantSession) -> tuple:
-    """The session's findings, each a (code, message) pair; () when clean."""
+    """The session's findings, each a message; () when clean."""
     findings = []
 
     if not 6 <= session.age <= 17:
-        findings.append(("AgeOutOfRange",
-                         f"age {session.age} outside [6, 17]"))
+        findings.append(f"age {session.age} outside [6, 17]")
     hit_pairs = session.targets.score
     if session.score != hit_pairs:
-        findings.append((
-            "ScoreMismatch",
-            f"manifest score {session.score} != {hit_pairs} collected pairs"))
+        findings.append(
+            f"manifest score {session.score} != {hit_pairs} collected pairs")
 
     fps = session.manifest.native_fps
     for seq in session.skeletons:
         if abs(seq.sample_rate - fps) > 0.01 * fps:
-            findings.append((
-                "FrameRateMismatch",
+            findings.append(
                 f"camera {seq.camera_id!r}: joints at {seq.sample_rate:g} Hz, "
-                f"manifest native_fps {fps:g}"))
-        present = set(seq.joints)
+                f"manifest native_fps {fps:g}")
         for joint in CORE_JOINTS:
-            if joint not in present:
-                findings.append((
-                    "MissingJoint",
-                    f"camera {seq.camera_id!r}: joint {joint!r} absent"))
+            if joint not in seq.streams:
+                findings.append(
+                    f"camera {seq.camera_id!r}: joint {joint!r} absent")
 
     return tuple(findings)

@@ -97,9 +97,6 @@ class PipelineConfig:
             raise ConfigError(f"window and stride must be >= 1, got "
                               f"{self.window} and {self.stride}")
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d):
         unknown = set(d) - set(cls.__dataclass_fields__)
@@ -121,7 +118,7 @@ class PipelineConfig:
     @property
     def config_hash(self):
         # CRC-32, not hashlib: that would map OpenSSL into every command
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        canon = json.dumps(asdict(self), sort_keys=True)
         return f"{zlib.crc32(canon.encode()):08x}"
 
 
@@ -521,7 +518,7 @@ class StageFailure(ReachkinError):
 def validate_cohort(cohort: Cohort):
     """Raise an InputError naming every participant's validation findings."""
     findings = [f"participant {s.participant_id}: {message}"
-                for s in cohort.sessions for _, message in validate_session(s)]
+                for s in cohort.sessions for message in validate_session(s)]
     if findings:
         raise InputError("; ".join(findings))
 

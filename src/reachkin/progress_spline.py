@@ -54,8 +54,6 @@ def progress_curve(segment: ReachSegment) -> ProgressCurve:
     reduction achieved by frame t; tau is elapsed time over reach duration.
     Endpoints are exactly (0, 0) and (1, 1) by construction.
     """
-    if segment.target_position is None:
-        raise ZeroInitialDistance("segment carries no target position")
     path = np.asarray(segment.path, dtype=float)
     d = np.linalg.norm(path - segment.target_position, axis=1)
     d0, dn = d[0], d[-1]

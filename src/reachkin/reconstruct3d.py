@@ -58,16 +58,12 @@ class CameraModel:
             [self.rotation, self.translation.reshape(3, 1)])
 
     def project(self, X):
-        """Project world points (..., 3) to pixel coordinates (..., 2)."""
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        X = np.atleast_2d(X)
+        """Project world points (N, 3) to pixel coordinates (N, 2)."""
         cam = X @ self.rotation.T + self.translation
         uv = cam[:, :2] / cam[:, 2:3]
-        px = np.column_stack([
+        return np.column_stack([
             self.intrinsics.fx * uv[:, 0] + self.intrinsics.cx,
             self.intrinsics.fy * uv[:, 1] + self.intrinsics.cy])
-        return px[0] if single else px
 
 
 def make_camera(camera_id, intr, R=None, t=None):
@@ -129,7 +125,7 @@ def _jacobian(X, cam):
 
 
 @np.errstate(divide="ignore", invalid="ignore")   # bad points get a status
-def _triangulate_batch(px1, px2, cam1, cam2, where=None):
+def triangulate(px1, px2, cam1, cam2, where=None):
     """Triangulate N points by Gauss-Newton on squared pixel reprojection error.
 
     Linear (homogeneous least-squares) start, then up to 50 Gauss-Newton
@@ -184,15 +180,6 @@ def _triangulate_batch(px1, px2, cam1, cam2, where=None):
     return X, rms
 
 
-def triangulate(px1, px2, cam1: CameraModel, cam2: CameraModel):
-    """Triangulate one point by Gauss-Newton on squared pixel reprojection
-    error (see _triangulate_batch). Returns (X, rms_residual_px)."""
-    X, rms = _triangulate_batch(np.asarray(px1, dtype=float).reshape(1, 2),
-                                np.asarray(px2, dtype=float).reshape(1, 2),
-                                cam1, cam2)
-    return X[0], float(rms[0])
-
-
 def triangulate_sequences(seq1: SkeletonSequence, seq2: SkeletonSequence,
                           cam1: CameraModel, cam2: CameraModel,
                           confidence_threshold: float = 0.75):
@@ -204,14 +191,14 @@ def triangulate_sequences(seq1: SkeletonSequence, seq2: SkeletonSequence,
     failure names the joint and the first failing frame.
     """
     streams = {}
-    for joint in sorted(set(seq1.joints) & set(seq2.joints)):
+    for joint in sorted(seq1.streams.keys() & seq2.streams.keys()):
         f1, t1, p1, c1 = seq1.streams[joint]
         f2, _, p2, c2 = seq2.streams[joint]
         _, i1, i2 = np.intersect1d(f1, f2, return_indices=True)
         seen = (c1[i1] >= confidence_threshold) & (c2[i2] >= confidence_threshold)
         i1, i2 = i1[seen], i2[seen]
         if i1.size:
-            X, _ = _triangulate_batch(
+            X, _ = triangulate(
                 p1[i1], p2[i2], cam1, cam2,
                 where=lambda i: f"joint {joint} frame {f1[i1[i]]}")
             streams[joint] = JointStream(f1[i1], t1[i1], X, np.ones(i1.size))
@@ -242,14 +229,18 @@ def _parse_calibration(fh):
         fh, "calibration",
         lambda header: ["camera_id", "fx", "fy", "cx", "cy"]
         + (_EXTRINSICS if set(_EXTRINSICS) & set(header) else []))
-    cams = {}
+    cams, first_row = {}, {}
     for rownum, *row in zip(rownums, *columns):
+        camera_id = row[col["camera_id"]]
+        first = first_row.setdefault(camera_id, rownum)
+        if first != rownum:
+            raise ParseError(f"camera {camera_id!r} repeats row {first}",
+                             row=rownum)
         has_pose = any(row[col[n]] != "" for n in _EXTRINSICS if n in col)
         names = ["fx", "fy", "cx", "cy"] + (_EXTRINSICS if has_pose else [])
         # the row as a one-row table: its cells are read in file order
         v = _numbers([[cell] for cell in row], [rownum], col, names)[0].tolist()
         pose = (np.reshape(v[4:13], (3, 3)), v[13:]) if has_pose else ()
-        camera_id = row[col["camera_id"]]
         try:
             cams[camera_id] = make_camera(camera_id, Intrinsics(*v[:4]), *pose)
         except ValueError as exc:
@@ -279,12 +270,8 @@ def shoulder_scale(seq: SkeletonSequence) -> float:
 
 
 def normalize_by_shoulder_width(seq: SkeletonSequence,
-                                scale: float | None = None) -> SkeletonSequence:
-    """Scale all positions so the median shoulder separation is exactly 1.
-
-    ``scale`` is ``shoulder_scale(seq)``, for a caller that already has it.
-    """
-    if scale is None:
-        scale = shoulder_scale(seq)
+                                scale: float) -> SkeletonSequence:
+    """Divide all positions by ``scale``, the sequence's ``shoulder_scale``,
+    so the median shoulder separation is exactly 1."""
     return replace(seq, streams={joint: s._replace(pos=s.pos / scale)
                                  for joint, s in seq.streams.items()})

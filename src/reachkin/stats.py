@@ -27,21 +27,11 @@ class GroupedSamples:
     groups: tuple   # tuple of value tuples, parallel to labels
 
     def __post_init__(self):
-        if len(self.labels) != len(self.groups):
-            raise ValueError("labels and groups differ in length")
         if len(self.groups) < 2:
             raise InputError("need at least 2 groups")
         for label, g in zip(self.labels, self.groups):
             if len(g) < 2:
                 raise InputError(f"group {label!r} needs at least 2 values")
-
-    @property
-    def k(self):
-        return len(self.groups)
-
-    @property
-    def n_total(self):
-        return sum(len(g) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -118,8 +108,7 @@ def f_sf(F: float, d1: int, d2: int) -> float:
 
 def one_way_anova(samples: GroupedSamples) -> AnovaResult:
     groups = [np.asarray(g, dtype=float) for g in samples.groups]
-    n = samples.n_total
-    k = samples.k
+    n, k = sum(map(len, groups)), len(groups)
     grand = np.concatenate(groups).mean()
 
     ss_between = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
@@ -219,7 +208,7 @@ def tukey_hsd(samples: GroupedSamples) -> tuple:
     groups = [np.asarray(g, dtype=float) for g in samples.groups]
     means = [g.mean() for g in groups]
     sizes = [len(g) for g in groups]
-    k, df = samples.k, anova.df_within
+    k, df = len(groups), anova.df_within
 
     comparisons = []
     for i in range(k):

@@ -108,16 +108,14 @@ def _bowed_path(start, target, amplitude):
     return path, arc
 
 
-def generate_reach(params: StrategyParams, start, target, dt, rng=None,
-                   duration=None):
+def generate_reach(params: StrategyParams, start, target, dt, rng=None):
     """Simulate one reach; returns (positions (N, 2), total_duration_s).
 
     The geometric path is a half-sine bow; timing is a chain of minimum-jerk
     bursts: one dominant burst, ``submovement_count`` corrective stutters
     separated by short pauses, then a homing glide whose length and slowness
-    grow with the anticipation parameter. ``duration`` overrides the
-    speed-derived movement time, split across bursts in proportion to arc.
-    Deterministic for a fixed rng state; rng=None means noise-free.
+    grow with the anticipation parameter. Deterministic for a fixed rng
+    state; rng=None means noise-free.
     """
     start = np.asarray(start, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -139,14 +137,9 @@ def generate_reach(params: StrategyParams, start, target, dt, rng=None,
     home_speed = params.peak_speed_scale * (1.0 - 0.60 * a)
     spans = [1.0 - sub_span * n_sub - home_span] + [sub_span] * n_sub \
         + [home_span]
-    if duration is not None:
-        burst_T = [duration * s for s in spans]
-        pauses = [0.0] * n_sub
-    else:
-        burst_T = [1.875 * (arc * s) / params.peak_speed_scale
-                   for s in spans[:-1]]
-        burst_T.append(1.875 * (arc * home_span) / home_speed)
-        pauses = [PAUSE_S] * n_sub
+    burst_T = [1.875 * (arc * s) / params.peak_speed_scale
+               for s in spans[:-1]]
+    burst_T.append(1.875 * (arc * home_span) / home_speed)
 
     # timeline of (t_start, t_end, u_start, u_end); pauses hold position
     episodes = []
@@ -157,8 +150,8 @@ def generate_reach(params: StrategyParams, start, target, dt, rng=None,
         episodes.append((t, t + burst_T[m], u0, u1))
         t += burst_T[m]
         if 1 <= m <= n_sub:
-            episodes.append((t, t + pauses[m - 1], u1, u1))
-            t += pauses[m - 1]
+            episodes.append((t, t + PAUSE_S, u1, u1))
+            t += PAUSE_S
         u0 = u1
     total = t
 

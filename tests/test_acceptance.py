@@ -110,21 +110,18 @@ def test_two_view_triangulation():
                            rng.uniform(3, 6, 100)])
 
     # noiseless observations come back (numerically) exactly
-    errs = []
-    for X in pts:
-        Xh, _ = r3d.triangulate(cam1.project(X), cam2.project(X), cam1, cam2)
-        errs.append(np.linalg.norm(Xh - X))
-    assert max(errs) < 1e-6
+    Xh, _ = r3d.triangulate(cam1.project(pts), cam2.project(pts), cam1, cam2)
+    assert np.linalg.norm(Xh - pts, axis=1).max() < 1e-6
 
     # with pixel noise the refinement never does worse than its linear start
-    for X in pts[:30]:
-        px1 = cam1.project(X) + rng.normal(0, 2.0, 2)
-        px2 = cam2.project(X) + rng.normal(0, 2.0, 2)
-        X0, _ = r3d._linear_batch(px1[None], px2[None], cam1, cam2)
-        r0 = r3d._residuals(X0, px1[None], px2[None], cam1, cam2)[0]
-        rms0 = float(np.sqrt(r0 @ r0 / 4.0))
-        _, rms = r3d.triangulate(px1, px2, cam1, cam2)
-        assert rms <= rms0 + 1e-12
+    noise = rng.normal(0, 2.0, (30, 2, 2))   # per point: cam1, then cam2
+    px1 = cam1.project(pts[:30]) + noise[:, 0]
+    px2 = cam2.project(pts[:30]) + noise[:, 1]
+    X0, _ = r3d._linear_batch(px1, px2, cam1, cam2)
+    r0 = r3d._residuals(X0, px1, px2, cam1, cam2)
+    rms0 = np.sqrt((r0 * r0).sum(axis=1) / 4.0)
+    _, rms = r3d.triangulate(px1, px2, cam1, cam2)
+    assert (rms <= rms0 + 1e-12).all()
     assert time.perf_counter() - t0 < 5.0
 
 

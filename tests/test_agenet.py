@@ -72,8 +72,8 @@ def test_window_dataset_all_too_short():
 def test_forward_zero_parameters_predicts_zero():
     model = AgeNet(seed=0)
     model.set_flat(np.zeros(model.get_flat().size))
-    x = np.random.default_rng(3).normal(size=(4, 200))
-    assert model.forward(x) == 0.0
+    x = np.random.default_rng(3).normal(size=(2, 4, 200))
+    assert np.array_equal(model.forward(x), [0.0, 0.0])
 
 
 def test_forward_single_vs_batch():
@@ -83,15 +83,15 @@ def test_forward_single_vs_batch():
     batch = model.forward(xs)
     assert batch.shape == (3,)
     for i in range(3):
-        one = model.forward(xs[i])
-        assert isinstance(one, float)
+        one = model.forward(xs[i:i + 1])   # a single window: a batch of one
+        assert one.shape == (1,)
         # batched matrix products reorder the sums; agreement is to rounding
-        assert one == pytest.approx(batch[i], rel=1e-12)
+        assert one[0] == pytest.approx(batch[i], rel=1e-12)
 
 
 def test_forward_deterministic():
-    x = np.random.default_rng(5).normal(size=(4, 200))
-    assert AgeNet(seed=7).forward(x) == AgeNet(seed=7).forward(x)
+    x = np.random.default_rng(5).normal(size=(2, 4, 200))
+    assert np.array_equal(AgeNet(seed=7).forward(x), AgeNet(seed=7).forward(x))
 
 
 def test_flat_parameter_round_trip():
@@ -292,7 +292,7 @@ def test_evaluate_mse_matches_manual_computation():
     model = AgeNet(seed=6)
     windows = [_window("a", 8, i) for i in range(3)]
     mse, preds = evaluate_mse(model, windows)
-    manual = [model.forward(w.values) for w in windows]
+    manual = [model.forward(w.values[None])[0] for w in windows]
     assert np.allclose(preds, manual)
     assert mse == pytest.approx(np.mean((np.asarray(manual) - 8.0) ** 2))
 

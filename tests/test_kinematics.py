@@ -34,7 +34,7 @@ def test_segment_reaches_one_per_collected_target():
         TargetEvent(1, "left", (0.3, 0.5), 1.0, None),     # uncollected
         TargetEvent(1, "right", (0.7, 0.5), 1.0, 1.5),
     )
-    segs = segment_reaches(seq, TargetLog(events))
+    segs = segment_reaches(seq, TargetLog(events), np.asarray)
     assert len(segs) == 3
     assert [(s.hand, s.target.target_id) for s in segs] == \
         [("left", 0), ("right", 0), ("right", 1)]
@@ -50,7 +50,7 @@ def test_segment_reaches_empty_window():
               TargetEvent(0, "right", (0.8, 0.4), 5.0, 5.01))
     with pytest.raises(InputError, match=r"^target 0 \(left\): 0 frame\(s\) "
                                          r"in \[5\.0, 5\.01\]$"):
-        segment_reaches(seq, TargetLog(events))
+        segment_reaches(seq, TargetLog(events), np.asarray)
 
 
 def test_segment_reaches_maps_target_position():
@@ -58,7 +58,7 @@ def test_segment_reaches_maps_target_position():
     events = (TargetEvent(0, "left", (0.2, 0.4), 0.0, 0.5),
               TargetEvent(0, "right", (0.8, 0.4), 0.0, 0.5))
     segs = segment_reaches(seq, TargetLog(events),
-                           target_to_path=lambda p: (p[0] * 10, p[1] * 10))
+                           target_to_path=lambda p: np.multiply(p, 10.0))
     assert np.allclose(segs[0].target_position, (2.0, 4.0))
 
 
@@ -151,7 +151,8 @@ def test_participant_medians_even_count():
     def seg(d):
         # straight path of length d sampled at 3 points; directness 1
         path = np.column_stack([np.linspace(0, d, 3), np.zeros(3)])
-        return kinematics.ReachSegment("p1", "left", None, path, dt=1.0)
+        return kinematics.ReachSegment("p1", "left", None, path, dt=1.0,
+                                       target_position=path[-1])
 
     # max speeds 0.2 and 0.8 -> median 0.5 (mean of the middle pair)
     summary = participant_medians([seg(0.4), seg(1.6)], "p1", 9, "6-10")

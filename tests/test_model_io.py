@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -23,12 +24,17 @@ p1,0,right,0.8,0.5,0.0,1.2
 """
 
 
+def parse_target_csv(text):
+    """``model_io.parse_target_csv`` of a table whose rows name p1."""
+    return model_io.parse_target_csv(text, "p1")
+
+
 def test_parse_joint_csv_three_rows():
     seq = model_io.parse_joint_csv(JOINTS_3ROW)
     assert len(seq.samples) == 3
     assert seq.participant_id == "p1"
     assert seq.camera_id == "cam0"
-    assert seq.joints == ("left_wrist",)
+    assert list(seq.streams) == ["left_wrist"]
     assert seq.sample_rate == pytest.approx(30.0)
     assert list(seq.samples)[0].position == (10.0, 20.0)
 
@@ -94,7 +100,7 @@ def test_parse_joint_csv_rejects_non_finite(cell):
 def test_parse_target_csv_rejects_non_finite():
     text = TARGETS_PAIR.replace("0.8,0.5", "nan,0.5")
     with pytest.raises(ParseError) as exc:
-        model_io.parse_target_csv(text)
+        parse_target_csv(text)
     assert exc.value.row == 3
 
 
@@ -108,7 +114,7 @@ def test_parse_joint_csv_3d_schema():
 
 
 def test_parse_target_csv_pair():
-    log = model_io.parse_target_csv(TARGETS_PAIR)
+    log = parse_target_csv(TARGETS_PAIR)
     pairs = log.pairs()
     assert len(pairs) == 1
     left, right = pairs[0]
@@ -118,7 +124,7 @@ def test_parse_target_csv_pair():
 
 def test_parse_target_csv_uncollected():
     text = TARGETS_PAIR.replace("0.0,1.2", "0.0,")
-    log = model_io.parse_target_csv(text)
+    log = parse_target_csv(text)
     assert log.score == 0
     assert not log.pairs()[0][1].collected
 
@@ -127,19 +133,19 @@ def test_parse_target_csv_hit_before_appear():
     text = TARGETS_PAIR.replace("0.0,1.2", "2.0,1.2")
     with pytest.raises(ParseError,
                        match=r"^row 3: t_hit 1\.2 precedes t_appear 2\.0$"):
-        model_io.parse_target_csv(text)
+        parse_target_csv(text)
 
 
 def test_parse_target_csv_unpaired():
     text = "\n".join(TARGETS_PAIR.splitlines()[:2]) + "\n"
     with pytest.raises(ParseError, match="^target 0 missing a side$"):
-        model_io.parse_target_csv(text)
+        parse_target_csv(text)
 
 
 def test_parse_target_csv_bad_side():
     text = TARGETS_PAIR.replace("p1,0,right", "p1,0,up")
     with pytest.raises(ParseError):
-        model_io.parse_target_csv(text)
+        parse_target_csv(text)
 
 
 def test_joint_roundtrip_identity(sample_session):
@@ -172,7 +178,8 @@ def test_target_roundtrip_identity(sample_session):
     buf = io.StringIO()
     model_io.write_target_csv(sample_session.participant_id,
                               sample_session.targets, buf)
-    back = model_io.parse_target_csv(buf.getvalue())
+    back = model_io.parse_target_csv(buf.getvalue(),
+                                     sample_session.participant_id)
     assert back.events == sample_session.targets.events
 
 
@@ -264,6 +271,29 @@ def test_parse_joint_csv_rejects_a_row_of_another_session(column, value):
         model_io.parse_joint_csv(text)
 
 
+def test_parse_target_csv_rejects_a_row_of_another_participant():
+    text = TARGETS_PAIR.replace("p1,0,right", "p2,0,right")
+    with pytest.raises(ParseError, match=r"^row 3: participant_id 'p2' is not "
+                                         r"the session's 'p1'$"):
+        parse_target_csv(text)
+
+
+def test_targets_of_another_participant_stop_the_metrics(tmp_path, capsys,
+                                                         small_cohort_dir):
+    # every p000 targets row names someone else: metrics.csv was written
+    # unchanged, from targets the manifest does not vouch for
+    cohort = tmp_path / "cohort"
+    shutil.copytree(small_cohort_dir, cohort)
+    path = cohort / "p000" / "targets.csv"
+    path.write_text(path.read_text().replace("p000,", "someone_else,"))
+    assert cli.main(["metrics", "--in", str(cohort),
+                     "--out", str(tmp_path / "out")]) == 2
+    message = (f"{path}: row 2: participant_id 'someone_else' is not the "
+               "session's 'p000'")
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_session_checks_manifest_participant_id(tmp_path,
                                                      sample_session):
     from dataclasses import replace
@@ -284,8 +314,8 @@ def test_validate_score_mismatch(sample_session):
     from dataclasses import replace
     bad = replace(sample_session, manifest=replace(
         sample_session.manifest, score=sample_session.score + 1))
-    findings = model_io.validate_session(bad)
-    assert any(code == "ScoreMismatch" for code, _ in findings)
+    assert model_io.validate_session(bad) == (
+        f"manifest score {bad.score} != {bad.targets.score} collected pairs",)
 
 
 def test_validate_missing_joint(sample_session):
@@ -294,17 +324,15 @@ def test_validate_missing_joint(sample_session):
     stripped = replace(seq, streams={j: s for j, s in seq.streams.items()
                                      if j != "right_wrist"})
     bad = replace(sample_session, skeletons=(stripped,))
-    findings = model_io.validate_session(bad)
-    assert any(code == "MissingJoint" and "right_wrist" in message
-               for code, message in findings)
+    assert model_io.validate_session(bad) == (
+        f"camera {seq.camera_id!r}: joint 'right_wrist' absent",)
 
 
 def test_validate_age_out_of_range(sample_session):
     from dataclasses import replace
     bad = replace(sample_session,
                   manifest=replace(sample_session.manifest, age_years=42))
-    findings = model_io.validate_session(bad)
-    assert any(code == "AgeOutOfRange" for code, _ in findings)
+    assert model_io.validate_session(bad) == ("age 42 outside [6, 17]",)
 
 
 def test_joint_arrays_missing_joint(sample_session):
@@ -332,7 +360,7 @@ def test_full_precision_float_rendering():
      "row 3: expected 8 fields, got 9"),
     (model_io.parse_joint_csv, "p1,cam0,1,0.1,left_wrist,11.0,21.0",
      "row 3: expected 8 fields, got 7"),
-    (model_io.parse_target_csv, "p1,0,right,0.8,0.5,0.0,1.2,junk",
+    (parse_target_csv, "p1,0,right,0.8,0.5,0.0,1.2,junk",
      "row 3: expected 7 fields, got 8")])
 def test_a_row_with_another_field_count_is_rejected(parse, line, expected):
     text = JOINTS_3ROW if parse is model_io.parse_joint_csv else TARGETS_PAIR
@@ -359,7 +387,7 @@ def test_parse_target_csv_rejects_a_fractional_target_id():
     text = TARGETS_PAIR.replace("p1,0,right", "p1,1.9,right")
     expected = "row 3: column 'target_id': not an integer in int64 range: 1.9"
     with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
-        model_io.parse_target_csv(text)
+        parse_target_csv(text)
 
 
 def reconstructed_joints(tmp_path):
@@ -486,7 +514,7 @@ def parse_metrics_artifact(text):
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.sampled_from([(model_io.parse_target_csv, TARGETS_2PAIRS),
+@given(st.sampled_from([(parse_target_csv, TARGETS_2PAIRS),
                         (reconstruct3d._parse_calibration, CALIBRATION),
                         (parse_metrics_artifact, METRICS)]),
        st.integers(0, 99), st.integers(0, 99), st.sampled_from(MUTATIONS))
@@ -500,7 +528,7 @@ def test_target_mutations_parse_or_raise_a_parse_error(table, row, column,
 def test_a_carriage_return_in_a_cell_is_a_parse_error():
     text = TARGETS_PAIR.replace("p1,0,right", "p1,0\r1,right")
     with pytest.raises(ParseError, match="^row 3: not csv: ") as info:
-        model_io.parse_target_csv(text)
+        parse_target_csv(text)
     assert info.value.row == 3
 
 

@@ -5,13 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from reachkin import (agenet, cli, pipeline, preprocess, progress_spline,
-                      reconstruct3d, stats, synth)
+from reachkin import (agenet, cli, kinematics, pipeline, preprocess,
+                      progress_spline, reconstruct3d, stats, synth)
 from reachkin.errors import ConfigError, InputError, NumericalError, ParseError
 from reachkin.kinematics import MetricSummary
 from reachkin.model_io import parse_joint_csv
@@ -29,7 +29,7 @@ from reachkin.pipeline import (
 
 def test_config_round_trip():
     config = PipelineConfig(seed=9, epochs=3, filter_cutoff_hz=5.0)
-    back = PipelineConfig.from_dict(config.to_dict())
+    back = PipelineConfig.from_dict(asdict(config))
     assert back == config
     assert back.config_hash == config.config_hash
 
@@ -75,9 +75,12 @@ def test_tuning_parameters_pinned():
         preprocess.interpolate_outliers: ("positions",),
         progress_spline.filter_backward_reaches: ("curves",),
         progress_spline._project_parameters: ("control", "points", "s"),
-        reconstruct3d.triangulate: ("px1", "px2", "cam1", "cam2"),
-        reconstruct3d._triangulate_batch: ("px1", "px2", "cam1", "cam2",
-                                           "where"),
+        reconstruct3d.triangulate: ("px1", "px2", "cam1", "cam2", "where"),
+        reconstruct3d.normalize_by_shoulder_width: ("seq", "scale"),
+        reconstruct3d.CameraModel.project: ("self", "X"),
+        kinematics.segment_reaches: ("seq", "targets", "target_to_path"),
+        agenet.AgeNet.forward: ("self", "x", "cache"),
+        synth.generate_reach: ("params", "start", "target", "dt", "rng"),
         synth.generate_session: ("params", "age", "seed", "participant_id",
                                  "duration"),
         pipeline.analyze_session: ("session", "seq"),
@@ -605,6 +608,20 @@ def test_cli_synth_writes_cohort(tmp_path, capsys):
     dirs = [d for d in os.listdir(out) if (out / d).is_dir()]
     assert len(dirs) == 4
     assert (out / "ground_truth.csv").is_file()
+
+
+def test_cli_synth_refuses_a_non_empty_out(tmp_path, capsys):
+    # a second cohort written over a first kept the first's extra sessions,
+    # which ground_truth.csv no longer listed
+    out = tmp_path / "cohort"
+    out.mkdir()   # an existing empty directory is fine
+    argv = ["synth", "--duration", "10", "--out", str(out)]
+    assert cli.main(argv + ["--n-per-bin", "2", "--seed", "1"]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert cli.main(argv + ["--n-per-bin", "1", "--seed", "2"]) == 4
+    assert capsys.readouterr().err == \
+        f"config error: --out {out} is not empty\n"
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("option, value", [

@@ -46,12 +46,6 @@ def test_progress_curve_no_net_progress():
         ps.progress_curve(make_segment(path, (0.0, 0.0)))
 
 
-def test_progress_curve_requires_target():
-    seg = ReachSegment("p1", "left", None, np.zeros((5, 2)), dt=0.1)
-    with pytest.raises(ZeroInitialDistance):
-        ps.progress_curve(seg)
-
-
 def _curve_with_dmax(d_max):
     return ps.ProgressCurve(tau=np.linspace(0, 1, 5),
                             rho=np.linspace(0, 1, 5),

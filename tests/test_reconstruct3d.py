@@ -60,12 +60,13 @@ def scene_points(n, seed=0):
 
 def test_project_single_and_batch():
     cam1, _ = stereo_rig()
-    one = cam1.project([0.0, 0.0, 2.0])
-    assert one.shape == (2,)
-    assert np.allclose(one, (320.0, 240.0))   # on-axis -> principal point
-    many = cam1.project(np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]]))
+    pts = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+    many = cam1.project(pts)
     assert many.shape == (2, 2)
+    assert np.allclose(many[0], (320.0, 240.0))   # on-axis -> principal point
     assert np.allclose(many[1], (320.0 + 800.0 / 2.0, 240.0))
+    one = cam1.project(pts[1:])   # a single point is a batch of one
+    assert one.shape == (1, 2) and np.array_equal(one[0], many[1])
 
 
 def test_camera_rejects_non_rotation():
@@ -79,7 +80,7 @@ def test_look_at_cameras_center_the_origin():
     for pos in ([0.0, 0.0, -4.0], [2.0, 1.0, -3.5], [-2.5, 0.5, -3.0]):
         R, t = look_at(pos)
         cam = r3d.make_camera("c", INTR, R, t)
-        assert np.allclose(cam.project([0.0, 0.0, 0.0]), (320.0, 240.0))
+        assert np.allclose(cam.project(np.zeros((1, 3))), (320.0, 240.0))
 
 
 # --- triangulation -----------------------------------------------------------
@@ -89,9 +90,10 @@ def test_triangulate_verged_pair_hits_origin():
     Rb, tb = look_at([-1.5, -0.1, -4.0])
     cama = r3d.make_camera("a", INTR, Ra, ta)
     camb = r3d.make_camera("b", INTR, Rb, tb)
-    X, rms = r3d.triangulate((320.0, 240.0), (320.0, 240.0), cama, camb)
-    assert np.allclose(X, (0.0, 0.0, 0.0), atol=1e-9)
-    assert rms < 1e-9
+    centre = np.array([[320.0, 240.0]])
+    X, rms = r3d.triangulate(centre, centre, cama, camb)
+    assert np.allclose(X, 0.0, atol=1e-9)
+    assert rms[0] < 1e-9
 
 
 def test_triangulation_error_scales_linearly_with_noise():
@@ -100,13 +102,10 @@ def test_triangulation_error_scales_linearly_with_noise():
     rng = np.random.default_rng(6)
     medians = []
     for sigma in (0.5, 1.0, 2.0):
-        errs = []
-        for X in pts:
-            px1 = cam1.project(X) + rng.normal(0, sigma, 2)
-            px2 = cam2.project(X) + rng.normal(0, sigma, 2)
-            Xh, _ = r3d.triangulate(px1, px2, cam1, cam2)
-            errs.append(np.linalg.norm(Xh - X))
-        medians.append(np.median(errs))
+        noise = rng.normal(0, sigma, (len(pts), 2, 2))   # per point: cam1, cam2
+        Xh, _ = r3d.triangulate(cam1.project(pts) + noise[:, 0],
+                                cam2.project(pts) + noise[:, 1], cam1, cam2)
+        medians.append(np.median(np.linalg.norm(Xh - pts, axis=1)))
     assert 1.5 < medians[1] / medians[0] < 2.7
     assert 1.5 < medians[2] / medians[1] < 2.7
 
@@ -114,11 +113,11 @@ def test_triangulation_error_scales_linearly_with_noise():
 def test_triangulation_translation_equivariance():
     cam1, cam2 = stereo_rig()
     shift = np.array([0.3, -0.2, 0.5])
-    for X in scene_points(10, seed=8):
-        Xa, _ = r3d.triangulate(cam1.project(X), cam2.project(X), cam1, cam2)
-        Xb, _ = r3d.triangulate(cam1.project(X + shift),
-                                cam2.project(X + shift), cam1, cam2)
-        assert np.allclose(Xb - Xa, shift, atol=1e-9)
+    X = scene_points(10, seed=8)
+    Xa, _ = r3d.triangulate(cam1.project(X), cam2.project(X), cam1, cam2)
+    Xb, _ = r3d.triangulate(cam1.project(X + shift),
+                            cam2.project(X + shift), cam1, cam2)
+    assert np.allclose(Xb - Xa, shift, atol=1e-9)
 
 
 # Per-point Gauss-Newton results (X, rms) for noisy_pairs() points, recorded
@@ -182,13 +181,13 @@ def test_batch_matches_per_point_reference():
     px1, px2 = noisy_pairs(2.0)
     idx = sorted(PER_POINT_REFERENCE)
     ref = np.array([PER_POINT_REFERENCE[i] for i in idx])
-    X, rms = r3d._triangulate_batch(px1[idx], px2[idx], cam1, cam2)
+    X, rms = r3d.triangulate(px1[idx], px2[idx], cam1, cam2)
     assert np.abs(X - ref[:, :3]).max() < 1e-9
     assert np.abs(rms - ref[:, 3]).max() < 1e-12
     for i, expected in zip(idx, ref):
-        Xi, rmsi = r3d.triangulate(px1[i], px2[i], cam1, cam2)
-        assert np.abs(Xi - expected[:3]).max() < 1e-9
-        assert abs(rmsi - expected[3]) < 1e-12
+        Xi, rmsi = r3d.triangulate(px1[i:i + 1], px2[i:i + 1], cam1, cam2)
+        assert np.abs(Xi[0] - expected[:3]).max() < 1e-9
+        assert abs(rmsi[0] - expected[3]) < 1e-12
 
 
 def test_batch_result_independent_of_other_points():
@@ -199,13 +198,13 @@ def test_batch_result_independent_of_other_points():
     px2 = np.concatenate([g[1] for g in groups])
     order = np.random.default_rng(1).permutation(len(px1))
     px1, px2 = px1[order], px2[order]
-    X, rms = r3d._triangulate_batch(px1, px2, cam1, cam2)
+    X, rms = r3d.triangulate(px1, px2, cam1, cam2)
     # Each point runs the same arithmetic alone or in the batch; a mask or
     # indexing mix-up between points moves results by about 1e-10 here.
     for i in range(len(px1)):
-        Xi, rmsi = r3d.triangulate(px1[i], px2[i], cam1, cam2)
-        assert np.abs(X[i] - Xi).max() < 1e-12
-        assert abs(rms[i] - rmsi) < 1e-12
+        Xi, rmsi = r3d.triangulate(px1[i:i + 1], px2[i:i + 1], cam1, cam2)
+        assert np.abs(X[i] - Xi[0]).max() < 1e-12
+        assert abs(rms[i] - rmsi[0]) < 1e-12
 
 
 def test_triangulate_sequences_throughput():
@@ -224,18 +223,19 @@ def test_parallel_rays_flagged_per_point():
     pts = scene_points(20, seed=13)
     px1, px2 = cam1.project(pts), cam2.project(pts)
     # point 1 at infinity: both viewing rays run along one direction
-    px1[1], px2[1] = cam1.project(1e30 * pts[1]), cam2.project(1e30 * pts[1])
+    px1[1:2], px2[1:2] = (cam1.project(1e30 * pts[1:2]),
+                          cam2.project(1e30 * pts[1:2]))
     X, status = r3d._linear_batch(px1, px2, cam1, cam2)
     assert np.flatnonzero(status).tolist() == [1]
     assert np.abs(np.delete(X, 1, axis=0) - np.delete(pts, 1, axis=0)).max() < 1e-9
     with pytest.raises(NumericalError, match=r"^(viewing rays are \(near-\)"
                                              r"parallel|point at infinity)$"):
-        r3d.triangulate(px1[1], px2[1], cam1, cam2)
+        r3d.triangulate(px1[1:2], px2[1:2], cam1, cam2)
 
 
 def test_point_behind_both_cameras_degenerate():
     cam1, cam2 = stereo_rig()
-    X = np.array([0.2, 0.1, -4.0])
+    X = np.array([[0.2, 0.1, -4.0]])
     with pytest.raises(NumericalError,
                        match="^point is not in front of both cameras$"):
         r3d.triangulate(cam1.project(X), cam2.project(X), cam1, cam2)
@@ -294,6 +294,18 @@ def test_load_calibration_round_trip(tmp_path):
     assert np.allclose(cams["cam2"].rotation, R)
     assert np.allclose(cams["cam2"].translation, (0.5, 0.0, -0.1))
     assert cams["cam2"].intrinsics.fx == 810.0
+
+
+def test_load_calibration_rejects_a_repeated_camera(tmp_path):
+    # the later row used to replace the earlier one: cam1 loaded with fx 500
+    path = tmp_path / "calib.csv"
+    path.write_text("camera_id,fx,fy,cx,cy\n"
+                    "cam1,800.0,800.0,320.0,240.0\n"
+                    "cam2,800.0,800.0,320.0,240.0\n"
+                    "cam1,500.0,500.0,320.0,240.0\n")
+    with pytest.raises(ParseError) as err:
+        r3d.load_calibration(path)
+    assert str(err.value) == f"{path}: row 4: camera 'cam1' repeats row 2"
 
 
 def test_load_calibration_missing_columns(tmp_path):
@@ -457,19 +469,23 @@ def test_shoulder_scale_rejects_residue_width(x0):
         pytest.approx(0.05 * x0)
 
 
+def normalized(seq):
+    return r3d.normalize_by_shoulder_width(seq, r3d.shoulder_scale(seq))
+
+
 def test_normalize_scales_everything():
-    out = r3d.normalize_by_shoulder_width(shoulder_seq(0.4))
+    out = normalized(shoulder_seq(0.4))
     assert r3d.shoulder_scale(out) == pytest.approx(1.0)
     _, _, wrist, _ = out.joint_arrays("left_wrist")
     assert np.allclose(wrist[:, 1], 2.0 / 0.4)   # positions scaled by 2.5
 
 
 def test_normalize_idempotent_and_scale_invariant():
-    once = r3d.normalize_by_shoulder_width(shoulder_seq(0.4))
-    twice = r3d.normalize_by_shoulder_width(once)
+    once = normalized(shoulder_seq(0.4))
+    twice = normalized(once)
     assert all(np.allclose(a.position, b.position)
                for a, b in zip(once.samples, twice.samples))
-    other = r3d.normalize_by_shoulder_width(shoulder_seq(0.8, wrist_scale=2.0))
+    other = normalized(shoulder_seq(0.8, wrist_scale=2.0))
     assert all(np.allclose(a.position, b.position)
                for a, b in zip(once.samples, other.samples))
 

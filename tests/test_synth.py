@@ -54,19 +54,6 @@ def test_generate_reach_straight_when_no_detour():
     assert np.allclose(path[-1], (1.5, 0.5), atol=1e-9)
 
 
-def test_generate_reach_duration_override_peak_speed():
-    # a single straight burst over a fixed duration is a minimum-jerk reach;
-    # its sampled peak speed sits within 2% of 1.875 * distance / duration
-    params = StrategyParams(detour_amplitude=0.0, submovement_count=0,
-                            anticipation=0.0, noise_sigma=0.0)
-    dt = 1.0 / 30.0
-    path, total = generate_reach(params, (0.0, 0.0), (2.0, 0.0), dt,
-                                 duration=1.0)
-    vmax = kinematics.max_speed(path, dt)
-    assert vmax == pytest.approx(1.875 * 2.0 / 1.0, rel=0.02)
-    assert total == pytest.approx(1.0)
-
-
 def test_generate_reach_detour_lowers_directness():
     scores = []
     for amp in (0.0, 0.2, 0.4):
@@ -263,17 +250,14 @@ def test_generate_session_matches_per_frame_reference(params, seed, duration):
 @settings(max_examples=60, deadline=None)
 @given(params=strategies, seed=st.integers(0, 2**32 - 1),
        start=st.tuples(st.floats(-2.0, 2.0), st.floats(-0.5, 2.5)),
-       step=st.tuples(st.floats(0.3, 2.0), st.floats(-2.0, 2.0)),
-       duration=st.none() | st.floats(0.1, 3.0))
-def test_generate_reach_matches_per_frame_reference(params, seed, start, step,
-                                                    duration):
+       step=st.tuples(st.floats(0.3, 2.0), st.floats(-2.0, 2.0)))
+def test_generate_reach_matches_per_frame_reference(params, seed, start, step):
     target = (start[0] + step[0], start[1] + step[1])
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got, got_total = generate_reach(params, start, target, 1.0 / 30.0,
-                                    rng=got_rng, duration=duration)
+                                    rng=got_rng)
     want, want_total = reference.generate_reach(params, start, target,
-                                                1.0 / 30.0, rng=want_rng,
-                                                duration=duration)
+                                                1.0 / 30.0, rng=want_rng)
     assert got_total == want_total
     assert np.array_equal(bits(got), bits(want))
     assert got_rng.random() == want_rng.random()     # the same draws used
