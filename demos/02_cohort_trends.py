@@ -15,7 +15,7 @@ config = pipeline.PipelineConfig()
 
 frames = pipeline.cohort_frames(cohort, config)   # gated and decimated
 clean = [pipeline.preprocess_session(seq, config) for seq in frames]
-summaries, segments_by_pid = pipeline.cohort_metrics(cohort, clean)
+summaries, segments = pipeline.cohort_metrics(cohort, clean)
 
 print("\ngroup means:")
 for label in pipeline.GROUP_LABELS:
@@ -26,7 +26,7 @@ for label in pipeline.GROUP_LABELS:
           f"({len(rows)} participants)")
 
 print("\nprogress spline endpoint rates:")
-curves = pipeline.group_curves(cohort, segments_by_pid)
+curves = pipeline.group_curves(summaries, segments)
 fits = pipeline.fit_group_splines(curves)
 for label in pipeline.GROUP_LABELS:
     fit, rates, n = fits[label]

@@ -7,7 +7,7 @@ body sizes; speeds are shoulder-widths per second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,21 +110,29 @@ def segment_directness(segment: ReachSegment) -> float:
     return directness(segment.path)
 
 
+# Every per-participant metric, in report order: its name in anova.csv,
+# tukey.csv and bars.csv, its MetricSummary field (a metrics.csv column), and
+# the per-reach measure whose median it is.
+METRICS = (
+    ("directness", "median_directness", segment_directness),
+    ("max_speed", "median_max_speed", lambda s: max_speed(s.path, s.dt)),
+)
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricSummary))
+
+
 def participant_medians(segments, participant_id, age, group) -> MetricSummary:
-    """Pool both hands' reaches and take the median of each measure.
+    """Pool both hands' reaches and take the median of each METRICS measure.
 
     An even count medians as the mean of the two middle values (numpy's
     default convention).
     """
     if not segments:
         raise InputError("no segments")
-    d = [segment_directness(s) for s in segments]
-    v = [max_speed(s.path, s.dt) for s in segments]
     return MetricSummary(
         participant_id=participant_id,
         age=age,
         group=group,
-        median_directness=float(np.median(d)),
-        median_max_speed=float(np.median(v)),
         reach_count=len(segments),
+        **{field: float(np.median([measure(s) for s in segments]))
+           for _, field, measure in METRICS},
     )

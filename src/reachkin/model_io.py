@@ -372,7 +372,7 @@ def parse_target_csv(stream, participant_id) -> TargetLog:
     num = _numbers(columns, rownums, col,
                    ["target_id", "x_norm", "y_norm", "t_appear_s"])
     ids = _integers(num[:, 0], "target_id", rownums).tolist()
-    events = []
+    events, first_row = [], {}
     for rownum, pid, target_id, (x, y, t_appear), side, raw_hit in zip(
             rownums, columns[col["participant_id"]], ids, num[:, 1:].tolist(),
             columns[col["side"]], columns[col["t_hit_s"]]):
@@ -382,6 +382,10 @@ def parse_target_csv(stream, participant_id) -> TargetLog:
         side = side.strip()
         if side not in ("left", "right"):
             raise ParseError(f"side must be left/right, got {side!r}", row=rownum)
+        first = first_row.setdefault((target_id, side), rownum)
+        if first != rownum:
+            raise ParseError(f"target {target_id} ({side}) repeats row "
+                             f"{first}", row=rownum)
         raw_hit = raw_hit.strip()
         t_hit = None if raw_hit == "" else _float(raw_hit, "t_hit_s", rownum)
         if t_hit is not None and t_hit < t_appear:
@@ -448,7 +452,7 @@ def parse_manifest(stream) -> SessionManifest:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     try:
-        raw = json.load(stream)
+        raw = json.load(stream, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -479,6 +483,16 @@ def parse_manifest(stream) -> SessionManifest:
         camera_ids=tuple(cams),
         score=_manifest_int(raw.get("score", 0), "score"),
     )
+
+
+def _unique_keys(pairs):
+    # json.load keeps the last of a repeated key
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"manifest: key {key!r} repeats")
+        obj[key] = value
+    return obj
 
 
 def _manifest_int(value, key):
@@ -574,8 +588,9 @@ def validate_session(session: ParticipantSession) -> tuple:
     """The session's findings, each a message; () when clean."""
     findings = []
 
-    if not 6 <= session.age <= 17:
-        findings.append(f"age {session.age} outside [6, 17]")
+    lo, hi = AGE_BINS[0][0], AGE_BINS[-1][1]
+    if not lo <= session.age <= hi:
+        findings.append(f"age {session.age} outside [{lo}, {hi}]")
     hit_pairs = session.targets.score
     if session.score != hit_pairs:
         findings.append(

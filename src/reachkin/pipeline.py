@@ -20,7 +20,7 @@ import os
 import shutil
 import sys
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -217,26 +217,19 @@ def analyze_session(session, seq):
 
 
 def cohort_metrics(cohort: Cohort, streams):
-    """``analyze_session`` of every session with its filtered stream."""
-    summaries, segments_by_pid = [], {}
-    for session, seq in zip(cohort.sessions, streams):
-        summary, segments = per_participant(
-            session.participant_id, analyze_session, session, seq)
-        summaries.append(summary)
-        segments_by_pid[session.participant_id] = segments
-    return summaries, segments_by_pid
+    """``analyze_session`` of every session with its filtered stream, as
+    (summaries, reach segment lists), both in cohort order."""
+    results = [per_participant(s.participant_id, analyze_session, s, seq)
+               for s, seq in zip(cohort.sessions, streams)]
+    return [r[0] for r in results], [r[1] for r in results]
 
 
 # --- stage artifact emitters -----------------------------------------------
 
-METRIC_COLUMNS = ("participant_id", "age", "group", "median_directness",
-                  "median_max_speed", "reach_count")
-
-
 def write_metrics(summaries, path, config):
-    rows = [[s.participant_id, s.age, s.group, s.median_directness,
-             s.median_max_speed, s.reach_count] for s in summaries]
-    write_artifact(path, list(METRIC_COLUMNS), rows, config)
+    from . import kinematics
+    write_artifact(path, list(kinematics.METRIC_COLUMNS),
+                   [astuple(s) for s in summaries], config)
 
 
 def read_metrics(path):
@@ -251,14 +244,14 @@ def read_metrics(path):
 
 def _parse_metrics(fh):
     from . import kinematics
-    col, columns, rownums = _read_table(fh, "metrics",
-                                        lambda header: METRIC_COLUMNS,
-                                        artifact=True)
-    num = _numbers(columns, rownums, col,
-                   ["median_directness", "median_max_speed"]).tolist()
-    cells = zip(rownums, *(columns[col[n]] for n in METRIC_COLUMNS), num)
+    col, columns, rownums = _read_table(
+        fh, "metrics", lambda header: kinematics.METRIC_COLUMNS, artifact=True)
+    medians = [field for _, field, _ in kinematics.METRICS]
+    num = _numbers(columns, rownums, col, medians).tolist()
+    names = ("participant_id", "age", "group", "reach_count")
+    cells = zip(rownums, *(columns[col[n]] for n in names), num)
     summaries, first_row = [], {}
-    for row, pid, age, group, _, _, count, (directness, speed) in cells:
+    for row, pid, age, group, count, values in cells:
         age = _integer(age, "age", row)
         if group not in GROUP_LABELS:
             raise ParseError(f"column 'group': {group!r} is not one of "
@@ -271,8 +264,9 @@ def _parse_metrics(fh):
         if first_row.setdefault(pid, row) != row:
             raise ParseError(f"participant {pid!r} repeats row "
                              f"{first_row[pid]}", row=row)
-        summaries.append(kinematics.MetricSummary(pid, age, group, directness,
-                                                  speed, count))
+        summaries.append(kinematics.MetricSummary(
+            participant_id=pid, age=age, group=group, reach_count=count,
+            **dict(zip(medians, values))))
     return summaries
 
 
@@ -284,18 +278,18 @@ def _integer(value, column, row):
                          row=row) from None
 
 
-def group_curves(cohort, segments_by_pid):
-    """Pool backward-filtered progress curves per analysis group."""
+def group_curves(summaries, segments):
+    """Pool backward-filtered progress curves per analysis group, from
+    ``cohort_metrics``' participant summaries and reach segment lists."""
     from . import progress_spline
     curves = {label: [] for label in GROUP_LABELS}
-    for session in cohort.sessions:
-        label = group_label(session.age)
-        for seg in segments_by_pid[session.participant_id]:
+    for summary, segs in zip(summaries, segments):
+        for seg in segs:
             try:
                 curve = progress_spline.progress_curve(seg)
             except ZeroInitialDistance:
                 continue
-            curves[label].append(curve)
+            curves[summary.group].append(curve)
     return {label: progress_spline.filter_backward_reaches(cs)
             for label, cs in curves.items()}
 
@@ -329,22 +323,18 @@ def write_splines(fits, spline_path, curves_path, config):
     write_artifact(curves_path, ["group", "tau", "rho"], curve_rows, config)
 
 
-def grouped_metric(summaries, attr):
-    from . import stats
-    return stats.GroupedSamples(GROUP_LABELS, tuple(
-        tuple(getattr(s, attr) for s in summaries if s.group == label)
-        for label in GROUP_LABELS))
+def grouped_metrics(summaries):
+    """Each METRICS name -> its participant medians by analysis group."""
+    from . import kinematics, stats
+    return {metric: stats.GroupedSamples(GROUP_LABELS, tuple(
+        tuple(getattr(s, field) for s in summaries if s.group == label)
+        for label in GROUP_LABELS)) for metric, field, _ in kinematics.METRICS}
 
 
 def run_stats(summaries):
     from . import stats
-    results = {}
-    for metric, attr in (("directness", "median_directness"),
-                         ("max_speed", "median_max_speed")):
-        grouped = grouped_metric(summaries, attr)
-        results[metric] = (stats.one_way_anova(grouped),
-                           stats.tukey_hsd(grouped))
-    return results
+    return {metric: (stats.one_way_anova(grouped), stats.tukey_hsd(grouped))
+            for metric, grouped in grouped_metrics(summaries).items()}
 
 
 def write_stats(results, anova_path, tukey_path, config):
@@ -386,34 +376,27 @@ def write_training(report, cv_path, confusion_path, config):
 
 def bar_rows(summaries):
     """Per-group mean and std of each metric, as bars.csv rows."""
-    rows = []
-    for metric, attr in (("directness", "median_directness"),
-                         ("max_speed", "median_max_speed")):
-        grouped = grouped_metric(summaries, attr)
-        for label, values in zip(grouped.labels, grouped.groups):
-            arr = np.asarray(values)
-            rows.append([metric, label, arr.mean(), arr.std()])
-    return rows
+    return [[metric, label, np.mean(values), np.std(values)]
+            for metric, grouped in grouped_metrics(summaries).items()
+            for label, values in zip(grouped.labels, grouped.groups)]
 
 
 def write_bars(rows, path, config):
     write_artifact(path, ["metric", "group", "mean", "std"], rows, config)
 
 
-def trajectory_rows(cohort, segments_by_pid):
+def trajectory_rows(summaries, segments):
     """One sample reach path per analysis group, as trajectories.csv rows."""
     rows = []
     seen = set()
-    for session in cohort.sessions:
-        label = group_label(session.age)
-        if label in seen:
+    for summary, segs in zip(summaries, segments):
+        if summary.group in seen:
             continue
-        seg = max(segments_by_pid[session.participant_id],
-                  key=lambda s: s.n_frames)
+        seg = max(segs, key=lambda s: s.n_frames)
         for i, p in enumerate(seg.path):
-            rows.append([label, session.participant_id, seg.hand, i,
+            rows.append([summary.group, summary.participant_id, seg.hand, i,
                          *p])
-        seen.add(label)
+        seen.add(summary.group)
     return rows
 
 
@@ -433,9 +416,10 @@ def _svg(path, width, height, body, config):
 
 
 def svg_bars(bar_rows, path, config):
-    """Bar chart analog: grouped means with std whiskers."""
+    """Bar chart analog: grouped means with std whiskers, in METRICS order."""
+    from . import kinematics
     width, height, pad = 480, 240, 30
-    metrics = sorted({r[0] for r in bar_rows})
+    metrics = [metric for metric, _, _ in kinematics.METRICS]
     body = ""
     panel_w = (width - 2 * pad) / max(1, len(metrics))
     for mi, metric in enumerate(metrics):
@@ -591,9 +575,8 @@ STAGES = {
                 lambda r, c: cohort_metrics(r["ingest"], r["preprocess"]),
                 ("metrics.csv",),
                 lambda r, c, path: write_metrics(r["metrics"][0], path, c)),
-    "progress": (("ingest", "metrics"),
-                 lambda r, c: fit_group_splines(
-                     group_curves(r["ingest"], r["metrics"][1])),
+    "progress": (("metrics",),
+                 lambda r, c: fit_group_splines(group_curves(*r["metrics"])),
                  ("spline.csv", "progress_curves.csv"),
                  lambda r, c, *paths: write_splines(r["progress"], *paths, c)),
     "stats": (("metrics",), lambda r, c: run_stats(r["metrics"][0]),
@@ -603,9 +586,9 @@ STAGES = {
               lambda r, c: run_training(r["ingest"], r["frames"], c),
               ("cv_report.csv", "confusion.csv"),
               lambda r, c, *paths: write_training(r["train"][0], *paths, c)),
-    "report": (("ingest", "metrics", "progress"),
+    "report": (("metrics", "progress"),
                lambda r, c: (bar_rows(r["metrics"][0]),
-                             trajectory_rows(r["ingest"], r["metrics"][1])),
+                             trajectory_rows(*r["metrics"])),
                ("bars.csv", "trajectories.csv", "bars.svg", "progress.svg",
                 "trajectories.svg"), _write_report),
 }

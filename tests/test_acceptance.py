@@ -177,7 +177,7 @@ def test_cohort_monotonic_trends(default_cohort):
     t0 = time.perf_counter()
     cohort, _ = default_cohort
     config = pipeline.PipelineConfig()
-    summaries, segments_by_pid = pipeline.cohort_metrics(
+    summaries, segments = pipeline.cohort_metrics(
         cohort, [pipeline.preprocess_session(seq, config)
                  for seq in pipeline.cohort_frames(cohort, config)])
 
@@ -189,7 +189,7 @@ def test_cohort_monotonic_trends(default_cohort):
     assert direct[0] < direct[1] < direct[2]
     assert speed[0] > speed[1] > speed[2]
 
-    curves = pipeline.group_curves(cohort, segments_by_pid)
+    curves = pipeline.group_curves(summaries, segments)
     fits = pipeline.fit_group_splines(curves)
     ratios = [fits[lab][1].rate_ratio for lab in labels]
     assert ratios[0] < ratios[1] < ratios[2]

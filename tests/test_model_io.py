@@ -148,6 +148,16 @@ def test_parse_target_csv_bad_side():
         parse_target_csv(text)
 
 
+def test_parse_target_csv_rejects_a_repeated_target_side():
+    # kept, the later row would silently replace the earlier one, and the
+    # reach and the score would follow it
+    text = TARGETS_PAIR + "p1,0,left,0.9,0.9,0.0,\n"
+    message = r"^row 4: target 0 \(left\) repeats row 2$"
+    with pytest.raises(ParseError, match=message) as info:
+        parse_target_csv(text)
+    assert info.value.row == 4
+
+
 def test_joint_roundtrip_identity(sample_session):
     seq = sample_session.skeleton()
     buf = io.StringIO()
@@ -203,6 +213,18 @@ def test_manifest_missing_key():
         model_io.parse_manifest('{"participant_id": "p1"}')
     with pytest.raises(ParseError):
         model_io.parse_manifest("{not json")
+
+
+def test_manifest_rejects_a_repeated_key(sample_session):
+    # json.load alone keeps the last value, which moved the participant to
+    # the group of the later age
+    buf = io.StringIO()
+    model_io.write_manifest(sample_session.manifest, buf)
+    text = buf.getvalue().replace('"age_years": ',
+                                  '"age_years": 8, "age_years": ')
+    message = "^manifest: key 'age_years' repeats$"
+    with pytest.raises(ParseError, match=message):
+        model_io.parse_manifest(text)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -215,6 +216,30 @@ def test_run_stats_structure(small_cohort_dir):
         assert 0.0 <= anova.p <= 1.0
 
 
+def test_a_metrics_row_reaches_every_consumer(monkeypatch, tmp_path):
+    # a metric is one kinematics.METRICS row: no consumer keeps its own list
+    name, field, measure = kinematics.METRICS[-1]
+    monkeypatch.setattr(kinematics, "METRICS", kinematics.METRICS + (
+        ("alt_max_speed", field, measure),))
+    names = [row[0] for row in kinematics.METRICS]
+    assert names[-2:] == [name, "alt_max_speed"]
+    ages = (7, 8, 9, 11, 12, 13, 14, 15, 16)
+    summaries = [MetricSummary(f"p{i}", age, group_label(age), 0.3 + 0.05 * i,
+                               3.5 - 0.1 * i ** 1.5, 40 + i)
+                 for i, age in enumerate(ages)]
+    assert list(pipeline.run_stats(summaries)) == names
+    rows = pipeline.bar_rows(summaries)
+    assert [row[0] for row in rows] == [
+        n for n in names for _ in pipeline.GROUP_LABELS]
+    pipeline.svg_bars(rows, tmp_path / "bars.svg", PipelineConfig())
+    panels = re.findall(r'font-size="11" text-anchor="middle">(\w+)</text>',
+                        (tmp_path / "bars.svg").read_text())
+    assert panels == names
+    path = str(tmp_path / "metrics.csv")
+    write_metrics(summaries, path, PipelineConfig())
+    assert read_metrics(path) == summaries
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_ingest_clean_cohort(small_cohort_dir, capsys):
@@ -389,7 +414,7 @@ def test_hash_prefixed_participant_ids_are_data(tmp_path):
     write_metrics(summaries, path, PipelineConfig())
     assert read_metrics(path) == summaries
     header, rows = read_artifact(path)
-    assert header == list(pipeline.METRIC_COLUMNS)
+    assert header == list(kinematics.METRIC_COLUMNS)
     assert [row[0] for row in rows] == ["#p1", "p2"]
 
 
@@ -462,6 +487,20 @@ def test_cli_rejects_joint_rows_of_another_session(tmp_path, capsys,
         assert (f"stage 'ingest' failed: {cohort / 'p001'}: joint files "
                 "name participant(s) ['p777'], not 'p001'") in err
     assert not out.exists()
+
+
+def test_cli_import_loads_only_the_start_up_modules():
+    # every command, `reachkin synth` included, pays for each module loaded
+    # here; a stage loads the modules it uses when it runs
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, reachkin.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'reachkin'))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == str([
+        "reachkin", "reachkin.cli", "reachkin.errors", "reachkin.model_io",
+        "reachkin.pipeline"])
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
