@@ -13,9 +13,10 @@ print("generating cohort (5 per age bin)...")
 cohort, truth = synth.generate_cohort(5, seed=0)
 config = pipeline.PipelineConfig()
 
-frames = pipeline.cohort_frames(cohort, config)   # gated and decimated
-clean = [pipeline.preprocess_session(seq, config) for seq in frames]
-summaries, segments = pipeline.cohort_metrics(cohort, clean)
+# one pass per participant: gate, decimate, filter, analyze
+records = pipeline.cohort_metrics(cohort.sessions, ("metrics",), config, None)
+summaries = [r.summary for r in records]
+segments = [r.segments for r in records]
 
 print("\ngroup means:")
 for label in pipeline.GROUP_LABELS:

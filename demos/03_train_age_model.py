@@ -12,9 +12,10 @@ from reachkin.model_io import AGE_BINS
 
 print("generating cohort (4 per age bin)...")
 cohort, _ = synth.generate_cohort(4, seed=1)
-# the same gated, decimated frames the metrics start from
-frames = pipeline.cohort_frames(cohort, pipeline.PipelineConfig())
-windows, skipped = agenet.windows_from_cohort(cohort, frames)
+# wrist channels of the same gated, decimated frames the metrics start from
+records = pipeline.cohort_metrics(cohort.sessions, ("train",),
+                                  pipeline.PipelineConfig(), None)
+windows, skipped = agenet.windows_from_cohort(records)
 print(f"{len(windows)} windows from {len(cohort.sessions)} participants"
       + (f", skipped {skipped}" if skipped else ""))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericalError
-from .model_io import AGE_BINS, Cohort
+from .model_io import AGE_BINS
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,11 @@ def wrist_channels(seq):
     return np.stack([left[il, 0], left[il, 1], right[ir, 0], right[ir, 1]])
 
 
-def windows_from_cohort(cohort: Cohort, frames, window: int = 200,
-                        stride: int = 100):
-    """Cut windows from ``frames``, each session's gated and decimated 2D
-    skeleton, in the order of ``cohort.sessions``."""
-    seqs = [(s.participant_id, s.age, wrist_channels(seq))
-            for s, seq in zip(cohort.sessions, frames)]
-    return window_dataset(seqs, window, stride)
+def windows_from_cohort(records, window: int = 200, stride: int = 100):
+    """Cut windows from the ``wrist_channels`` that each record of the
+    per-participant pass (``pipeline.cohort_metrics``) keeps, in order."""
+    return window_dataset([(r.participant_id, r.age, r.channels)
+                           for r in records], window, stride)
 
 
 # --- model -----------------------------------------------------------------
@@ -143,22 +141,34 @@ class AgeNet:
         (B*To, C*K) times its (C*K, O) weights are (B, To, O) as they come.
         ``cache`` gets one (im2col rows, pre-activation, ReLU output, pooled
         output) per conv block, then one (input, pre-activation) per linear
-        layer."""
+        layer. Without a cache, each array is dropped once it is used."""
         n_conv = len(CONV_CHANNELS)
-        a = x.transpose(0, 2, 1)
-        for W, b in zip(self.weights[:n_conv], self.biases[:n_conv]):
+        for li, (W, b) in enumerate(zip(self.weights[:n_conv],
+                                        self.biases[:n_conv])):
             O, C, K = W.shape
-            To = a.shape[1] - K + 1
-            cols = np.stack([a[:, k:k + To] for k in range(K)],
-                            axis=-1).reshape(-1, C * K)
-            z = (cols @ W.reshape(O, C * K).T + b).reshape(-1, To, O)
-            r = np.maximum(z, 0.0)
+            if li == 0:     # the input is channels-first: one strided view
+                cols = np.lib.stride_tricks.sliding_window_view(
+                    x, K, axis=2).transpose(0, 2, 1, 3)
+            else:
+                To = a.shape[1] - K + 1
+                cols = np.stack([a[:, k:k + To] for k in range(K)], axis=-1)
+            To = cols.shape[1]
+            cols = cols.reshape(-1, C * K)
+            z = cols @ W.reshape(O, C * K).T
+            z += b
+            z = z.reshape(-1, To, O)
+            if cache is None:
+                cols = None
+                r = np.maximum(z, 0.0, out=z)
+            else:
+                r = np.maximum(z, 0.0)
             stop = To // POOL * POOL
-            a = r[:, 0:stop:POOL]
-            for j in range(1, POOL):
-                a = np.maximum(a, r[:, j:stop:POOL])
+            a = np.maximum(r[:, 0:stop:POOL], r[:, 1:stop:POOL])
+            for j in range(2, POOL):
+                np.maximum(a, r[:, j:stop:POOL], out=a)
             if cache is not None:
                 cache.append((cols, z, r, a))
+            cols = z = r = None
         a = a.transpose(0, 2, 1).reshape(a.shape[0], -1)
         for W, b in zip(self.weights[n_conv:], self.biases[n_conv:]):
             z = a @ W.T + b
@@ -191,35 +201,37 @@ class AgeNet:
 
         for li in range(n_conv - 1, -1, -1):
             cols, _, r, m = cache[li]
-            # Route grad to the first max of each pool window. (m > 0) is the
-            # ReLU mask there, applied POOL times smaller; the int64 views
-            # write grad's exact bits, and +0.0 everywhere else.
+            cache[li] = None
+            # Route grad to the first max of each pool window, in r's buffer,
+            # which nothing reads again. (m > 0) is the ReLU mask there,
+            # applied POOL times smaller; the int64 views write grad's exact
+            # bits, and +0.0 everywhere else.
             bits = (grad * (m > 0.0)).view(np.int64)
-            grad = np.zeros(r.shape)
             left = np.ones(m.shape, dtype=bool)
             stop = m.shape[1] * POOL
             for j in range(POOL):
                 hit = (r[:, j:stop:POOL] == m) & left
                 left &= ~hit
-                np.multiply(bits, hit, out=grad[:, j:stop:POOL].view(np.int64))
+                np.multiply(bits, hit, out=r[:, j:stop:POOL].view(np.int64))
+            r[:, stop:] = 0.0
+            grad = r
             W = self.weights[li]
             O, C, K = W.shape
             To = grad.shape[1]
             g2 = grad.reshape(-1, O)
             dW[li] = (g2.T @ cols).reshape(W.shape)
+            cols = None
             # numpy sums in memory order: a (B, O, To) copy keeps the
             # rounding of the channels-first bias gradient
             db[li] = np.ascontiguousarray(
                 grad.transpose(0, 2, 1)).sum(axis=(0, 2))
-            cache[li] = None
             if li == 0:
                 break   # nothing reads the gradient of the input
-            # per-tap input gradients, (C, K, B, To), summed in tap order
-            taps = (W.reshape(O, C * K).T @ g2.T).reshape(C, K, B, To)
-            din = np.zeros((C, B, To + K - 1))
+            # per-tap input gradients, (B, To, C, K), summed in tap order
+            taps = (g2 @ W.reshape(O, C * K)).reshape(B, To, C, K)
+            grad = np.zeros((B, To + K - 1, C))
             for k in range(K):
-                din[:, :, k:k + To] += taps[:, k]
-            grad = din.transpose(1, 2, 0)
+                grad[:, k:k + To] += taps[..., k]
         return dW, db
 
 
@@ -230,6 +242,7 @@ class TrainResult:
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
     best_epoch: int = -1
+    predictions: np.ndarray = None   # validation predictions of best_epoch
 
 
 def _batch_arrays(windows):
@@ -249,7 +262,8 @@ def evaluate_mse(model, windows):
 def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
           seed: int = 0) -> TrainResult:
     """SGD (learning rate 1e-3, momentum 0.9, batches of 16) on MSE loss that
-    leaves ``model`` at its lowest validation loss (early stopping)."""
+    leaves ``model`` at its lowest validation loss (early stopping); the
+    result holds that epoch's validation predictions."""
     train_ids = {w.participant_id for w in train_windows}
     val_ids = {w.participant_id for w in val_windows}
     if train_ids & val_ids:
@@ -262,7 +276,7 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
     vel = [np.zeros_like(p) for p in params]
 
     result = TrainResult()
-    best_val, best_flat = float("inf"), model.get_flat()
+    best_val, best_flat = float("inf"), None
     for epoch in range(epochs):
         order = rng.permutation(len(x))
         epoch_loss = 0.0
@@ -284,11 +298,14 @@ def train(model: AgeNet, train_windows, val_windows, epochs: int = 15,
                 v -= 1e-3 * g
                 p += v
         result.train_loss.append(epoch_loss / len(x))
-        val_mse, _ = evaluate_mse(model, val)
+        val_mse, preds = evaluate_mse(model, val)
         result.val_loss.append(val_mse)
         if val_mse < best_val:
             best_val, best_flat = val_mse, model.get_flat()
-            result.best_epoch = epoch
+            result.best_epoch, result.predictions = epoch, preds
+    if result.predictions is None:
+        raise NumericalError(f"non-finite validation loss in every epoch; "
+                             f"trace: {result.val_loss}")
     model.set_flat(best_flat)
     return result
 
@@ -344,9 +361,8 @@ def cross_validate(windows, folds: int = 5, epochs: int = 15, seed: int = 0,
         else:
             model = AgeNet(seed=seed * 1000 + fold,
                            input_shape=train_w[0].values.shape)
-            train(model, train_w, val_w, epochs=epochs,
-                  seed=seed * 1000 + fold)
-            _, preds = evaluate_mse(model, val_w)
+            preds = train(model, train_w, val_w, epochs=epochs,
+                          seed=seed * 1000 + fold).predictions
 
         labels = np.array([w.label for w in val_w])
         fold_rmse.append(float(np.sqrt(np.mean((preds - labels) ** 2))))

@@ -104,8 +104,8 @@ def _run(args, stage, given=None):
 
 
 def cmd_ingest(args):
-    cohort = _run(args, "validate")["ingest"]
-    print(f"{len(cohort.sessions)} sessions, 0 finding(s)")
+    records = _run(args, "validate")["ingest"]
+    print(f"{len(records)} sessions, 0 finding(s)")
     return 0
 
 

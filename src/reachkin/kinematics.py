@@ -112,27 +112,35 @@ def segment_directness(segment: ReachSegment) -> float:
 
 # Every per-participant metric, in report order: its name in anova.csv,
 # tukey.csv and bars.csv, its MetricSummary field (a metrics.csv column), and
-# the per-reach measure whose median it is.
+# the per-reach measure whose median it is. segment_directness is looked up
+# when called, so replacing it (to wrap it for tracing, say) takes effect.
 METRICS = (
-    ("directness", "median_directness", segment_directness),
+    ("directness", "median_directness", lambda s: segment_directness(s)),
     ("max_speed", "median_max_speed", lambda s: max_speed(s.path, s.dt)),
 )
 METRIC_COLUMNS = tuple(f.name for f in fields(MetricSummary))
 
 
-def participant_medians(segments, participant_id, age, group) -> MetricSummary:
-    """Pool both hands' reaches and take the median of each METRICS measure.
+def reach_measures(segment) -> tuple:
+    """A reach's METRICS measures, in METRICS order. A reach whose hand did
+    not move raises ZeroPathLength."""
+    return tuple(measure(segment) for _, _, measure in METRICS)
+
+
+def participant_medians(measures, participant_id, age, group) -> MetricSummary:
+    """Pool both hands' reaches, each given as its ``reach_measures``, and
+    take the median of each METRICS measure.
 
     An even count medians as the mean of the two middle values (numpy's
     default convention).
     """
-    if not segments:
+    if not measures:
         raise InputError("no segments")
     return MetricSummary(
         participant_id=participant_id,
         age=age,
         group=group,
-        reach_count=len(segments),
-        **{field: float(np.median([measure(s) for s in segments]))
-           for _, field, measure in METRICS},
+        reach_count=len(measures),
+        **{field: float(np.median(column))
+           for (_, field, _), column in zip(METRICS, zip(*measures))},
     )

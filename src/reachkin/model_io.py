@@ -455,6 +455,8 @@ def parse_manifest(stream) -> SessionManifest:
         raw = json.load(stream, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}")
+    except ValueError as exc:       # a repeated key
+        raise ParseError(f"manifest: {exc}")
     if not isinstance(raw, dict):
         raise ParseError("manifest is not a JSON object")
     for key in ("participant_id", "age_years", "play_area_px", "native_fps",
@@ -486,11 +488,12 @@ def parse_manifest(stream) -> SessionManifest:
 
 
 def _unique_keys(pairs):
-    # json.load keeps the last of a repeated key
+    """A JSON object's pairs as a dict; a repeated key raises a ValueError
+    naming it, where json.load would keep the last."""
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ParseError(f"manifest: key {key!r} repeats")
+            raise ValueError(f"key {key!r} repeats")
         obj[key] = value
     return obj
 
@@ -566,20 +569,29 @@ def load_session(directory) -> ParticipantSession:
     return ParticipantSession(tuple(skeletons), targets, manifest)
 
 
-def load_cohort(root) -> Cohort:
+def iter_sessions(root):
+    """Load each session directory of ``root`` in turn, in sorted order. Once
+    every one is loaded, a participant id that two directories share raises
+    an InputError naming both."""
     dirs = sorted(d for d in os.listdir(root)
                   if os.path.isdir(os.path.join(root, d)))
     if not dirs:
         raise InputError(f"{root}: no participant directories")
-    sessions = tuple(load_session(os.path.join(root, d)) for d in dirs)
-    first_dir = {}
-    for d, session in zip(dirs, sessions):
+    first_dir, repeated = {}, None
+    for d in dirs:
+        session = load_session(os.path.join(root, d))
         first = first_dir.setdefault(session.participant_id, d)
-        if first != d:
-            raise InputError(
+        if first != d and repeated is None:
+            repeated = InputError(
                 f"participant id {session.participant_id!r} is in both "
                 f"{os.path.join(root, first)} and {os.path.join(root, d)}")
-    return Cohort(sessions)
+        yield session
+    if repeated:
+        raise repeated
+
+
+def load_cohort(root) -> Cohort:
+    return Cohort(tuple(iter_sessions(root)))
 
 
 # --- validation ------------------------------------------------------------

@@ -35,7 +35,8 @@ from .errors import (
     ZeroPathLength,
 )
 from .model_io import (AGE_BINS, Cohort, _numbers, _parse_file, _read_table,
-                       fnum, load_cohort, validate_session, write_joint_csv)
+                       _unique_keys, fnum, iter_sessions, load_cohort,
+                       validate_session, write_joint_csv)
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
 GROUP_LABELS = tuple(f"{lo}-{hi}" for lo, hi in ANALYSIS_GROUPS)
@@ -108,8 +109,9 @@ class PipelineConfig:
     def from_file(cls, path):
         try:
             with open(path) as fh:
-                d = json.load(fh)
-        except (OSError, ValueError) as exc:     # ValueError: JSON or UTF-8
+                d = json.load(fh, object_pairs_hook=_unique_keys)
+        # ValueError: JSON, UTF-8 or a repeated key
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(d, dict):
             raise ConfigError(f"config {path} is not a JSON object")
@@ -169,12 +171,6 @@ def per_participant(pid, fn, *args):
         raise type(exc)(f"participant {pid}: {exc}") from exc
 
 
-def cohort_frames(cohort: Cohort, config: PipelineConfig):
-    """``session_frames`` of every session, in cohort order."""
-    return tuple(per_participant(s.participant_id, session_frames, s, config)
-                 for s in cohort.sessions)
-
-
 def preprocess_session(seq, config: PipelineConfig):
     """Zero-phase filter a session's frames (see ``session_frames``)."""
     from . import preprocess
@@ -199,7 +195,7 @@ def analyze_session(session, seq):
 
     segments = kinematics.segment_reaches(seq, session.targets,
                                           target_to_path=target_to_path)
-    usable = []
+    usable, measures = [], []
     for seg in segments:
         try:
             path = preprocess.interpolate_outliers(seg.path)
@@ -207,21 +203,89 @@ def analyze_session(session, seq):
             path = seg.path   # degenerate short segment; keep as-is
         seg = replace(seg, path=path)
         try:
-            kinematics.segment_directness(seg)
+            measures.append(kinematics.reach_measures(seg))
         except ZeroPathLength:
             continue
         usable.append(seg)
     summary = kinematics.participant_medians(
-        usable, session.participant_id, session.age, group_label(session.age))
+        measures, session.participant_id, session.age,
+        group_label(session.age))
     return summary, usable
 
 
-def cohort_metrics(cohort: Cohort, streams):
-    """``analyze_session`` of every session with its filtered stream, as
-    (summaries, reach segment lists), both in cohort order."""
-    results = [per_participant(s.participant_id, analyze_session, s, seq)
-               for s, seq in zip(cohort.sessions, streams)]
-    return [r[0] for r in results], [r[1] for r in results]
+@dataclass(frozen=True)
+class ParticipantRecord:
+    """What the per-participant pass keeps of one session once its streams
+    are dropped. A field of a stage the pass did not run is None."""
+    participant_id: str
+    age: int
+    findings: tuple                # validation findings, () when clean
+    failure: tuple = None          # (stage, error) of the step that ended it
+    summary: object = None         # metrics: the MetricSummary
+    segments: list = None          # metrics: the kept ReachSegments
+    channels: np.ndarray = None    # train: (4, n) wrist x/y of its frames
+
+
+# the stages of the per-participant pass, in the order it runs them
+PASS = ("validate", "frames", "preprocess", "metrics", "train")
+
+
+def _participant_record(session, stages, config: PipelineConfig, clean_path):
+    """Take one session through the named stages of PASS (see
+    ``cohort_metrics``). A step's ReachkinError ends the record, and is kept
+    as its failure with the participant id in front."""
+    record = ParticipantRecord(session.participant_id, session.age,
+                               validate_session(session))
+    if record.findings or "frames" not in stages:
+        return record
+    kept, stage = {}, "frames"
+    try:
+        frames = session_frames(session, config)
+        if "preprocess" in stages:
+            stage = "preprocess"
+            clean = preprocess_session(frames, config)
+            if "metrics" in stages:
+                stage = "metrics"
+                kept["summary"], kept["segments"] = analyze_session(session,
+                                                                    clean)
+        if "train" in stages:
+            from . import agenet
+            stage = "train"
+            kept["channels"] = agenet.wrist_channels(frames)
+    except ReachkinError as exc:
+        return replace(record, failure=(stage, type(exc)(
+            f"participant {record.participant_id}: {exc}")))
+    if clean_path:
+        try:
+            write_streams([clean], clean_path)
+        except OSError as exc:
+            raise StageFailure("preprocess", exc) from exc
+    return replace(record, **kept)
+
+
+def cohort_metrics(sessions, stages, config: PipelineConfig, clean_path):
+    """The per-participant pass: take each of ``sessions`` in turn through
+    the named stages of PASS, and those they need, and keep only its
+    ParticipantRecord, so that one session's streams are held at a time.
+    With ``clean_path``, each filtered stream is written to <participant
+    id>/<its name> beside it as soon as its participant is done. Returns
+    the records in cohort order.
+
+    Errors come in the order of stages run one after another over the whole
+    cohort: an error loading a session raises as it is met; the validation
+    findings of every session raise together once the pass ends; then the
+    failure of the earliest stage raises, the first in cohort order."""
+    stages = _with_needs(stages, ())
+    records = [_participant_record(s, stages, config, clean_path)
+               for s in sessions]
+    findings = [f"participant {r.participant_id}: {message}"
+                for r in records for message in r.findings]
+    if findings:
+        raise StageFailure("validate", InputError("; ".join(findings)))
+    failures = [r.failure for r in records if r.failure]
+    if failures:
+        raise StageFailure(*min(failures, key=lambda f: PASS.index(f[0])))
+    return records
 
 
 # --- stage artifact emitters -----------------------------------------------
@@ -280,7 +344,8 @@ def _integer(value, column, row):
 
 def group_curves(summaries, segments):
     """Pool backward-filtered progress curves per analysis group, from
-    ``cohort_metrics``' participant summaries and reach segment lists."""
+    the participant summaries and reach segment lists of the metrics
+    stage."""
     from . import progress_spline
     curves = {label: [] for label in GROUP_LABELS}
     for summary, segs in zip(summaries, segments):
@@ -351,10 +416,10 @@ def write_stats(results, anova_path, tukey_path, config):
                    tukey_rows, config)
 
 
-def run_training(cohort, frames, config: PipelineConfig):
+def run_training(records, config: PipelineConfig):
     from . import agenet
     windows, skipped = agenet.windows_from_cohort(
-        cohort, frames, config.window, config.stride)
+        records, config.window, config.stride)
     report = agenet.cross_validate(windows, folds=config.folds,
                                    epochs=config.epochs, seed=config.seed)
     return report, skipped
@@ -499,14 +564,6 @@ class StageFailure(ReachkinError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-def validate_cohort(cohort: Cohort):
-    """Raise an InputError naming every participant's validation findings."""
-    findings = [f"participant {s.participant_id}: {message}"
-                for s in cohort.sessions for message in validate_session(s)]
-    if findings:
-        raise InputError("; ".join(findings))
-
-
 def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
     """The triangulated 3D sequence of each two-camera session (at least
     one); ``calibration`` is (path, camera id -> CameraModel)."""
@@ -548,31 +605,27 @@ def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
 
 # name -> (stages it needs, compute(results, config), artifact file names,
 #          write(results, config, *artifact paths)), in dependency order.
-# ``results`` maps each computed stage to its value. A per-participant
-# stage's artifact is written as <pid>/<name>. The lambdas look the module
-# functions up when called, so replacing one (to wrap it for tracing, say)
-# takes effect here too.
+# ``results`` maps each computed stage to its value. Ingest reads the input
+# directory: its value is the ParticipantRecords of one pass over the
+# sessions (cohort_metrics) that runs every stage of PASS the run needs, or,
+# when it needs none, the whole Cohort. The pass writes preprocess's files,
+# as <pid>/<name>. The lambdas look the module functions up when called, so
+# replacing one (to wrap it for tracing, say) takes effect here too.
 STAGES = {
     # (path, camera id -> CameraModel), given by `reachkin reconstruct`
     "calibration": ((), None, (), None),
-    "ingest": ((), lambda r, c: load_cohort(c.input_dir), (), None),
-    "validate": (("ingest",), lambda r, c: validate_cohort(r["ingest"]), (),
-                 None),
-    "frames": (("ingest", "validate"),
-               lambda r, c: cohort_frames(r["ingest"], c), (), None),
-    "preprocess": (("ingest", "frames"),
-                   lambda r, c: [per_participant(
-                       s.participant_id, preprocess_session, seq, c)
-                       for s, seq in zip(r["ingest"].sessions, r["frames"])],
-                   ("joints_clean.csv",),
-                   lambda r, c, path: write_streams(r["preprocess"], path)),
+    "ingest": ((), None, (), None),
+    "validate": (("ingest",), None, (), None),
+    "frames": (("validate",), None, (), None),
+    "preprocess": (("frames",), None, ("joints_clean.csv",), None),
     "reconstruct": (("ingest", "calibration"),
                     lambda r, c: reconstruct_cohort(r["ingest"],
                                                     r["calibration"], c),
                     ("joints_3d.csv",),
                     lambda r, c, path: write_streams(r["reconstruct"], path)),
-    "metrics": (("ingest", "preprocess"),
-                lambda r, c: cohort_metrics(r["ingest"], r["preprocess"]),
+    "metrics": (("preprocess",),
+                lambda r, c: ([x.summary for x in r["ingest"]],
+                              [x.segments for x in r["ingest"]]),
                 ("metrics.csv",),
                 lambda r, c, path: write_metrics(r["metrics"][0], path, c)),
     "progress": (("metrics",),
@@ -582,8 +635,7 @@ STAGES = {
     "stats": (("metrics",), lambda r, c: run_stats(r["metrics"][0]),
               ("anova.csv", "tukey.csv"),
               lambda r, c, *paths: write_stats(r["stats"], *paths, c)),
-    "train": (("ingest", "frames"),
-              lambda r, c: run_training(r["ingest"], r["frames"], c),
+    "train": (("frames",), lambda r, c: run_training(r["ingest"], c),
               ("cv_report.csv", "confusion.csv"),
               lambda r, c, *paths: write_training(r["train"][0], *paths, c)),
     "report": (("metrics", "progress"),
@@ -598,6 +650,15 @@ PIPELINE = ("metrics", "progress", "stats", "train", "report")
 ARTIFACTS = tuple(name for stage in PIPELINE for name in STAGES[stage][2])
 
 
+def _with_needs(names, given):
+    """The named stages and every stage they need, through any not given."""
+    todo = set(names)
+    for name in reversed(STAGES):      # a stage comes after what it needs
+        if name in todo and name not in given:
+            todo.update(STAGES[name][0])
+    return todo
+
+
 def run_stages(config: PipelineConfig, names, given=None):
     """Compute the named stages and every stage they need, then write the
     named stages' files into config.out_dir through a staging directory,
@@ -606,35 +667,50 @@ def run_stages(config: PipelineConfig, names, given=None):
     A ReachkinError or OSError is raised as a StageFailure naming the
     stage. Returns stage name -> value."""
     given = given or {}
-    todo = set(names)
-    for name in reversed(STAGES):      # a stage comes after what it needs
-        if name in todo and name not in given:
-            todo.update(STAGES[name][0])
+    todo = _with_needs(names, given)
     writes = [name for name in STAGES if name in names and STAGES[name][2]]
     out, inp = config.out_dir, os.path.realpath(config.input_dir)
     staging = os.path.join(out, ".reachkin-staging")
+    # the pass writes into staging: a failed run removes what it made
+    made = os.path.abspath(staging)
+    while not os.path.exists(os.path.dirname(made)):
+        made = os.path.dirname(made)
     results = {}
     try:
-        for name in (name for name in STAGES if name in todo):
-            # an out_dir inside input_dir would be read as a participant
-            if name == "ingest" and writes and os.path.commonpath(
-                    [inp, os.path.realpath(out)]) == inp:
-                raise ConfigError(f"output directory {out} is inside input "
-                                  f"directory {config.input_dir}")
-            results[name] = (given[name]() if name in given
-                             else STAGES[name][1](results, config))
         shutil.rmtree(staging, ignore_errors=True)     # left by a killed run
+        for name in (name for name in STAGES if name in todo):
+            if name in given:
+                results[name] = given[name]()
+            elif name == "ingest":
+                # an out_dir inside input_dir would be read as a participant
+                if writes and os.path.commonpath(
+                        [inp, os.path.realpath(out)]) == inp:
+                    raise ConfigError(f"output directory {out} is inside "
+                                      f"input directory {config.input_dir}")
+                passing = todo.intersection(PASS)
+                clean = os.path.join(staging, STAGES["preprocess"][2][0]) \
+                    if "preprocess" in writes else None
+                results[name] = cohort_metrics(
+                    iter_sessions(config.input_dir), passing, config,
+                    clean) if passing else load_cohort(config.input_dir)
+            elif STAGES[name][1]:
+                results[name] = STAGES[name][1](results, config)
         for name in writes:
             _, _, artifacts, write = STAGES[name]
             os.makedirs(staging, exist_ok=True)
-            write(results, config,
-                  *(os.path.join(staging, a) for a in artifacts))
+            if write:
+                write(results, config,
+                      *(os.path.join(staging, a) for a in artifacts))
         for root, _, files in os.walk(staging):
             dest = os.path.join(out, os.path.relpath(root, staging))
             os.makedirs(dest, exist_ok=True)
             for f in files:
                 os.replace(os.path.join(root, f), os.path.join(dest, f))
     except (ReachkinError, OSError) as exc:
+        shutil.rmtree(made, ignore_errors=True)
+        # the pass names the stage of a failure itself
+        name, exc = (exc.stage, exc.cause) if isinstance(exc, StageFailure) \
+            else (name, exc)
         text = str(exc)        # a writer's error names the final path
         cause = type(exc)(text.replace(staging, out)) if staging in text \
             else exc

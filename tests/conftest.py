@@ -24,8 +24,9 @@ def cohort_windows(default_cohort):
     """Normalized training windows cut from the full-size cohort."""
     from reachkin import agenet, pipeline
     cohort, _ = default_cohort
-    frames = pipeline.cohort_frames(cohort, pipeline.PipelineConfig())
-    windows, skipped = agenet.windows_from_cohort(cohort, frames)
+    records = pipeline.cohort_metrics(cohort.sessions, ("train",),
+                                      pipeline.PipelineConfig(), None)
+    windows, skipped = agenet.windows_from_cohort(records)
     assert not skipped
     return windows
 

@@ -176,10 +176,10 @@ def test_planted_signal_learning(cohort_windows):
 def test_cohort_monotonic_trends(default_cohort):
     t0 = time.perf_counter()
     cohort, _ = default_cohort
-    config = pipeline.PipelineConfig()
-    summaries, segments = pipeline.cohort_metrics(
-        cohort, [pipeline.preprocess_session(seq, config)
-                 for seq in pipeline.cohort_frames(cohort, config)])
+    records = pipeline.cohort_metrics(cohort.sessions, ("metrics",),
+                                      pipeline.PipelineConfig(), None)
+    summaries = [r.summary for r in records]
+    segments = [r.segments for r in records]
 
     labels = pipeline.GROUP_LABELS
     direct = [np.mean([s.median_directness for s in summaries

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from gradcheck import grad_check
 
+from reachkin import agenet
 from reachkin.agenet import (
     CONV_CHANNELS,
     KERNEL,
@@ -165,24 +166,40 @@ def _einsum_forward_backward(model, x, dout):
     return out, dW, db
 
 
-def _tied_batch():
+def _tied_batch(size):
     """Windows with constant stretches, so pool blocks hold exact ties."""
     rng = np.random.default_rng(21)
-    raw = np.repeat(rng.normal(size=(3, 4, 40)), 5, axis=2)   # (3, 4, 200)
-    raw[1, :, 50:120] = 0.25
-    raw[2] = 0.0
+    raw = np.repeat(rng.normal(size=(size, 4, 40)), 5, axis=2)  # (size, 4, 200)
+    raw[1:2, :, 50:120] = 0.25
+    raw[2:3] = 0.0
     return np.stack([normalize_window(r) for r in raw])
 
 
-@pytest.mark.parametrize("batch", ["random", "ties"])
-def test_forward_backward_match_einsum_reference_exactly(batch):
+# BLAS picks its kernel by size, so each batch size the program runs is a
+# case: 16 and the last, partial training batch (3); a validation batch of
+# pipeline_full (29); the evaluation batch (64); and 1. The original cases,
+# random at 16 and ties at 3, keep their names. At 1 and 29 the layer-0
+# weight gradient, one (O, B*To) x (B*To, C*K) product, sums in another
+# order than the einsum reference on the AVX-512 OpenBLAS kernel, and so
+# differs in the last bits; the prediction and every other gradient match.
+_LAYER0_DW_ROUNDS_APART = pytest.mark.xfail(
+    strict=True, reason="layer-0 weight gradient sums in another order than "
+                        "the einsum reference at this batch size")
+
+
+@pytest.mark.parametrize("batch, size", [
+    pytest.param(batch, size, id=batch if size == usual else f"{batch}-{size}",
+                 marks=_LAYER0_DW_ROUNDS_APART if size in (1, 29) else ())
+    for batch, usual in (("random", 16), ("ties", 3))
+    for size in (1, 3, 16, 29, 64)])
+def test_forward_backward_match_einsum_reference_exactly(batch, size):
     model = AgeNet(seed=9)
     rng = np.random.default_rng(22)
     if batch == "random":
         x = np.stack([normalize_window(rng.normal(size=(4, 200)))
-                      for _ in range(16)])
+                      for _ in range(size)])
     else:
-        x = _tied_batch()
+        x = _tied_batch(size)
     dout = rng.normal(size=len(x))
     want_out, want_dW, want_db = _einsum_forward_backward(model, x, dout)
 
@@ -362,3 +379,16 @@ def test_cross_validate_deterministic_for_fixed_seed():
     b = cross_validate(windows, folds=2, seed=3, predictor=lambda w: w.label + 1)
     assert a.predictions == b.predictions
     assert np.array_equal(a.confusion, b.confusion)
+
+
+def test_cross_validate_scores_each_fold_with_its_best_epochs_predictions(
+        monkeypatch):
+    # train keeps the best epoch's validation predictions, so no fold
+    # evaluates its restored model again (the CV pins hold its bits)
+    calls = []
+    original = agenet.evaluate_mse
+    monkeypatch.setattr(agenet, "evaluate_mse",
+                        lambda *args: calls.append(1) or original(*args))
+    report = cross_validate(_cv_windows(), folds=2, epochs=3, seed=1)
+    assert len(calls) == 2 * 3
+    assert len(report.fold_rmse) == 2

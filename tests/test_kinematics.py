@@ -9,6 +9,7 @@ from reachkin.kinematics import (
     directness,
     max_speed,
     participant_medians,
+    reach_measures,
     segment_reaches,
     velocity_profile,
 )
@@ -155,7 +156,8 @@ def test_participant_medians_even_count():
                                        target_position=path[-1])
 
     # max speeds 0.2 and 0.8 -> median 0.5 (mean of the middle pair)
-    summary = participant_medians([seg(0.4), seg(1.6)], "p1", 9, "6-10")
+    summary = participant_medians(
+        [reach_measures(seg(0.4)), reach_measures(seg(1.6))], "p1", 9, "6-10")
     assert summary.median_max_speed == pytest.approx(0.5)
     assert summary.median_directness == pytest.approx(1.0)
     assert summary.reach_count == 2

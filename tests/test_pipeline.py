@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 import json
@@ -15,7 +16,7 @@ from reachkin import (agenet, cli, kinematics, pipeline, preprocess,
                       progress_spline, reconstruct3d, stats, synth)
 from reachkin.errors import ConfigError, InputError, NumericalError, ParseError
 from reachkin.kinematics import MetricSummary
-from reachkin.model_io import parse_joint_csv
+from reachkin.model_io import SkeletonSequence, iter_sessions, parse_joint_csv
 from reachkin.pipeline import (
     PipelineConfig,
     group_label,
@@ -85,7 +86,8 @@ def test_tuning_parameters_pinned():
         synth.generate_session: ("params", "age", "seed", "participant_id",
                                  "duration"),
         pipeline.analyze_session: ("session", "seq"),
-        pipeline.cohort_metrics: ("cohort", "streams"),
+        pipeline.cohort_metrics: ("sessions", "stages", "config",
+                                  "clean_path"),
     }
     for fn, names in pinned.items():
         assert tuple(inspect.signature(fn).parameters) == names, fn.__name__
@@ -203,11 +205,9 @@ def test_metrics_analyzes_the_streams_preprocess_writes(tmp_path,
 
 
 def test_run_stats_structure(small_cohort_dir):
-    config = PipelineConfig()
-    cohort = pipeline.load_cohort(small_cohort_dir)
-    summaries, _ = pipeline.cohort_metrics(
-        cohort, [_clean(s, config) for s in cohort.sessions])
-    results = pipeline.run_stats(summaries)
+    records = pipeline.cohort_metrics(iter_sessions(small_cohort_dir),
+                                      ("metrics",), PipelineConfig(), None)
+    results = pipeline.run_stats([r.summary for r in records])
     assert set(results) == {"directness", "max_speed"}
     for anova, tukey in results.values():
         assert isinstance(anova, stats.AnovaResult)
@@ -616,14 +616,17 @@ def test_cli_gating_error_names_the_participant(tmp_path, small_cohort_dir,
     assert not out.exists()
 
 
-def test_cohort_frames_keeps_the_error_type(tmp_path, small_cohort_dir):
+def test_the_pass_keeps_the_error_type(tmp_path, small_cohort_dir):
     cohort = tmp_path / "cohort"
     shutil.copytree(small_cohort_dir, cohort)
     _lower_confidences(cohort, "p001")
-    with pytest.raises(InputError, match="^participant p001: joint '[a-z_]+': "
-                                         "every frame below 0.75$"):
-        pipeline.cohort_frames(pipeline.load_cohort(str(cohort)),
-                               PipelineConfig())
+    with pytest.raises(pipeline.StageFailure) as failure:
+        pipeline.cohort_metrics(iter_sessions(str(cohort)), ("frames",),
+                                PipelineConfig(), None)
+    assert failure.value.stage == "frames"
+    assert type(failure.value.cause) is InputError
+    assert re.fullmatch("participant p001: joint '[a-z_]+': every frame below "
+                        "0.75", str(failure.value.cause))
 
 
 @pytest.mark.parametrize("command", ["ingest", "metrics", "pipeline"])
@@ -704,8 +707,8 @@ def test_run_training_uses_confidence_threshold(monkeypatch):
     for threshold in (0.75, 0.9):
         config = PipelineConfig(confidence_threshold=threshold, window=50,
                                 stride=50)
-        pipeline.run_training(cohort, pipeline.cohort_frames(cohort, config),
-                              config)
+        pipeline.run_training(pipeline.cohort_metrics(
+            cohort.sessions, ("train",), config, None), config)
     default, strict = ([w.values for w in ws] for ws in seen)
     assert len(default) != len(strict) or not all(
         np.array_equal(a, b) for a, b in zip(default, strict))
@@ -1084,3 +1087,127 @@ def test_cli_ingest_reports_a_frame_rate_mismatch(tmp_path, small_cohort_dir,
     assert ("error: stage 'validate' failed: participant p004: camera "
             "'webcam': joints at 30 Hz, manifest native_fps 60"
             in capsys.readouterr().err)
+
+
+# --- the per-participant pass ------------------------------------------------
+
+def test_directness_computed_once_per_kept_reach(monkeypatch,
+                                                 small_cohort_dir):
+    calls = []
+    original = kinematics.directness
+    monkeypatch.setattr(kinematics, "directness",
+                        lambda path: calls.append(1) or original(path))
+    records = pipeline.cohort_metrics(iter_sessions(small_cohort_dir),
+                                      ("metrics",), PipelineConfig(), None)
+    assert len(calls) == sum(r.summary.reach_count for r in records) > 0
+
+
+def test_no_session_stream_is_held_while_the_age_model_trains(
+        tmp_path, small_cohort_dir, monkeypatch):
+    # each record keeps a summary, reach paths and wrist channels; the
+    # sequences (raw, gated and filtered) are dropped participant by
+    # participant. JointStream is a tuple, which gc may stop tracking.
+    def sequences():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, SkeletonSequence)]
+
+    held_before = {id(o) for o in sequences()}    # by other tests' fixtures
+    seen = []
+    original = agenet.cross_validate
+
+    def watched(*args, **kwargs):
+        seen.append([o.participant_id for o in sequences()
+                     if id(o) not in held_before])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(agenet, "cross_validate", watched)
+    pipeline.run_pipeline(PipelineConfig(
+        input_dir=str(small_cohort_dir), out_dir=str(tmp_path / "out"),
+        epochs=1, folds=1))
+    assert seen == [[]]
+
+
+def _set_manifest(cohort, pid, **values):
+    manifest = cohort / pid / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                    **values}))
+
+
+# Errors come in stage order, as if each stage ran over the whole cohort
+# before the next: every validation finding before any later failure, a
+# gating failure before a filter failure of an earlier participant, and an
+# unreadable session as it is met.
+@pytest.mark.parametrize("faults, code, message", [
+    ((("p000", "gate"), ("p011", "age")), 2,
+     "error: stage 'validate' failed: participant p011: age 20 outside "
+     "[6, 17]"),
+    ((("p001", "overflow"), ("p005", "gate")), 2,
+     "error: stage 'frames' failed: participant p005: joint 'left_shoulder': "
+     "every frame below 0.75"),
+    ((("p000", "overflow"), ("p002", "age"), ("p004", "age")), 2,
+     "error: stage 'validate' failed: participant p002: age 20 outside "
+     "[6, 17]; participant p004: age 20 outside [6, 17]"),
+    ((("p001", "overflow"), ("p003", "overflow")), 3,
+     "error: stage 'preprocess' failed: participant p001: joint "
+     "'left_wrist': filter output is not finite"),
+    ((("p000", "gate"), ("p007", "unparsable")), 2,
+     "error: stage 'ingest' failed: {cohort}/p007/joints.csv: row 5: column "
+     "'x': not a number: 'abc'"),
+], ids=["finding-after-gate", "gate-after-filter", "findings-together",
+        "first-filter", "parse-as-met"])
+def test_the_error_of_a_cohort_with_several_faults(
+        tmp_path, small_cohort_dir, capsys, faults, code, message):
+    cohort, out = tmp_path / "cohort", tmp_path / "out"
+    shutil.copytree(small_cohort_dir, cohort)
+    for pid, fault in faults:
+        path = cohort / pid / "joints.csv"
+        header, *rows = path.read_text().splitlines()
+        if fault == "gate":
+            _lower_confidences(cohort, pid)
+        elif fault == "age":
+            _set_manifest(cohort, pid, age_years=20)
+        elif fault == "overflow":     # as _overflow_cohort does
+            at = next(i for i, r in enumerate(rows) if ",left_wrist," in r)
+            cells = rows[at + 10].split(",")
+            cells[header.split(",").index("x")] = "1.7e308"
+            rows[at + 10] = ",".join(cells)
+            path.write_text("\n".join([header, *rows]) + "\n")
+        else:
+            cells = rows[3].split(",")
+            cells[header.split(",").index("x")] = "abc"
+            rows[3] = ",".join(cells)
+            path.write_text("\n".join([header, *rows]) + "\n")
+    assert cli.main(["pipeline", "--in", str(cohort), "--out", str(out),
+                     "--epochs", "1", "--folds", "2"]) == code
+    assert capsys.readouterr().err.splitlines()[0] == message.format(
+        cohort=cohort)
+    assert not out.exists()
+
+
+def test_cli_config_file_refuses_a_repeated_key(tmp_path, small_cohort_dir,
+                                                capsys):
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text('{"seed": 1, "seed": 7}')
+    assert cli.main(["pipeline", "--in", str(small_cohort_dir), "--out",
+                     str(out), "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err == \
+        f"config error: cannot read config {cfg}: key 'seed' repeats\n"
+    assert not out.exists()
+
+
+def test_synth_loads_only_its_own_modules(tmp_path):
+    # `reachkin synth` builds every benchmark workload's input, and its
+    # start-up is the set-up time each workload reports
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["synth", "--n-per-bin", "1", "--duration", "10", "--out",
+            str(tmp_path / "cohort")]
+    probe = ("import sys\nfrom reachkin import cli\n"
+             f"code = cli.main({argv!r})\n"
+             "print('probe', code, sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'reachkin'))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "probe 0 " + str([
+        "reachkin", "reachkin.cli", "reachkin.errors", "reachkin.model_io",
+        "reachkin.pipeline", "reachkin.synth"])
