@@ -163,14 +163,6 @@ def session_frames(session, config: PipelineConfig):
     return preprocess.downsample(seq, config.decimation)
 
 
-def per_participant(pid, fn, *args):
-    """fn(*args), with the participant id put in front of any error."""
-    try:
-        return fn(*args)
-    except ReachkinError as exc:
-        raise type(exc)(f"participant {pid}: {exc}") from exc
-
-
 def preprocess_session(seq, config: PipelineConfig):
     """Zero-phase filter a session's frames (see ``session_frames``)."""
     from . import preprocess
@@ -578,10 +570,15 @@ def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
             if seq.camera_id not in cams:
                 raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
                                  f"is not in {path}")
-    return [per_participant(
-        pid, reconstruct3d.triangulate_sequences, seq1, seq2,
-        cams[seq1.camera_id], cams[seq2.camera_id],
-        config.confidence_threshold) for pid, (seq1, seq2) in pairs]
+    streams = []
+    for pid, (seq1, seq2) in pairs:
+        try:
+            streams.append(reconstruct3d.triangulate_sequences(
+                seq1, seq2, cams[seq1.camera_id], cams[seq2.camera_id],
+                config.confidence_threshold))
+        except ReachkinError as exc:
+            raise type(exc)(f"participant {pid}: {exc}") from exc
+    return streams
 
 
 def write_streams(streams, path):

@@ -1,8 +1,10 @@
 """Two-view 3D recovery: per-frame triangulation by reprojection-error
 minimization, and shoulder-width normalization.
 
-Triangulation is batched: one vectorized Gauss-Newton refines every frame of
-a joint at once; per-point masks keep each result what it would be alone.
+Triangulation is batched: from the midpoint of the two viewing rays, one
+vectorized Gauss-Newton refines every frame of a joint at once; per-point
+masks keep each result what it would be alone. It is element-wise numpy with
+no BLAS or LAPACK call, so its bytes do not depend on the BLAS kernel.
 
 Both camera poses come from the calibration file. The global scale is fixed
 downstream by shoulder normalization.
@@ -31,12 +33,6 @@ class Intrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 
-    @property
-    def K(self):
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
 
 @dataclass(frozen=True, eq=False)
 class CameraModel:
@@ -51,19 +47,10 @@ class CameraModel:
                 abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise ValueError("rotation must be orthonormal with det +1")
 
-    @property
-    def P(self):
-        """3x4 projection matrix K [R | t]."""
-        return self.intrinsics.K @ np.hstack(
-            [self.rotation, self.translation.reshape(3, 1)])
-
     def project(self, X):
         """Project world points (N, 3) to pixel coordinates (N, 2)."""
-        cam = X @ self.rotation.T + self.translation
-        uv = cam[:, :2] / cam[:, 2:3]
-        return np.column_stack([
-            self.intrinsics.fx * uv[:, 0] + self.intrinsics.cx,
-            self.intrinsics.fy * uv[:, 1] + self.intrinsics.cy])
+        k, (x, y, z) = self.intrinsics, _to_camera(X, self)
+        return np.column_stack([k.fx * (x / z) + k.cx, k.fy * (y / z) + k.cy])
 
 
 def make_camera(camera_id, intr, R=None, t=None):
@@ -73,14 +60,19 @@ def make_camera(camera_id, intr, R=None, t=None):
     return CameraModel(camera_id, intr, R, t)
 
 
+def _to_camera(X, cam):
+    """World points (N, 3) as camera-frame columns (3, N); row 2 is depth."""
+    R, t = cam.rotation, cam.translation[:, None]
+    return R[:, :1] * X[:, 0] + R[:, 1:2] * X[:, 1] + R[:, 2:] * X[:, 2] + t
+
+
 # --- triangulation ---------------------------------------------------------
 
 # Per-point outcome of a batched triangulation: 0 is success, any other code
 # names the message of the NumericalError a failing point raises.
-_PARALLEL, _AT_INFINITY, _SINGULAR, _NO_CONVERGENCE, _BEHIND = range(1, 6)
+_PARALLEL, _SINGULAR, _NO_CONVERGENCE, _BEHIND = range(1, 5)
 _FAILURES = {
     _PARALLEL: "viewing rays are (near-)parallel",
-    _AT_INFINITY: "point at infinity",
     _SINGULAR: "normal equations singular during refinement",
     _NO_CONVERGENCE: "no convergence after 50 iterations "
                      "(best rms {rms:.3g} px)",
@@ -89,19 +81,23 @@ _FAILURES = {
 
 
 def _linear_batch(px1, px2, cam1, cam2):
-    """Homogeneous least-squares triangulation of (N, 2) pixel pairs: X (N, 3)
-    and a status (N,), 0 where valid; X is nan elsewhere."""
-    P1, P2 = cam1.P, cam2.P
-    A = np.stack([px1[:, :1] * P1[2] - P1[0],
-                  px1[:, 1:] * P1[2] - P1[1],
-                  px2[:, :1] * P2[2] - P2[0],
-                  px2[:, 1:] * P2[2] - P2[1]], axis=1)
-    _, s, Vt = np.linalg.svd(A)
-    Xh = Vt[:, -1]
-    status = np.where(s[:, -2] < 1e-12 * np.maximum(s[:, 0], 1e-12), _PARALLEL,
-                      np.where(np.abs(Xh[:, 3]) < 1e-14, _AT_INFINITY, 0))
-    w = np.where(status == 0, Xh[:, 3], np.nan)
-    return Xh[:, :3] / w[:, None], status
+    """Midpoint of the closest points of the two viewing rays of (N, 2) pixel
+    pairs: X (N, 3) and a status (N,), 0 where valid; X is nan elsewhere."""
+    rays = []   # centre -R^T t and directions R^T [normalized pixel, 1]
+    for px, cam in ((px1, cam1), (px2, cam2)):
+        R, t, k = cam.rotation, cam.translation, cam.intrinsics
+        mx, my = (px[:, 0] - k.cx) / k.fx, (px[:, 1] - k.cy) / k.fy
+        rays.append((-(R[0] * t[0] + R[1] * t[1] + R[2] * t[2])[:, None],
+                     R[0][:, None] * mx + R[1][:, None] * my + R[2][:, None]))
+    (c1, d1), (c2, d2) = rays
+    a, b, c = (d1 * d1).sum(0), (d1 * d2).sum(0), (d2 * d2).sum(0)
+    d, e = (d1 * (c1 - c2)).sum(0), (d2 * (c1 - c2)).sum(0)
+    denom = a * c - b * b   # a c times the squared sine of the rays' angle
+    status = np.where(denom <= 1e-12 * a * c, _PARALLEL, 0)
+    denom[status != 0] = np.nan
+    s1, s2 = (b * e - c * d) / denom, (a * e - b * d) / denom
+    X = (c1 + s1 * d1 + c2 + s2 * d2) / 2.0
+    return np.ascontiguousarray(X.T), status
 
 
 def _residuals(X, px1, px2, cam1, cam2):
@@ -109,49 +105,44 @@ def _residuals(X, px1, px2, cam1, cam2):
     return np.hstack([cam1.project(X) - px1, cam2.project(X) - px2])
 
 
-def _depth(X, cam):
-    """Depth (N,) of world points along the camera's optical axis."""
-    return X @ cam.rotation[2] + cam.translation[2]
-
-
 def _jacobian(X, cam):
-    """d(pixel)/d(X) for one camera, (N, 2, 3)."""
-    R = cam.rotation
-    x, y, z = (X @ R.T + cam.translation).T
-    fx, fy = cam.intrinsics.fx, cam.intrinsics.fy
-    du = (fx / z)[:, None] * R[0] - (fx * x / z ** 2)[:, None] * R[2]
-    dv = (fy / z)[:, None] * R[1] - (fy * y / z ** 2)[:, None] * R[2]
-    return np.stack([du, dv], axis=1)
+    """d(pixel)/d(X) for one camera, one point per column (2, 3, N)."""
+    R, k, (x, y, z) = cam.rotation, cam.intrinsics, _to_camera(X, cam)
+    du = R[0][:, None] * (k.fx / z) - R[2][:, None] * (k.fx * x / z ** 2)
+    dv = R[1][:, None] * (k.fy / z) - R[2][:, None] * (k.fy * y / z ** 2)
+    return np.stack([du, dv])
 
 
 @np.errstate(divide="ignore", invalid="ignore")   # bad points get a status
-def triangulate(px1, px2, cam1, cam2, where=None):
+def triangulate(px1, px2, cam1, cam2):
     """Triangulate N points by Gauss-Newton on squared pixel reprojection error.
 
-    Linear (homogeneous least-squares) start, then up to 50 Gauss-Newton
-    steps with step halving (up to 8 halvings) on all points at once. A point
-    leaves once its step is below 1e-10 or no halving lowers its cost.
-    Returns (X (N, 3), rms residual in px (N,)); the first failing point
-    raises, its message prefixed by ``where(index)`` when given.
+    Ray-midpoint start, then up to 50 Gauss-Newton steps with step halving
+    (up to 8 halvings) on all points at once. A point leaves once its step is
+    below 1e-10 or no halving lowers its cost. Returns (X (N, 3), rms residual
+    in px (N,)); the first failing point raises a NumericalError whose
+    ``point`` is its index.
     """
     X, status = _linear_batch(px1, px2, cam1, cam2)
     active = np.flatnonzero(status == 0)
-    r = np.full((len(X), 4), np.nan)
-    r[active] = _residuals(X[active], px1[active], px2[active], cam1, cam2)
+    r = _residuals(X, px1, px2, cam1, cam2)   # nan where X is
     cost = np.einsum("ij,ij->i", r, r)
     for _ in range(50):
         if not active.size:
             break
+        # one point per column, so each sum runs element-wise over the points
         J = np.concatenate([_jacobian(X[active], cam1),
-                            _jacobian(X[active], cam2)], axis=1)
-        H = np.einsum("nki,nkj->nij", J, J)
-        g = np.einsum("nki,nk->ni", J, r[active])
-        singular = np.linalg.det(H) == 0   # exactly where solve would fail
-        H[singular] = np.eye(3)
-        step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
-        status[active[singular]] = _SINGULAR
+                            _jacobian(X[active], cam2)])
+        H = (J[:, :, None] * J[:, None]).sum(0)
+        g = (J * r[active].T[:, None]).sum(0)
+        # H^-1 = C^T / det, C the cofactors of H
+        p, q = [1, 2, 0], [2, 0, 1]
+        C = H[p][:, p] * H[q][:, q] - H[p][:, q] * H[q][:, p]
+        det = (H[0] * C[0]).sum(0)
+        step = (-(C * g[:, None]).sum(0) / det).T
+        status[active[det == 0]] = _SINGULAR
 
-        pending = ~singular & (np.linalg.norm(step, axis=1) >= 1e-10)
+        pending = (det != 0) & (np.sqrt((step * step).sum(1)) >= 1e-10)
         improved = np.zeros(active.size, dtype=bool)
         for halvings in range(9):   # full step + up to 8 halvings
             k = np.flatnonzero(pending & ~improved)
@@ -168,15 +159,16 @@ def triangulate(px1, px2, cam1, cam2, where=None):
         # line-search resolution) or failed; the rest iterate again.
         active = active[improved]
     status[active] = _NO_CONVERGENCE
-    in_front = (_depth(X, cam1) > 0) & (_depth(X, cam2) > 0)
+    in_front = (_to_camera(X, cam1)[2] > 0) & (_to_camera(X, cam2)[2] > 0)
     status[(status == 0) & ~in_front] = _BEHIND
 
     rms = np.sqrt(cost / 4.0)
     bad = np.flatnonzero(status)
     if bad.size:
         i = bad[0]
-        raise NumericalError((f"{where(i)}: " if where else "")
-                             + _FAILURES[status[i]].format(rms=rms[i]))
+        exc = NumericalError(_FAILURES[status[i]].format(rms=rms[i]))
+        exc.point = i
+        raise exc
     return X, rms
 
 
@@ -188,19 +180,27 @@ def triangulate_sequences(seq1: SkeletonSequence, seq2: SkeletonSequence,
 
     Frames where either camera's observation fails the confidence gate are
     skipped; the resulting gaps are repaired downstream by preprocessing. A
-    failure names the joint and the first failing frame.
+    failure names the joint and the first failing frame, as does the
+    InputError for a frame the two cameras time over half a frame apart.
     """
     streams = {}
     for joint in sorted(seq1.streams.keys() & seq2.streams.keys()):
         f1, t1, p1, c1 = seq1.streams[joint]
-        f2, _, p2, c2 = seq2.streams[joint]
+        f2, t2, p2, c2 = seq2.streams[joint]
         _, i1, i2 = np.intersect1d(f1, f2, return_indices=True)
+        apart = np.abs(t1[i1] - t2[i2]) > 0.5 / seq1.sample_rate
+        if apart.any():
+            a, b = i1[apart][0], i2[apart][0]
+            raise InputError(f"joint {joint} frame {f1[a]}: camera times {t1[a]} "
+                             f"and {t2[b]} s are over half a frame apart")
         seen = (c1[i1] >= confidence_threshold) & (c2[i2] >= confidence_threshold)
         i1, i2 = i1[seen], i2[seen]
         if i1.size:
-            X, _ = triangulate(
-                p1[i1], p2[i2], cam1, cam2,
-                where=lambda i: f"joint {joint} frame {f1[i1[i]]}")
+            try:
+                X, _ = triangulate(p1[i1], p2[i2], cam1, cam2)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"joint {joint} frame {f1[i1[exc.point]]}: {exc}") from exc
             streams[joint] = JointStream(f1[i1], t1[i1], X, np.ones(i1.size))
     return SkeletonSequence(seq1.participant_id, "", seq1.sample_rate, streams)
 

@@ -77,7 +77,7 @@ def test_tuning_parameters_pinned():
         preprocess.interpolate_outliers: ("positions",),
         progress_spline.filter_backward_reaches: ("curves",),
         progress_spline._project_parameters: ("control", "points", "s"),
-        reconstruct3d.triangulate: ("px1", "px2", "cam1", "cam2", "where"),
+        reconstruct3d.triangulate: ("px1", "px2", "cam1", "cam2"),
         reconstruct3d.normalize_by_shoulder_width: ("seq", "scale"),
         reconstruct3d.CameraModel.project: ("self", "X"),
         kinematics.segment_reaches: ("seq", "targets", "target_to_path"),

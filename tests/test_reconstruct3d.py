@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -121,50 +124,50 @@ def test_triangulation_translation_equivariance():
 
 
 # Per-point Gauss-Newton results (X, rms) for noisy_pairs() points, recorded
-# from the one-point-at-a-time implementation. They span 2 to 11 iterations,
-# 0 to 36 step halvings, and refinements that stop when no halving lowers the
-# cost (points 137, 205, 308, 440, 1515).
+# one point at a time. From the ray-midpoint start they span 2 to 7
+# iterations, 0 to 18 step halvings, and refinements that stop when no halving
+# lowers the cost (points 2, 44, 137, 308, 440).
 PER_POINT_REFERENCE = {
-    0: (-0.7449131078977371, -0.26169483018128137, 3.8914651605818404,
-        0.30015672910604074),
-    1: (0.00438424442406959, 0.3115430203080737, 3.6343803911767294,
-        0.5629466136727554),
-    2: (0.20022383494659957, 0.9641310692141347, 5.385940489021767,
-        0.7368126747710918),
-    4: (-0.7190690586861392, -0.5716812967625357, 3.0669255584440034,
-        1.1835517799331947),
-    5: (0.8579330923726116, -0.8661013588152298, 4.635784545859303,
-        1.3375674938996218),
-    10: (-0.26731083935508043, -0.49687649541454093, 4.667841957378996,
-         2.1460044278688417),
-    12: (0.3257904001181584, 0.20974670138882867, 4.765580824718557,
-         1.1882457471754622),
-    35: (-0.7021473972220761, -0.6070279562491676, 5.274390572707314,
-         1.3016540956113167),
-    37: (-0.5450062558647442, -0.008047332486131058, 5.392231756425173,
-         1.2159482598202966),
-    40: (-0.9253962151370402, 0.2873685708103178, 5.953357128832457,
-         0.001609166675018677),
-    44: (0.8037779552399933, -0.6206634371028629, 3.669877730304574,
-         1.6458407967139332),
-    137: (-0.8987162897205069, 1.0154999905366675, 5.08890809184546,
-          1.4012844308596668),
-    180: (-0.33378560719408884, 0.7842827012112031, 3.238754917511727,
-          2.631038389340467),
-    195: (0.607540426268025, 0.6101757647932712, 3.891782317561979,
-          0.004667141569460054),
-    205: (0.7082126810229668, 0.5817463702499448, 5.71579631412611,
-          2.084688900631351),
-    224: (-0.5760522094489715, 0.23139166341650105, 5.9691134263784935,
-          0.002892809213127177),
-    308: (0.29526863026131694, -0.7487773816433463, 5.853250342082851,
-          1.5229759565890038),
-    310: (-0.9441498447389832, -0.10411225596793904, 4.486838150677681,
-          1.5726260279689626),
-    440: (0.9107540034015738, 0.6761776269624625, 4.68666230118608,
-          1.6097141464618496),
-    1515: (-0.5826749653143052, -0.7694218418234587, 4.948511165461153,
-           2.4756974516835935),
+    0: (-0.7449131079005757, -0.2616948301813354, 3.8914651605966686,
+        0.3001567291060292),
+    1: (0.0043842444240400884, 0.3115430203079329, 3.634380391151984,
+        0.5629466136727841),
+    2: (0.2002238349623226, 0.9641310692209316, 5.385940489444575,
+        0.7368126747710733),
+    4: (-0.7190690586881773, -0.5716812966891925, 3.0669255584526964,
+        1.1835517799332034),
+    5: (0.8579330923724987, -0.8661013588151297, 4.6357845458586935,
+        1.337567493899643),
+    10: (-0.2673108393551943, -0.49687649541459206, 4.667841957380978,
+         2.14600442786885),
+    12: (0.32579040011698723, 0.20974670145682028, 4.765580824701424,
+         1.1882457471754588),
+    35: (-0.7021473972168689, -0.607027956328538, 5.2743905726682,
+         1.3016540956113303),
+    37: (-0.5450062558631149, -0.008047332402080942, 5.392231756409056,
+         1.2159482598202935),
+    40: (-0.925396215136705, 0.2873685708113944, 5.953357128830707,
+         0.0016091666750130708),
+    44: (0.8037779553985727, -0.6206634369950104, 3.6698777310288713,
+         1.6458407967139428),
+    137: (-0.8987162888876487, 1.0154999899657646, 5.088908087129846,
+          1.4012844308596801),
+    180: (-0.33378560719288425, 0.7842827012119108, 3.2387549175000396,
+          2.6310383893405267),
+    195: (0.6075404262665047, 0.610175764792887, 3.8917823175568027,
+          0.004667141569444124),
+    205: (0.7082126810062987, 0.581746370072454, 5.715796313991582,
+          2.0846889006313836),
+    224: (-0.5760522094486485, 0.2313916634185681, 5.969113426375857,
+          0.002892809213114608),
+    308: (0.2952686304637027, -0.7487773816835581, 5.853250346082196,
+          1.522975956589011),
+    310: (-0.944149844735387, -0.10411225606528904, 4.486838150660589,
+          1.5726260279689708),
+    440: (0.9107540035163949, 0.676177626743901, 4.686662301776967,
+          1.6097141464618556),
+    1515: (-0.5826749653115927, -0.7694218417184266, 4.948511165438116,
+           2.4756974516835966),
 }
 
 
@@ -205,6 +208,14 @@ def test_batch_result_independent_of_other_points():
         Xi, rmsi = r3d.triangulate(px1[i:i + 1], px2[i:i + 1], cam1, cam2)
         assert np.abs(X[i] - Xi[0]).max() < 1e-12
         assert abs(rms[i] - rmsi[0]) < 1e-12
+
+
+def test_noiseless_points_recovered():
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(5000, seed=18)
+    X, rms = r3d.triangulate(cam1.project(pts), cam2.project(pts), cam1, cam2)
+    assert np.abs(X - pts).max() < 1e-12
+    assert rms.max() < 1e-11
 
 
 def test_triangulate_sequences_throughput():
@@ -426,6 +437,53 @@ def test_cli_reconstruct_failure_writes_no_participant(tmp_path, capsys):
                                   r3d.make_camera("cam3", INTR))) == 3
     assert "participant p001" in capsys.readouterr().err
     assert not (tmp_path / "out" / "p000" / "joints_3d.csv").exists()
+
+
+def test_cli_reconstruct_refuses_cameras_whose_times_disagree(tmp_path,
+                                                              capsys):
+    # frames used to be paired by number alone, keeping cam1's times
+    cam1, cam2 = stereo_rig()
+    write_stereo_session(tmp_path / "in", "p000", (cam1, cam2),
+                         scene_points(12, seed=19))
+    path = tmp_path / "in" / "p000" / "joints_cam2.csv"
+    header, *rows = path.read_text().splitlines()
+    col = header.split(",").index("time_s")
+    for k, row in enumerate(rows):
+        fields = row.split(",")
+        fields[col] = repr(2.0 * float(fields[col]) + 5.0)
+        rows[k] = ",".join(fields)
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert reconstruct(tmp_path, (cam1, cam2)) == 2
+    assert ("participant p000: joint left_wrist frame 0: camera times 0.0 and "
+            "5.0 s are over half a frame apart"
+            in capsys.readouterr().err)
+    assert not list((tmp_path / "out").glob("*/joints_3d.csv"))
+
+
+def test_reconstruct_bytes_same_under_default_blas_one_thread_and_avx2(
+        tmp_path):
+    """`reachkin reconstruct` writes the same joints_3d.csv below its header
+    under the default BLAS, one OpenBLAS thread and OpenBLAS's Haswell (AVX2)
+    kernel: triangulation calls no BLAS or LAPACK routine."""
+    cam1, cam2 = stereo_rig()
+    write_stereo_session(tmp_path / "in", "p000", (cam1, cam2),
+                         scene_points(300, seed=20))
+    write_calibration(tmp_path / "calib.csv", (cam1, cam2))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(r3d.__file__))
+    rows = []
+    for k, setting in enumerate([{}, {"OPENBLAS_NUM_THREADS": "1"},
+                                 {"OPENBLAS_CORETYPE": "Haswell"}]):
+        out = tmp_path / f"out{k}"
+        subprocess.run([sys.executable, "-m", "reachkin.cli", "reconstruct",
+                        "--in", str(tmp_path / "in"), "--out", str(out),
+                        "--calibration", str(tmp_path / "calib.csv")],
+                       env={**env, **setting}, check=True, timeout=120,
+                       capture_output=True)
+        rows.append((out / "p000" / "joints_3d.csv").read_bytes()
+                    .split(b"\n", 1)[1])
+    assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
 def test_cli_reconstruct_refuses_a_cohort_without_two_camera_views(
