@@ -252,8 +252,8 @@ def _batch_arrays(windows):
 
 
 def evaluate_mse(model, windows):
-    """(MSE, predictions) of windows or their arrays, in batches of 64."""
-    x, y = windows if isinstance(windows, tuple) else _batch_arrays(windows)
+    """(MSE, predictions) of stacked windows (x, y), in batches of 64."""
+    x, y = windows
     preds = np.concatenate([model.forward(x[i:i + 64])
                             for i in range(0, len(x), 64)])
     return float(np.mean((preds - y) ** 2)), preds

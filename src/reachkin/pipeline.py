@@ -6,8 +6,8 @@ and simple SVG figure analogs.
 report alongside, and reconstruct by ingest and a calibration alone. Every
 command but ``reachkin synth`` runs through ``run_stages``, which names the
 stage in any error and writes a run's files, per-participant ones included,
-all or none. Every artifact file starts with a comment line recording the
-configuration hash and seed.
+all or none, and holds one participant's streams at a time. Every artifact
+file starts with a comment line recording the configuration hash and seed.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from .errors import (
     ZeroInitialDistance,
     ZeroPathLength,
 )
-from .model_io import (AGE_BINS, Cohort, _numbers, _parse_file, _read_table,
-                       _unique_keys, fnum, iter_sessions, load_cohort,
-                       validate_session, write_joint_csv)
+from .model_io import (AGE_BINS, _numbers, _parse_file, _read_table,
+                       _unique_keys, fnum, iter_sessions, validate_session,
+                       write_joint_csv)
+# load_cohort is not called here, but perfbench's tracer test reads it
+from .model_io import load_cohort  # noqa: F401
 
 ANALYSIS_GROUPS = ((6, 10), (11, 13), (14, 17))
 GROUP_LABELS = tuple(f"{lo}-{hi}" for lo, hi in ANALYSIS_GROUPS)
@@ -205,6 +207,23 @@ def analyze_session(session, seq):
     return summary, usable
 
 
+def reconstruct_session(session, calibration, config: PipelineConfig):
+    """The triangulated 3D sequence of a session with exactly two camera
+    views; ``calibration`` is (path, camera id -> CameraModel)."""
+    from . import reconstruct3d
+    path, cams = calibration
+    views = session.skeletons
+    if len(views) != 2:
+        raise InputError(f"reconstruct needs 2 camera views, got {len(views)}")
+    for seq in views:
+        if seq.camera_id not in cams:
+            raise InputError(f"camera {seq.camera_id!r} is not in {path}")
+    seq1, seq2 = views
+    return reconstruct3d.triangulate_sequences(
+        seq1, seq2, cams[seq1.camera_id], cams[seq2.camera_id],
+        config.confidence_threshold)
+
+
 @dataclass(frozen=True)
 class ParticipantRecord:
     """What the per-participant pass keeps of one session once its streams
@@ -219,27 +238,35 @@ class ParticipantRecord:
 
 
 # the stages of the per-participant pass, in the order it runs them
-PASS = ("validate", "frames", "preprocess", "metrics", "train")
+PASS = ("validate", "frames", "preprocess", "reconstruct", "metrics", "train")
 
 
-def _participant_record(session, stages, config: PipelineConfig, clean_path):
+def _participant_record(session, stages, config: PipelineConfig, paths,
+                        calibration):
     """Take one session through the named stages of PASS (see
     ``cohort_metrics``). A step's ReachkinError ends the record, and is kept
     as its failure with the participant id in front."""
     record = ParticipantRecord(session.participant_id, session.age,
-                               validate_session(session))
-    if record.findings or "frames" not in stages:
+                               validate_session(session)
+                               if "validate" in stages else ())
+    if record.findings:
         return record
-    kept, stage = {}, "frames"
+    kept, streams, stage = {}, {}, None
     try:
-        frames = session_frames(session, config)
+        # stages holds what each stage needs (_with_needs), run before it
+        if "frames" in stages:
+            stage = "frames"
+            frames = session_frames(session, config)
         if "preprocess" in stages:
             stage = "preprocess"
-            clean = preprocess_session(frames, config)
-            if "metrics" in stages:
-                stage = "metrics"
-                kept["summary"], kept["segments"] = analyze_session(session,
-                                                                    clean)
+            streams[stage] = preprocess_session(frames, config)
+        if "reconstruct" in stages:
+            stage = "reconstruct"
+            streams[stage] = reconstruct_session(session, calibration, config)
+        if "metrics" in stages:
+            stage = "metrics"
+            kept["summary"], kept["segments"] = analyze_session(
+                session, streams["preprocess"])
         if "train" in stages:
             from . import agenet
             stage = "train"
@@ -247,28 +274,31 @@ def _participant_record(session, stages, config: PipelineConfig, clean_path):
     except ReachkinError as exc:
         return replace(record, failure=(stage, type(exc)(
             f"participant {record.participant_id}: {exc}")))
-    if clean_path:
+    for stage, path in (paths or {}).items():
         try:
-            write_streams([clean], clean_path)
+            write_streams(streams[stage], path)
         except OSError as exc:
-            raise StageFailure("preprocess", exc) from exc
+            raise StageFailure(stage, exc) from exc
     return replace(record, **kept)
 
 
-def cohort_metrics(sessions, stages, config: PipelineConfig, clean_path):
+def cohort_metrics(sessions, stages, config: PipelineConfig, paths,
+                   calibration=None):
     """The per-participant pass: take each of ``sessions`` in turn through
     the named stages of PASS, and those they need, and keep only its
     ParticipantRecord, so that one session's streams are held at a time.
-    With ``clean_path``, each filtered stream is written to <participant
-    id>/<its name> beside it as soon as its participant is done. Returns
-    the records in cohort order.
+    ``paths`` maps preprocess and reconstruct, whose streams are their
+    files, to a path: a participant's stream is written to <participant
+    id>/<its name> beside it once the participant is done; None writes none.
+    ``calibration`` is reconstruct's (path, camera id -> CameraModel).
+    Returns the records in cohort order.
 
     Errors come in the order of stages run one after another over the whole
     cohort: an error loading a session raises as it is met; the validation
     findings of every session raise together once the pass ends; then the
     failure of the earliest stage raises, the first in cohort order."""
     stages = _with_needs(stages, ())
-    records = [_participant_record(s, stages, config, clean_path)
+    records = [_participant_record(s, stages, config, paths, calibration)
                for s in sessions]
     findings = [f"participant {r.participant_id}: {message}"
                 for r in records for message in r.findings]
@@ -556,39 +586,12 @@ class StageFailure(ReachkinError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-def reconstruct_cohort(cohort: Cohort, calibration, config: PipelineConfig):
-    """The triangulated 3D sequence of each two-camera session (at least
-    one); ``calibration`` is (path, camera id -> CameraModel)."""
-    from . import reconstruct3d
-    path, cams = calibration
-    pairs = [(s.participant_id, s.skeletons[:2]) for s in cohort.sessions
-             if len(s.skeletons) >= 2]
-    if not pairs:
-        raise InputError(f"{config.input_dir}: no two-camera session")
-    for pid, views in pairs:
-        for seq in views:
-            if seq.camera_id not in cams:
-                raise InputError(f"participant {pid}: camera {seq.camera_id!r} "
-                                 f"is not in {path}")
-    streams = []
-    for pid, (seq1, seq2) in pairs:
-        try:
-            streams.append(reconstruct3d.triangulate_sequences(
-                seq1, seq2, cams[seq1.camera_id], cams[seq2.camera_id],
-                config.confidence_threshold))
-        except ReachkinError as exc:
-            raise type(exc)(f"participant {pid}: {exc}") from exc
-    return streams
-
-
-def write_streams(streams, path):
-    """Write each sequence to <its participant id>/<name> beside path."""
+def write_streams(seq, path):
+    """Write the sequence to <its participant id>/<name> beside path."""
     directory, name = os.path.split(path)
-    for seq in streams:
-        pid = seq.participant_id
-        os.makedirs(os.path.join(directory, pid), exist_ok=True)
-        with open(os.path.join(directory, pid, name), "w") as fh:
-            write_joint_csv(seq, fh)
+    os.makedirs(os.path.join(directory, seq.participant_id), exist_ok=True)
+    with open(os.path.join(directory, seq.participant_id, name), "w") as fh:
+        write_joint_csv(seq, fh)
 
 
 def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
@@ -604,10 +607,11 @@ def _write_report(r, config, bars, traj, bars_svg, progress_svg, traj_svg):
 #          write(results, config, *artifact paths)), in dependency order.
 # ``results`` maps each computed stage to its value. Ingest reads the input
 # directory: its value is the ParticipantRecords of one pass over the
-# sessions (cohort_metrics) that runs every stage of PASS the run needs, or,
-# when it needs none, the whole Cohort. The pass writes preprocess's files,
-# as <pid>/<name>. The lambdas look the module functions up when called, so
-# replacing one (to wrap it for tracing, say) takes effect here too.
+# sessions (cohort_metrics) that runs every stage of PASS the run needs. The
+# pass writes the files of the stages without a writer (preprocess and
+# reconstruct), as <pid>/<name>. The lambdas look the module functions up
+# when called, so replacing one (to wrap it for tracing, say) takes effect
+# here too.
 STAGES = {
     # (path, camera id -> CameraModel), given by `reachkin reconstruct`
     "calibration": ((), None, (), None),
@@ -615,11 +619,7 @@ STAGES = {
     "validate": (("ingest",), None, (), None),
     "frames": (("validate",), None, (), None),
     "preprocess": (("frames",), None, ("joints_clean.csv",), None),
-    "reconstruct": (("ingest", "calibration"),
-                    lambda r, c: reconstruct_cohort(r["ingest"],
-                                                    r["calibration"], c),
-                    ("joints_3d.csv",),
-                    lambda r, c, path: write_streams(r["reconstruct"], path)),
+    "reconstruct": (("ingest", "calibration"), None, ("joints_3d.csv",), None),
     "metrics": (("preprocess",),
                 lambda r, c: ([x.summary for x in r["ingest"]],
                               [x.segments for x in r["ingest"]]),
@@ -684,12 +684,11 @@ def run_stages(config: PipelineConfig, names, given=None):
                         [inp, os.path.realpath(out)]) == inp:
                     raise ConfigError(f"output directory {out} is inside "
                                       f"input directory {config.input_dir}")
-                passing = todo.intersection(PASS)
-                clean = os.path.join(staging, STAGES["preprocess"][2][0]) \
-                    if "preprocess" in writes else None
+                paths = {stage: os.path.join(staging, STAGES[stage][2][0])
+                         for stage in writes if not STAGES[stage][3]}
                 results[name] = cohort_metrics(
-                    iter_sessions(config.input_dir), passing, config,
-                    clean) if passing else load_cohort(config.input_dir)
+                    iter_sessions(config.input_dir), todo.intersection(PASS),
+                    config, paths, results.get("calibration"))
             elif STAGES[name][1]:
                 results[name] = STAGES[name][1](results, config)
         for name in writes:

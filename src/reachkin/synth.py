@@ -108,14 +108,14 @@ def _bowed_path(start, target, amplitude):
     return path, arc
 
 
-def generate_reach(params: StrategyParams, start, target, dt, rng=None):
+def generate_reach(params: StrategyParams, start, target, dt, rng):
     """Simulate one reach; returns (positions (N, 2), total_duration_s).
 
     The geometric path is a half-sine bow; timing is a chain of minimum-jerk
     bursts: one dominant burst, ``submovement_count`` corrective stutters
     separated by short pauses, then a homing glide whose length and slowness
     grow with the anticipation parameter. Deterministic for a fixed rng
-    state; rng=None means noise-free.
+    state; with ``noise_sigma`` 0 it draws nothing from ``rng``.
     """
     start = np.asarray(start, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -167,7 +167,7 @@ def generate_reach(params: StrategyParams, start, target, dt, rng=None):
     u[moving] = u0[moving] + (u1[moving] - u0[moving]) * minimum_jerk(
         (times[moving] - t0[moving]) / (t1[moving] - t0[moving]))
     positions = path(u)
-    if rng is not None and params.noise_sigma > 0:
+    if params.noise_sigma > 0:
         positions = positions + rng.normal(0.0, params.noise_sigma,
                                            positions.shape)
     return positions, total

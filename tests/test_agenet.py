@@ -308,7 +308,7 @@ def test_training_learns_planted_linear_signal():
 def test_evaluate_mse_matches_manual_computation():
     model = AgeNet(seed=6)
     windows = [_window("a", 8, i) for i in range(3)]
-    mse, preds = evaluate_mse(model, windows)
+    mse, preds = evaluate_mse(model, agenet._batch_arrays(windows))
     manual = [model.forward(w.values[None])[0] for w in windows]
     assert np.allclose(preds, manual)
     assert mse == pytest.approx(np.mean((np.asarray(manual) - 8.0) ** 2))

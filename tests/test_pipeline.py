@@ -86,8 +86,8 @@ def test_tuning_parameters_pinned():
         synth.generate_session: ("params", "age", "seed", "participant_id",
                                  "duration"),
         pipeline.analyze_session: ("session", "seq"),
-        pipeline.cohort_metrics: ("sessions", "stages", "config",
-                                  "clean_path"),
+        pipeline.cohort_metrics: ("sessions", "stages", "config", "paths",
+                                  "calibration"),
     }
     for fn, names in pinned.items():
         assert tuple(inspect.signature(fn).parameters) == names, fn.__name__

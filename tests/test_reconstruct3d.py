@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import subprocess
@@ -486,16 +487,65 @@ def test_reconstruct_bytes_same_under_default_blas_one_thread_and_avx2(
     assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
-def test_cli_reconstruct_refuses_a_cohort_without_two_camera_views(
-        tmp_path, capsys):
-    # a one-camera session is skipped; with no other there is nothing to do
-    cam1, _ = stereo_rig()
-    write_stereo_session(tmp_path / "in", "p000", (cam1,),
-                         scene_points(12, seed=17))
-    assert reconstruct(tmp_path, (cam1,)) == 2
-    assert (f"error: stage 'reconstruct' failed: {tmp_path / 'in'}: no "
-            "two-camera session" in capsys.readouterr().err)
+def test_reconstruct_holds_one_participants_streams_at_a_time(
+        tmp_path, monkeypatch):
+    # the pass loads, triangulates, writes and drops each session in turn
+    def sequences():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, SkeletonSequence)]
+
+    cams = stereo_rig()
+    for k in range(3):
+        write_stereo_session(tmp_path / "in", f"p00{k}", cams,
+                             scene_points(12, seed=22 + k))
+    held_before = {id(o) for o in sequences()}    # by other tests' fixtures
+    seen = []
+    original = r3d.triangulate_sequences
+
+    def watched(seq1, *args):
+        live = {o.participant_id for o in sequences()
+                if id(o) not in held_before}
+        seen.append((seq1.participant_id, live))
+        return original(seq1, *args)
+
+    monkeypatch.setattr(r3d, "triangulate_sequences", watched)
+    assert reconstruct(tmp_path, cams) == 0
+    assert seen == [(pid, {pid}) for pid in ("p000", "p001", "p002")]
+
+
+@pytest.mark.parametrize("n_cameras", [1, 3])
+def test_cli_reconstruct_refuses_a_session_without_two_camera_views(
+        tmp_path, capsys, n_cameras):
+    # refused, not skipped, though p001 has two cameras; a third camera
+    # is not ignored
+    cam1, cam2 = stereo_rig()
+    cams = (cam1, cam2, r3d.make_camera("cam3", INTR))
+    pts = scene_points(12, seed=17)
+    write_stereo_session(tmp_path / "in", "p000", cams[:n_cameras], pts)
+    write_stereo_session(tmp_path / "in", "p001", cams[:2], pts)
+    assert reconstruct(tmp_path, cams) == 2
+    assert (f"error: stage 'reconstruct' failed: participant p000: "
+            f"reconstruct needs 2 camera views, got {n_cameras}\n"
+            == capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_reconstruct_reports_the_first_participant_to_fail(tmp_path,
+                                                               capsys):
+    # p000 fails to triangulate (cam2 at cam1's pose in the calibration);
+    # p001's cam3 is not in the calibration. Each participant is checked
+    # and triangulated in turn, so p000's failure is the one reported.
+    cam1, cam2 = stereo_rig()
+    pts = scene_points(12, seed=21)
+    write_stereo_session(tmp_path / "in", "p000", (cam1, cam2), pts)
+    write_stereo_session(tmp_path / "in", "p001", (cam1, r3d.make_camera(
+        "cam3", INTR, cam2.rotation, cam2.translation)), pts)
+    assert reconstruct(tmp_path, (cam1, r3d.make_camera("cam2", INTR))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'reconstruct' failed: participant "
+                          "p000: joint left_wrist frame 0: ")
+    assert "p001" not in err and "cam3" not in err
+    assert not list(tmp_path.glob("**/joints_3d.csv"))
 
 
 # --- shoulder normalization --------------------------------------------------

@@ -48,7 +48,8 @@ def test_minimum_jerk_shape():
 def test_generate_reach_straight_when_no_detour():
     params = StrategyParams(detour_amplitude=0.0, submovement_count=0,
                             noise_sigma=0.0)
-    path, _ = generate_reach(params, (0.0, 0.0), (1.5, 0.5), dt=1.0 / 30.0)
+    path, _ = generate_reach(params, (0.0, 0.0), (1.5, 0.5), dt=1.0 / 30.0,
+                             rng=np.random.default_rng(0))
     assert kinematics.directness(path) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(path[0], (0.0, 0.0))
     assert np.allclose(path[-1], (1.5, 0.5), atol=1e-9)
@@ -59,7 +60,8 @@ def test_generate_reach_detour_lowers_directness():
     for amp in (0.0, 0.2, 0.4):
         params = StrategyParams(detour_amplitude=amp, submovement_count=0,
                                 noise_sigma=0.0)
-        path, _ = generate_reach(params, (0.0, 0.0), (2.0, 0.0), 1.0 / 30.0)
+        path, _ = generate_reach(params, (0.0, 0.0), (2.0, 0.0), 1.0 / 30.0,
+                                 np.random.default_rng(0))
         scores.append(kinematics.directness(path))
     assert scores[0] > scores[1] > scores[2]
 
@@ -75,7 +77,8 @@ def test_generate_reach_deterministic():
 
 def test_generate_reach_coincident_endpoints():
     with pytest.raises(ValueError):
-        generate_reach(StrategyParams(), (1.0, 1.0), (1.0, 1.0), 1.0 / 30.0)
+        generate_reach(StrategyParams(), (1.0, 1.0), (1.0, 1.0), 1.0 / 30.0,
+                       np.random.default_rng(0))
 
 
 def test_generate_session_deterministic(sample_session):
