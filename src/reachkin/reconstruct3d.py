@@ -90,12 +90,12 @@ def _linear_batch(px1, px2, cam1, cam2):
         rays.append((-(R[0] * t[0] + R[1] * t[1] + R[2] * t[2])[:, None],
                      R[0][:, None] * mx + R[1][:, None] * my + R[2][:, None]))
     (c1, d1), (c2, d2) = rays
-    a, b, c = (d1 * d1).sum(0), (d1 * d2).sum(0), (d2 * d2).sum(0)
-    d, e = (d1 * (c1 - c2)).sum(0), (d2 * (c1 - c2)).sum(0)
-    denom = a * c - b * b   # a c times the squared sine of the rays' angle
-    status = np.where(denom <= 1e-12 * a * c, _PARALLEL, 0)
-    denom[status != 0] = np.nan
-    s1, s2 = (b * e - c * d) / denom, (a * e - b * d) / denom
+    # s1, s2 from n = d1 x d2: |n|^2 taken as the equal a c - b^2 cancels
+    n, w = np.cross(d1, d2, axis=0), c2 - c1
+    nn, a, c = (n * n).sum(0), (d1 * d1).sum(0), (d2 * d2).sum(0)
+    status = np.where(nn <= 1e-12 * a * c, _PARALLEL, 0)
+    nn[status != 0] = np.nan
+    s1, s2 = ((np.cross(w, d, axis=0) * n).sum(0) / nn for d in (d2, d1))
     X = (c1 + s1 * d1 + c2 + s2 * d2) / 2.0
     return np.ascontiguousarray(X.T), status
 

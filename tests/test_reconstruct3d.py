@@ -125,50 +125,52 @@ def test_triangulation_translation_equivariance():
 
 
 # Per-point Gauss-Newton results (X, rms) for noisy_pairs() points, recorded
-# one point at a time. From the ray-midpoint start they span 2 to 7
-# iterations, 0 to 18 step halvings, and refinements that stop when no halving
-# lowers the cost (points 2, 44, 137, 308, 440).
+# one point at a time. From the cross-product ray-midpoint start they span 2
+# to 7 iterations, steps with and without halvings, and refinements that stop
+# when no halving lowers the cost (points 2, 4, 44, 440). Such a stop leaves a
+# point within a few 1e-9 of the exact minimizer, so a new start moves these
+# records by that much; each is within 1.2e-9 of the minimizer.
 PER_POINT_REFERENCE = {
-    0: (-0.7449131079005757, -0.2616948301813354, 3.8914651605966686,
-        0.3001567291060292),
-    1: (0.0043842444240400884, 0.3115430203079329, 3.634380391151984,
+    0: (-0.7449131079005762, -0.26169483018133555, 3.8914651605966712,
+        0.3001567291060313),
+    1: (0.004384244424040068, 0.31154302030793296, 3.634380391151984,
         0.5629466136727841),
-    2: (0.2002238349623226, 0.9641310692209316, 5.385940489444575,
-        0.7368126747710733),
-    4: (-0.7190690586881773, -0.5716812966891925, 3.0669255584526964,
-        1.1835517799332034),
-    5: (0.8579330923724987, -0.8661013588151297, 4.6357845458586935,
-        1.337567493899643),
-    10: (-0.2673108393551943, -0.49687649541459206, 4.667841957380978,
+    2: (0.20022383496257504, 0.9641310692216529, 5.385940489451361,
+        0.7368126747710729),
+    4: (-0.7190690589543234, -0.5716812967385554, 3.066925559589166,
+        1.1835517799331836),
+    5: (0.8579330923724986, -0.8661013588151295, 4.635784545858693,
+        1.337567493899632),
+    10: (-0.2673108393551943, -0.4968764954145921, 4.667841957380978,
          2.14600442786885),
-    12: (0.32579040011698723, 0.20974670145682028, 4.765580824701424,
-         1.1882457471754588),
-    35: (-0.7021473972168689, -0.607027956328538, 5.2743905726682,
-         1.3016540956113303),
-    37: (-0.5450062558631149, -0.008047332402080942, 5.392231756409056,
+    12: (0.32579040011698707, 0.20974670145682023, 4.7655808247014235,
+         1.1882457471754593),
+    35: (-0.7021473972168498, -0.6070279563285012, 5.274390572668056,
+         1.3016540956113416),
+    37: (-0.545006255863115, -0.00804733240208094, 5.392231756409057,
          1.2159482598202935),
-    40: (-0.925396215136705, 0.2873685708113944, 5.953357128830707,
-         0.0016091666750130708),
-    44: (0.8037779553985727, -0.6206634369950104, 3.6698777310288713,
-         1.6458407967139428),
-    137: (-0.8987162888876487, 1.0154999899657646, 5.088908087129846,
+    40: (-0.925396215136705, 0.28736857081139455, 5.953357128830707,
+         0.0016091666750315992),
+    44: (0.8037779553985727, -0.6206634369950105, 3.6698777310288717,
+         1.6458407967139441),
+    137: (-0.8987162896865203, 1.01549999076741, 5.088908091653014,
           1.4012844308596801),
-    180: (-0.33378560719288425, 0.7842827012119108, 3.2387549175000396,
-          2.6310383893405267),
-    195: (0.6075404262665047, 0.610175764792887, 3.8917823175568027,
-          0.004667141569444124),
-    205: (0.7082126810062987, 0.581746370072454, 5.715796313991582,
-          2.0846889006313836),
-    224: (-0.5760522094486485, 0.2313916634185681, 5.969113426375857,
-          0.002892809213114608),
-    308: (0.2952686304637027, -0.7487773816835581, 5.853250346082196,
-          1.522975956589011),
-    310: (-0.944149844735387, -0.10411225606528904, 4.486838150660589,
-          1.5726260279689708),
-    440: (0.9107540035163949, 0.676177626743901, 4.686662301776967,
-          1.6097141464618556),
-    1515: (-0.5826749653115927, -0.7694218417184266, 4.948511165438116,
-           2.4756974516835966),
+    180: (-0.3337856071928844, 0.784282701211911, 3.2387549175000405,
+          2.631038389340532),
+    195: (0.6075404262665045, 0.6101757647928867, 3.891782317556801,
+          0.00466714156944323),
+    205: (0.7082126810062987, 0.5817463700724539, 5.715796313991582,
+          2.084688900631364),
+    224: (-0.5760522094486485, 0.2313916634185681, 5.9691134263758565,
+          0.0028928092131359725),
+    308: (0.29526863025786604, -0.7487773814715115, 5.853250342014449,
+          1.5229759565890295),
+    310: (-0.9441498447353877, -0.10411225606528904, 4.486838150660593,
+          1.572626027968968),
+    440: (0.9107540035163953, 0.676177626743901, 4.686662301776967,
+          1.6097141464618565),
+    1515: (-0.5826749653115925, -0.7694218417184264, 4.948511165438115,
+           2.4756974516836046),
 }
 
 
@@ -215,7 +217,7 @@ def test_noiseless_points_recovered():
     cam1, cam2 = stereo_rig()
     pts = scene_points(5000, seed=18)
     X, rms = r3d.triangulate(cam1.project(pts), cam2.project(pts), cam1, cam2)
-    assert np.abs(X - pts).max() < 1e-12
+    assert np.abs(X - pts).max() < 2e-14
     assert rms.max() < 1e-11
 
 
