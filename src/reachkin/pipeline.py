@@ -251,7 +251,7 @@ def _participant_record(session, stages, config: PipelineConfig, paths,
                                if "validate" in stages else ())
     if record.findings:
         return record
-    kept, streams, stage = {}, {}, None
+    kept, streams = {}, {}
     try:
         # stages holds what each stage needs (_with_needs), run before it
         if "frames" in stages:

@@ -526,7 +526,7 @@ def test_cli_reconstruct_refuses_a_session_without_two_camera_views(
     write_stereo_session(tmp_path / "in", "p000", cams[:n_cameras], pts)
     write_stereo_session(tmp_path / "in", "p001", cams[:2], pts)
     assert reconstruct(tmp_path, cams) == 2
-    assert (f"error: stage 'reconstruct' failed: participant p000: "
+    assert ("error: stage 'reconstruct' failed: participant p000: "
             f"reconstruct needs 2 camera views, got {n_cameras}\n"
             == capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
