@@ -11,11 +11,14 @@ Reconstructed 3D joint files use the columns
 ``participant_id,frame,time_s,joint,x,y,z`` (no camera, no confidence).
 
 Every CSV table, joints, targets, calibration or an artifact such as
-``metrics.csv``, is read by ``_read_table``: split in one pass when plain (no
-quote, carriage return or blank line), else by the csv module, to the same
-result or error. A ParseError names the row of a row whose field count
-differs from the header's, a cell that is not a finite number, a frame that
-is not an integer or repeats within a joint, or a non-integer target id.
+``metrics.csv``, is read by ``_read_table``: when plain (no quote, carriage
+return or blank line) split into cells a block of lines at a time, else by
+the csv module, to the same result or error. A joints file is converted a
+block at a time, so it is held as its text plus its arrays, and written a
+block of rows at a time. A ParseError names the row of a header that names
+a column twice, a row whose field count differs from the header's, a cell
+that is not a finite number, a frame that is not an integer or repeats
+within a joint, or a non-integer target id.
 
 In memory a ``SkeletonSequence`` maps each joint, in sorted order, to a
 ``JointStream`` of arrays ``frames (N,)``, ``times (N,)``, ``pos (N, D)`` and
@@ -33,6 +36,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -199,35 +203,43 @@ def _float(value, column, row):
     return x
 
 
+# characters of a plain table split at a time: a block ends at the first line
+# end after this many
+_BLOCK = 1 << 16
+
+
 def _split(text, top):
-    """(header, columns, row numbers) of a plain table whose header is on
-    line ``top``, split in one pass as the csv reader reads it; None for any
-    other text. A plain table has no quote or carriage return, a final
-    newline, and as many commas on every line as in its header, so no blank
-    line."""
-    width = text.count(",", 0, text.find("\n")) + 1
+    """(header, row numbers, column blocks) of a plain table whose header is
+    on line ``top``, as the csv reader reads it; None for any other text. A
+    plain table has no quote or carriage return, a final newline, and as
+    many commas on every line as in its header, so no blank line. Its data
+    lines are split a block (``_BLOCK``) at a time as the blocks are
+    iterated; a table with no data lines is one empty block."""
+    head = text.find("\n") + 1
+    width = text.count(",", 0, head) + 1
     if width < 2 or not text.endswith("\n") or '"' in text or "\r" in text:
         return None
-    # every line, the header too, holds width - 1 commas: line i the i-th
-    # run of them, each after the newline before it and before its own
-    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    commas = np.flatnonzero(data == ord(","))
-    if commas.size != ends.size * (width - 1):
-        return None
-    commas = commas.reshape(-1, width - 1)
-    if (commas[1:, 0] < ends[:-1]).any() or (commas[:, -1] > ends).any():
-        return None
-    cells = text.replace("\n", ",").split(",")
-    return (cells[:width], [cells[width + k:-1:width] for k in range(width)],
-            range(top + 1, top + ends.size))
+    bounds = [head]
+    while bounds[-1] < len(text) or len(bounds) == 1:
+        bounds.append(text.find("\n", bounds[-1] + _BLOCK) + 1 or len(text))
+    for a, b in zip(bounds, bounds[1:]):
+        if not {ln.count(",") for ln in text[a:b].split("\n")[:-1]} <= \
+                {width - 1}:
+            return None
+
+    def blocks():
+        for a, b in zip(bounds, bounds[1:]):
+            cells = text[a:b].replace("\n", ",").split(",")
+            yield [cells[k:-1:width] for k in range(width)]
+    return (text[:head - 1].split(","),
+            range(top + 1, top + 1 + text.count("\n", head)), blocks())
 
 
 def _csv_table(text, top):
-    """What ``_split`` gives, for any text, by the csv reader; None for an
-    empty text. Blank lines are skipped. A row whose field count differs
-    from the header's, or text the reader refuses, raises a ParseError
-    naming the row."""
+    """What ``_split`` gives, for any text, by the csv reader, the data rows
+    in one block; None for an empty text. Blank lines are skipped. A row
+    whose field count differs from the header's, or text the reader
+    refuses, raises a ParseError naming the row."""
     rows, rownum = [], top - 1
     try:
         for rownum, row in enumerate(csv.reader(io.StringIO(text)), top):
@@ -242,18 +254,20 @@ def _csv_table(text, top):
         if len(row) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(row)}",
                              row=rownum)
-    return (header, [[row[k] for _, row in rows] for k in range(len(header))],
-            [rownum for rownum, _ in rows])
+    return (header, [rownum for rownum, _ in rows],
+            [[[row[k] for _, row in rows] for k in range(len(header))]])
 
 
 def _read_table(stream, what, expected, artifact=False):
-    """Read a CSV text or character stream into ({column: index}, columns,
-    row numbers), where columns[i] lists the cells of header column i and a
-    row number is the file line. ``expected(header)`` names the columns the
-    header must hold. A plain table is split in one pass (``_split``), any
-    other read by the csv reader (``_csv_table``), to the same result or
-    error. An artifact may start with one '#' comment line and may hold no
-    data rows."""
+    """Read a CSV text or character stream into ({column: index}, row
+    numbers, column blocks). The blocks split the data rows, in file order,
+    into runs; a block lists, for each header column, the cells of its run.
+    A row number is the file line. ``expected(header)`` names the columns
+    the header must hold, and no column may be named twice. A plain table
+    is split a block at a time (``_split``), any other read whole by the
+    csv reader as one block (``_csv_table``), to the same cells or error.
+    An artifact may start with one '#' comment line and may hold no data
+    rows."""
     text = stream if isinstance(stream, str) else stream.read()
     top = 1   # the header's line
     if artifact and text.startswith("#"):
@@ -261,15 +275,23 @@ def _read_table(stream, what, expected, artifact=False):
     table = _split(text, top) or _csv_table(text, top)
     if table is None:
         raise ParseError(f"{what}: empty file")
-    header, columns, rownums = table
+    header, rownums, blocks = table
     header = [h.strip() for h in header]
+    repeated = [h for k, h in enumerate(header) if h in header[:k]]
+    if repeated:
+        raise ParseError(f"{what}: column {repeated[0]!r} repeats", row=top)
     names = expected(header)
     missing = [c for c in names if c not in header]
     if missing:
         raise ParseError(f"{what}: missing column(s) {missing}", row=top)
     if not rownums and not artifact:
         raise ParseError(f"{what} file has a header but no data rows")
-    return {name: header.index(name) for name in names}, columns, rownums
+    return {name: header.index(name) for name in names}, rownums, blocks
+
+
+def _joined(blocks):
+    """A table's column blocks as one list of columns."""
+    return [list(chain(*cells)) for cells in zip(*blocks)]
 
 
 def _numbers(columns, rownums, col, names):
@@ -300,19 +322,38 @@ def _integers(values, column, rownums):
     return values.astype(np.int64)
 
 
-_TEXT_COLUMNS = ("participant_id", "camera_id", "joint")
+_ID_COLUMNS = ("participant_id", "camera_id")
 
 
 def parse_joint_csv(stream) -> SkeletonSequence:
     """Parse a joints.csv text or character stream (2D or reconstructed 3D
-    schema)."""
-    col, columns, rownums = _read_table(
+    schema), converting its cells a block of rows at a time."""
+    col, rownums, blocks = _read_table(
         stream, "joints",
         lambda header: JOINTS_3D_HEADER if "z" in header else JOINTS_2D_HEADER)
-    texts = {name: columns[col[name]] for name in _TEXT_COLUMNS if name in col}
-    num = _numbers(columns, rownums, col, [n for n in col if n not in texts])
-    del columns   # frees the number cells
     is_3d = "z" in col
+    ids = [name for name in _ID_COLUMNS if name in col]
+    names = [name for name in col if name not in ids and name != "joint"]
+    num = np.empty((len(rownums), len(names)))
+    codes = np.empty(len(rownums), np.intp)
+    # copies, here and below: a kept cell string pins its allocator arena
+    code, first, differs, start = {}, {}, {}, 0   # code: by first appearance
+    for columns in blocks:
+        end = start + len(columns[0])
+        num[start:end] = _numbers(columns, rownums[start:end], col, names)
+        joints = columns[col["joint"]]
+        for joint in set(joints) - code.keys():
+            code[_copy(joint)] = len(code)
+        codes[start:end] = np.fromiter(map(code.__getitem__, joints),
+                                       np.intp, end - start)
+        for name in ids:   # the first row whose id differs from the first's
+            values = columns[col[name]]
+            value = first.setdefault(name, _copy(values[0]))
+            if name not in differs and values.count(value) < len(values):
+                n = next(n for n, v in enumerate(values) if v != value)
+                differs[name] = start + n, _copy(values[n])
+        start = end
+    del columns, joints, values   # frees the last block's cells
     frames = _integers(num[:, 0], "frame", rownums)
     times = num[:, 1]
     pos = num[:, 2:5] if is_3d else num[:, 2:4]
@@ -323,11 +364,9 @@ def parse_joint_csv(stream) -> SkeletonSequence:
         raise ParseError(
             f"confidence {float(conf[i])} outside [0,1]", row=rownums[i])
 
-    # copies, here and below: a kept cell string pins its allocator arena
-    joint_names = [_copy(joint) for joint in sorted(set(texts["joint"]))]
-    code = {joint: k for k, joint in enumerate(joint_names)}
-    codes = np.fromiter(map(code.__getitem__, texts["joint"]), np.intp,
-                        len(num))
+    joint_names = sorted(code)
+    rank = {joint: k for k, joint in enumerate(joint_names)}
+    codes = np.array([rank[joint] for joint in code], np.intp)[codes]
     order = np.lexsort((frames, codes))     # stable: ties keep file order
     bounds = np.cumsum(np.bincount(codes))
     streams = {}
@@ -348,15 +387,13 @@ def parse_joint_csv(stream) -> SkeletonSequence:
 
     deltas = np.concatenate([np.diff(s.times) for s in streams.values()])
     rate = 1.0 / float(np.median(deltas)) if deltas.size else 30.0
-    for name in ["participant_id"] + ([] if is_3d else ["camera_id"]):
-        values = texts[name]
-        if len(set(values)) > 1:   # name the first row that differs
-            n = next(n for n, v in enumerate(values) if v != values[0])
-            raise ParseError(f"column {name!r}: {values[n]!r} differs from "
-                             f"the first row's {values[0]!r}", row=rownums[n])
-    return SkeletonSequence(_copy(texts["participant_id"][0]),   # 3D: no camera
-                            _copy(texts.get("camera_id", [""])[0]), rate,
-                            streams)
+    for name in ids:
+        if name in differs:
+            n, value = differs[name]
+            raise ParseError(f"column {name!r}: {value!r} differs from the "
+                             f"first row's {first[name]!r}", row=rownums[n])
+    return SkeletonSequence(first["participant_id"],   # 3D: no camera
+                            first.get("camera_id", ""), rate, streams)
 
 
 def _copy(text):
@@ -367,8 +404,9 @@ def _copy(text):
 def parse_target_csv(stream, participant_id) -> TargetLog:
     """Parse a targets.csv text or character stream; every row must name
     ``participant_id``, the session's."""
-    col, columns, rownums = _read_table(stream, "targets",
-                                        lambda header: TARGETS_HEADER)
+    col, rownums, blocks = _read_table(stream, "targets",
+                                       lambda header: TARGETS_HEADER)
+    columns = _joined(blocks)
     num = _numbers(columns, rownums, col,
                    ["target_id", "x_norm", "y_norm", "t_appear_s"])
     ids = _integers(num[:, 0], "target_id", rownums).tolist()
@@ -415,22 +453,28 @@ def _csv_cells(*values):
     return buf.getvalue()[:-2]
 
 
+_WRITE_ROWS = 1024   # rows of a joints file formatted per write
+
+
 def write_joint_csv(seq: SkeletonSequence, stream):
     """Write a joints file as csv.writer would, floats in full precision
-    (``repr``), in one ``write``."""
+    (``repr``), a ``write`` per block of up to ``_WRITE_ROWS`` rows."""
     is_3d = seq.dims == 3
     lead = _csv_cells(seq.participant_id, *([] if is_3d else [seq.camera_id]))
-    rows = [",".join(JOINTS_3D_HEADER if is_3d else JOINTS_2D_HEADER) + "\n"]
+    stream.write(",".join(JOINTS_3D_HEADER if is_3d else JOINTS_2D_HEADER)
+                 + "\n")
     for joint, s in seq.streams.items():
         name = _csv_cells(joint)
-        # flat columns: no list per row for the garbage collector to track
-        cols = zip(s.frames.tolist(), s.times.tolist(), *s.pos.T.tolist(),
-                   s.conf.tolist())
-        rows += ([f"{lead},{f},{t!r},{name},{x!r},{y!r},{z!r}\n"
-                  for f, t, x, y, z, _ in cols] if is_3d else
-                 [f"{lead},{f},{t!r},{name},{x!r},{y!r},{c!r}\n"
-                  for f, t, x, y, c in cols])
-    stream.write("".join(rows))
+        for a in range(0, len(s.frames), _WRITE_ROWS):
+            rows = slice(a, a + _WRITE_ROWS)
+            # flat columns: no list per row for the garbage collector to track
+            cols = zip(s.frames[rows].tolist(), s.times[rows].tolist(),
+                       *s.pos[rows].T.tolist(), s.conf[rows].tolist())
+            stream.write("".join(
+                [f"{lead},{f},{t!r},{name},{x!r},{y!r},{z!r}\n"
+                 for f, t, x, y, z, _ in cols] if is_3d else
+                [f"{lead},{f},{t!r},{name},{x!r},{y!r},{c!r}\n"
+                 for f, t, x, y, c in cols]))
 
 
 def write_target_csv(participant_id, log: TargetLog, stream):

@@ -34,9 +34,9 @@ from .errors import (
     ZeroInitialDistance,
     ZeroPathLength,
 )
-from .model_io import (AGE_BINS, _numbers, _parse_file, _read_table,
-                       _unique_keys, fnum, iter_sessions, validate_session,
-                       write_joint_csv)
+from .model_io import (AGE_BINS, _joined, _numbers, _parse_file,
+                       _read_table, _unique_keys, fnum, iter_sessions,
+                       validate_session, write_joint_csv)
 # load_cohort is not called here, but perfbench's tracer test reads it
 from .model_io import load_cohort  # noqa: F401
 
@@ -148,11 +148,11 @@ def write_artifact(path, header, rows, config: PipelineConfig):
 
 def read_artifact(path):
     """Read a CSV artifact past its comment line; returns (header, rows)."""
-    col, columns, _ = _parse_file(
+    col, _, blocks = _parse_file(
         *os.path.split(path),
         lambda fh: _read_table(fh, "artifact", lambda header: header,
                                artifact=True))
-    return list(col), [list(row) for row in zip(*columns)]
+    return list(col), [list(row) for row in zip(*_joined(blocks))]
 
 
 # --- per-participant analysis ----------------------------------------------
@@ -330,8 +330,9 @@ def read_metrics(path):
 
 def _parse_metrics(fh):
     from . import kinematics
-    col, columns, rownums = _read_table(
+    col, rownums, blocks = _read_table(
         fh, "metrics", lambda header: kinematics.METRIC_COLUMNS, artifact=True)
+    columns = _joined(blocks)
     medians = [field for _, field, _ in kinematics.METRICS]
     num = _numbers(columns, rownums, col, medians).tolist()
     names = ("participant_id", "age", "group", "reach_count")

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalError, ParseError
-from .model_io import (JointStream, SkeletonSequence, _numbers, _parse_file,
-                       _read_table)
+from .model_io import (JointStream, SkeletonSequence, _joined, _numbers,
+                       _parse_file, _read_table)
 
 
 @dataclass(frozen=True)
@@ -225,10 +225,11 @@ def load_calibration(path):
 
 
 def _parse_calibration(fh):
-    col, columns, rownums = _read_table(
+    col, rownums, blocks = _read_table(
         fh, "calibration",
         lambda header: ["camera_id", "fx", "fy", "cx", "cy"]
         + (_EXTRINSICS if set(_EXTRINSICS) & set(header) else []))
+    columns = _joined(blocks)
     cams, first_row = {}, {}
     for rownum, *row in zip(rownums, *columns):
         camera_id = row[col["camera_id"]]

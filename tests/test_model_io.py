@@ -424,7 +424,7 @@ def reconstructed_joints(tmp_path):
 
 def test_written_joint_files_take_the_column_path(monkeypatch, tmp_path,
                                                   small_cohort_dir):
-    # every table reachkin writes is split in one pass, never csv-read
+    # every table reachkin writes is split by _split, never csv-read
     def refuse(text, top):
         raise AssertionError("the csv reader was called")
     monkeypatch.setattr(model_io, "_csv_table", refuse)
@@ -513,9 +513,85 @@ def outcome(parse, text):
        st.integers(0, 99), st.sampled_from(MUTATIONS))
 def test_column_path_matches_the_row_reader(text, row, column, kind):
     text = mutate(text, row, column, kind)
-    got = outcome(model_io.parse_joint_csv, text)
-    with mock.patch.object(model_io, "_split", lambda text, top: None):
+    with mock.patch.object(model_io, "_BLOCK", 1):   # every line a block
+        got = outcome(model_io.parse_joint_csv, text)
+    with mock.patch.object(model_io, "_split", lambda text, top: None), \
+            mock.patch.object(model_io, "_csv_table",
+                              wraps=model_io._csv_table) as row_reader:
         assert got == outcome(model_io.parse_joint_csv, text)
+    assert row_reader.called
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("p1,cam0,0,0.0,right_wrist,30.0,20.0,0.5,1",
+     "row 5: expected 8 fields, got 9"),
+    ('p1,cam0,0,0.0,"right_wrist,30.0",20.0,0.5',
+     "row 5: expected 8 fields, got 7")], ids=["ragged", "quoted"])
+def test_a_later_blocks_line_sends_the_table_to_the_row_reader(line,
+                                                               expected):
+    # a bad number in the first block does not hide a ragged or quoted
+    # line in a later one: the csv reader reads the table and its error wins
+    lines = JOINTS_2D.replace(",10.0,", ",abc,").splitlines()
+    lines[4] = line
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(model_io, "_BLOCK", 1):
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            model_io.parse_joint_csv(text)
+    with mock.patch.object(model_io, "_split", lambda text, top: None):
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            model_io.parse_joint_csv(text)
+
+
+def joints_text(frames, joints):
+    """A 2D joints file of ``joints`` streams of ``frames`` rows, in the
+    row order and float text ``write_joint_csv`` writes."""
+    rng = np.random.default_rng(0)
+    lines = [",".join(model_io.JOINTS_2D_HEADER)]
+    for j in range(joints):
+        for f, (x, y, c) in enumerate(rng.random((frames, 3)).tolist()):
+            lines.append(f"p000,cam0,{f},{f / 60!r},joint_{j:02d},"
+                         f"{640 * x!r},{480 * y!r},{c!r}")
+    return "\n".join(lines) + "\n"
+
+
+class CharCount:
+    """A text sink that keeps only the number of characters written."""
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def traced_peak(call, *args):
+    """The result of ``call(*args)`` and the most memory traced above the
+    start of the call while it ran."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def test_a_joints_file_is_parsed_a_block_at_a_time():
+    # the text plus its arrays, never a string per cell (8.8x the text at a
+    # whole-file split)
+    text = joints_text(3000, 12)
+    seq, peak = traced_peak(model_io.parse_joint_csv, text)
+    assert len(seq.samples) == 36000
+    assert peak < 2 * len(text)
+
+
+def test_a_joints_file_is_written_a_block_at_a_time():
+    # a write per block of rows, never the whole text joined (9 MiB here)
+    text = joints_text(3000, 12)
+    seq, sink = model_io.parse_joint_csv(text), CharCount()
+    _, peak = traced_peak(model_io.write_joint_csv, seq, sink)
+    assert sink.chars == len(text)
+    assert peak < 2**20
 
 
 CALIBRATION = ("camera_id,fx,fy,cx,cy,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
@@ -533,6 +609,30 @@ METRICS = ("participant_id,age,group,median_directness,median_max_speed,"
 def parse_metrics_artifact(text):
     """A metrics table as ``metrics.csv`` holds it, under a comment line."""
     return pipeline._parse_metrics("# reachkin config_hash=0 seed=0\n" + text)
+
+
+def with_column_again(text, column):
+    """text with a last column that repeats ``column``, its header too."""
+    lines = text.splitlines()
+    k = lines[0].split(",").index(column)
+    return "".join(f"{line},{line.split(',')[k]}\n" for line in lines)
+
+
+@pytest.mark.parametrize("parse, text, column, expected", [
+    (model_io.parse_joint_csv, JOINTS_2D, "x", "row 1: joints: column 'x'"),
+    # a quoted cell: the csv reader's path
+    (model_io.parse_joint_csv, JOINTS_2D.replace(",cam0,", ',"cam0",'), "x",
+     "row 1: joints: column 'x'"),
+    (parse_target_csv, TARGETS_2PAIRS, "x_norm",
+     "row 1: targets: column 'x_norm'"),
+    (reconstruct3d._parse_calibration, CALIBRATION, "fx",
+     "row 1: calibration: column 'fx'"),
+    (parse_metrics_artifact, METRICS, "age", "row 2: metrics: column 'age'")],
+    ids=["joints", "joints-quoted", "targets", "calibration", "metrics"])
+def test_a_header_naming_a_column_twice_is_refused(parse, text, column,
+                                                   expected):
+    with pytest.raises(ParseError, match=f"^{re.escape(expected)} repeats$"):
+        parse(with_column_again(text, column))
 
 
 @settings(max_examples=600, deadline=None)
