@@ -1,6 +1,9 @@
 """Progress-to-goal characterization: reaches normalized into (time fraction,
 goal progress) curves, pooled per age group, fit by a cubic Bezier with pinned
 endpoints, and summarized by their start/end slopes.
+
+The fit is element-wise numpy and Python floats: it calls no BLAS or LAPACK
+routine, so its bits do not depend on the BLAS kernel or thread count.
 """
 
 from __future__ import annotations
@@ -72,36 +75,51 @@ def filter_backward_reaches(curves):
 
 
 def _bernstein(s):
+    # cubes as products: numpy pow is about 5x slower
     s = np.asarray(s, dtype=float)
     omt = 1.0 - s
-    return np.stack([omt ** 3, 3 * omt ** 2 * s, 3 * omt * s ** 2, s ** 3],
-                    axis=-1)
+    omt2, s2 = omt * omt, s * s
+    return omt2 * omt, 3 * omt2 * s, 3 * omt * s2, s2 * s
 
 
 def bezier_point(control, s):
     """Evaluate a cubic Bezier at parameter values s; control is (4, 2)."""
-    return _bernstein(s) @ np.asarray(control, dtype=float)
+    b0, b1, b2, b3 = _bernstein(s)
+    return np.stack([b0 * c0 + b1 * c1 + b2 * c2 + b3 * c3 for c0, c1, c2, c3
+                     in np.asarray(control, dtype=float).T.tolist()], axis=-1)
 
 
 def bezier_tangent(control, s):
-    control = np.asarray(control, dtype=float)
     s = np.asarray(s, dtype=float)
     omt = 1.0 - s
-    d = 3 * (np.stack([omt ** 2, 2 * omt * s, s ** 2], axis=-1)
-             @ np.diff(control, axis=0))
-    return d
+    b0, b1, b2 = omt * omt, 2 * omt * s, s * s
+    legs = np.diff(np.asarray(control, dtype=float), axis=0)
+    return np.stack([3 * (b0 * l0 + b1 * l1 + b2 * l2)
+                     for l0, l1, l2 in legs.T.tolist()], axis=-1)
+
+
+def _det_cond(a11, a12, a22):
+    """Determinant (rounded once from its exact value) and condition number
+    of the PSD [[a11, a12], [a12, a22]]; small eigenvalue = det / large."""
+    (n1, d1), (n2, d2), (n3, d3) = (v.as_integer_ratio() for v in
+                                    (a11, a22, a12))
+    det = (n1 * n2 * d3 * d3 - n3 * n3 * d1 * d2) / (d1 * d2 * d3 * d3)
+    big = 0.5 * (a11 + a22) + np.hypot(0.5 * (a11 - a22), a12)
+    return det, (big * big / det if det > 0 else np.inf)
 
 
 def _solve_control_points(points, s):
-    """Linear least squares for P1, P2 with endpoints pinned at (0,0), (1,1)."""
-    B = _bernstein(s)                      # (n, 4)
-    A = B[:, 1:3]                          # free-point basis
-    rhs = points - np.outer(B[:, 0], BezierFit.P0) - np.outer(B[:, 3], BezierFit.P3)
-    AtA = A.T @ A
-    if np.linalg.cond(AtA) > 1e12:
+    """Linear least squares for P1, P2 with endpoints pinned at (0,0), (1,1),
+    by cofactors; P0 is the origin, so only P3 enters the right-hand side."""
+    _, b1, b2, b3 = _bernstein(s)
+    a11, a12, a22 = (float(np.sum(u * v)) for u, v in
+                     ((b1, b1), (b1, b2), (b2, b2)))
+    det, cond = _det_cond(a11, a12, a22)
+    if cond > 1e12:
         raise NumericalError("sample parameters do not determine the control points")
-    sol = np.linalg.solve(AtA, A.T @ rhs)  # (2, 2): rows P1, P2
-    return sol[0], sol[1]
+    u1, u2 = np.array([[np.sum(b * (points[:, k] - b3)) for k in (0, 1)]
+                       for b in (b1, b2)])
+    return (a22 * u1 - a12 * u2) / det, (a11 * u2 - a12 * u1) / det
 
 
 def _project_parameters(control, points, s):
@@ -109,32 +127,31 @@ def _project_parameters(control, points, s):
 
     Up to 25 steps of 1-D Newton on f(s) = (B(s) - p) . B'(s), vectorized
     over the samples; each update is kept only if it reduces that sample's
-    squared distance, and s stays inside [0, 1].
+    squared distance, and s stays inside [0, 1]. A sample that goes on has
+    taken its step, so its residual carries over to the next step.
     """
-    control = np.asarray(control, dtype=float)
-    dd = np.diff(np.diff(control, axis=0), axis=0)   # (2, 2)
+    (ax, bx), (ay, by) = np.diff(np.asarray(control, dtype=float), 2,
+                                 axis=0).T.tolist()
     s = s.copy()
-    active = np.ones(len(s), dtype=bool)
+    idx = np.arange(len(s))
+    dx, dy = (bezier_point(control, s) - points).T
     for _ in range(25):
-        if not active.any():
+        if not len(idx):
             break
-        idx = np.flatnonzero(active)
         si = s[idx]
-        p = points[idx]
-        diff = bezier_point(control, si) - p
-        d1 = bezier_tangent(control, si)
-        d2 = 6.0 * ((1.0 - si)[:, None] * dd[0] + si[:, None] * dd[1])
-        num = np.sum(diff * d1, axis=1)
-        den = np.sum(d1 * d1, axis=1) + np.sum(diff * d2, axis=1)
+        tx, ty = bezier_tangent(control, si).T
+        num = dx * tx + dy * ty
+        den = (tx * tx + ty * ty) + (dx * (6.0 * ((1 - si) * ax + si * bx))
+                                     + dy * (6.0 * ((1 - si) * ay + si * by)))
         ok = np.abs(den) >= 1e-14
         sn = np.clip(si - num / np.where(ok, den, 1.0), 0.0, 1.0)
         tiny = np.abs(sn - si) < 1e-14
-        new_diff = bezier_point(control, sn) - p
-        improved = np.sum(new_diff * new_diff, axis=1) <= np.sum(diff * diff,
-                                                                 axis=1)
+        x, y = (bezier_point(control, sn) - points[idx]).T
+        improved = x * x + y * y <= dx * dx + dy * dy
         take = ok & (tiny | improved)
         s[idx[take]] = sn[take]
-        active[idx[~(ok & improved & ~tiny)]] = False
+        going = ok & improved & ~tiny
+        idx, dx, dy = idx[going], x[going], y[going]
     return s
 
 
@@ -145,25 +162,38 @@ def _solve_control_points_normal(points, s, control):
     exactly-representable data because the foot points and the solve keep
     re-agreeing on a slightly wrong curve; restricting the residual to the
     normal direction removes that coupling and converges quadratically when
-    the data lie on a cubic. Can be rank deficient (straight data), so the
-    caller must safeguard with the plain solve.
+    the data lie on a cubic. Solved by modified Gram-Schmidt on the four
+    columns, the right-hand side carried as a fifth. Straight data make it
+    rank deficient: where a column keeps less than 1e-8 of its norm (about
+    the root of the float epsilon) outside the earlier columns' span, it
+    raises LinAlgError, and the caller falls back to the plain solve.
     """
-    B = _bernstein(s)
-    tan = bezier_tangent(control, s)
-    nrm = np.column_stack([-tan[:, 1], tan[:, 0]])
-    norms = np.linalg.norm(nrm, axis=1, keepdims=True)
-    nrm = nrm / np.where(norms > 0, norms, 1.0)
-    off = np.outer(B[:, 0], BezierFit.P0) + np.outer(B[:, 3], BezierFit.P3)
-    A = np.column_stack([B[:, 1] * nrm[:, 0], B[:, 1] * nrm[:, 1],
-                         B[:, 2] * nrm[:, 0], B[:, 2] * nrm[:, 1]])
-    rhs = np.sum((points - off) * nrm, axis=1)
-    q, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return q[:2], q[2:]
+    _, b1, b2, b3 = _bernstein(s)
+    tx, ty = bezier_tangent(control, s).T
+    norms = np.sqrt(tx * tx + ty * ty)
+    norms = np.where(norms > 0, norms, 1.0)
+    nx, ny = -ty / norms, tx / norms
+    q = [b1 * nx, b1 * ny, b2 * nx, b2 * ny,
+         (points[:, 0] - b3) * nx + (points[:, 1] - b3) * ny]
+    floor = [1e-8 * np.sqrt(np.sum(c * c)) for c in q[:4]]
+    r = np.zeros((4, 5))
+    for j in range(4):
+        r[j, j] = np.sqrt(np.sum(q[j] * q[j]))
+        if not r[j, j] > floor[j]:
+            raise np.linalg.LinAlgError("normal-projected problem is rank deficient")
+        q[j] = q[j] / r[j, j]
+        for k in range(j + 1, 5):
+            r[j, k] = np.sum(q[j] * q[k])
+            q[k] = q[k] - r[j, k] * q[j]
+    x = np.zeros(4)
+    for j in (3, 2, 1, 0):
+        x[j] = (r[j, 4] - np.sum(r[j, j + 1:4] * x[j + 1:])) / r[j, j]
+    return x[:2], x[2:]
 
 
 def _residual_rms(control, points, s):
     r = bezier_point(control, s) - points
-    return float(np.sqrt(np.mean(np.sum(r * r, axis=1))))
+    return float(np.sqrt(np.mean(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1])))
 
 
 def fit_cubic_bezier(curves, rounds: int = 3) -> BezierFit:
@@ -173,7 +203,8 @@ def fit_cubic_bezier(curves, rounds: int = 3) -> BezierFit:
     rounds: project each parameter to the nearest curve point, then solve the
     control points linearly, taking whichever of the point-distance and
     normal-projected solves leaves the smaller residual after reprojection.
-    The recorded residual is non-increasing across rounds.
+    The recorded residual is non-increasing across rounds. No step calls a
+    BLAS or LAPACK routine.
     """
     pts = np.concatenate([np.column_stack([c.tau, c.rho]) for c in curves])
     if len(pts) < 4:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -152,3 +156,147 @@ def test_bezier_point_and_tangent_endpoints():
                        3 * (control[1] - control[0]))
     assert np.allclose(ps.bezier_tangent(control, 1.0),
                        3 * (control[3] - control[2]))
+
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_plain_solve_matches_lapack_solve(seed):
+    # the cofactor solve of the 2x2 normal equations against LAPACK
+    rng = np.random.default_rng(seed)
+    points, s = rng.uniform(-0.5, 1.5, (50, 2)), rng.uniform(0.0, 1.0, 50)
+    A = np.column_stack([3 * (1 - s) ** 2 * s, 3 * (1 - s) * s ** 2])
+    rhs = points - np.outer(s ** 3, ps.BezierFit.P3)
+    want = np.linalg.solve(A.T @ A, A.T @ rhs)
+    p1, p2 = ps._solve_control_points(points, s)
+    np.testing.assert_allclose(np.stack([p1, p2]), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("u12", [0.5, 1 - 2.0 ** -20, 0.75 + 2.0 ** -24,
+                                 -0.3125])
+def test_closed_form_condition_number_matches_lapack(u12):
+    # M = U^T U for an upper-triangular U: LAPACK's SVD of U is accurate to
+    # its last bits, so cond(M) = cond(U)^2 is the oracle. The entries are
+    # short dyadic numbers, so M is stored exactly. The sweep runs from
+    # about 5e9 to 3e14 and crosses the 1e12 refusal bound.
+    conds = []
+    for k in range(16, 24):
+        u22 = 2.0 ** -k
+        a11, a12, a22 = 1.0, u12, u12 * u12 + u22 * u22
+        det, cond = ps._det_cond(a11, a12, a22)
+        assert det == u22 * u22
+        want = np.linalg.cond(np.array([[1.0, u12], [0.0, u22]])) ** 2
+        assert cond == pytest.approx(want, rel=1e-9)
+        conds.append(cond)
+    assert min(conds) < 1e12 < max(conds)
+
+
+def test_closed_form_condition_number_of_well_conditioned_matrices():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a = rng.normal(size=(5, 2))
+        M = a.T @ a
+        _, cond = ps._det_cond(M[0, 0], M[0, 1], M[1, 1])
+        assert cond == pytest.approx(np.linalg.cond(M), rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_normal_solve_matches_lapack_lstsq(seed):
+    # modified Gram-Schmidt against LAPACK on full-rank problems
+    rng = np.random.default_rng(seed)
+    control = np.array([(0.0, 0.0), *rng.uniform(0.0, 1.0, (2, 2)),
+                        (1.0, 1.0)])
+    s = rng.uniform(0.0, 1.0, 80)
+    points = ps.bezier_point(control, s) + rng.normal(0.0, 0.02, (80, 2))
+    tan = ps.bezier_tangent(control, s)
+    nrm = np.column_stack([-tan[:, 1], tan[:, 0]])
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    b1, b2 = 3 * (1 - s) ** 2 * s, 3 * (1 - s) * s ** 2
+    A = np.column_stack([b1 * nrm[:, 0], b1 * nrm[:, 1],
+                         b2 * nrm[:, 0], b2 * nrm[:, 1]])
+    rhs = np.sum((points - np.outer(s ** 3, ps.BezierFit.P3)) * nrm, axis=1)
+    want, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    p1, p2 = ps._solve_control_points_normal(points, s, control)
+    np.testing.assert_allclose(np.concatenate([p1, p2]), want, rtol=1e-9,
+                               atol=1e-9)
+
+
+def test_normal_solve_refuses_collinear_input(monkeypatch):
+    # straight control points give every sample the same normal, so the
+    # four columns span two dimensions; the fit falls back to the plain
+    # solve in every round and still fits the diagonal
+    diagonal = np.array([(0, 0), (1 / 3, 1 / 3), (2 / 3, 2 / 3), (1, 1)])
+    tau = np.linspace(0.0, 1.0, 60)
+    points = np.column_stack([tau, tau])
+    with pytest.raises(np.linalg.LinAlgError, match="^normal-projected "
+                                                    "problem is rank "
+                                                    "deficient$"):
+        ps._solve_control_points_normal(points, tau, diagonal)
+    refused = []
+    original = ps._solve_control_points_normal
+
+    def watched(*args):
+        try:
+            return original(*args)
+        except np.linalg.LinAlgError:
+            refused.append(True)
+            raise
+
+    monkeypatch.setattr(ps, "_solve_control_points_normal", watched)
+    curve = ps.ProgressCurve(tau=tau, rho=tau.copy(), d_start=1.0, d_max=1.0)
+    fit = ps.fit_cubic_bezier([curve])
+    assert refused == [True] * 3
+    on_curve = ps.sample_fit(fit, 50)
+    assert np.allclose(on_curve[:, 0], on_curve[:, 1], atol=1e-9)
+    assert fit.residual_rms < 1e-9
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.3, 0.77])
+def test_fit_refuses_samples_sharing_one_tau(tau):
+    # every parameter starts at the one tau, so the two free Bernstein
+    # columns are proportional and the normal equations are singular
+    curve = ps.ProgressCurve(tau=np.full(8, tau), rho=np.linspace(0, 1, 8),
+                             d_start=1.0, d_max=1.0)
+    with pytest.raises(NumericalError, match="^sample parameters do not "
+                                             "determine the control "
+                                             "points$"):
+        ps.fit_cubic_bezier([curve])
+
+
+def test_fit_calls_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("lstsq", "solve", "cond", "svd", "inv", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(4)
+    tau = np.linspace(0.0, 1.0, 120)
+    rho = synth.minimum_jerk(tau) + rng.normal(0, 0.03, tau.shape)
+    noisy = ps.ProgressCurve(tau=tau, rho=rho, d_start=1.0, d_max=1.0)
+    straight = ps.ProgressCurve(tau=tau, rho=tau.copy(), d_start=1.0,
+                                d_max=1.0)
+    control = [(0, 0), (0.3, 0.7), (0.7, 0.95), (1, 1)]
+    for curves in ([noisy], [straight], [_sampled_curve(control)]):
+        fit = ps.fit_cubic_bezier(curves)
+        assert np.isfinite(ps.sample_fit(fit)).all()
+
+
+def test_progress_bytes_same_under_default_blas_one_thread_and_avx2(
+        tmp_path, small_cohort_dir):
+    """`reachkin progress` writes the same spline.csv and
+    progress_curves.csv below their headers under the default BLAS, one
+    OpenBLAS thread and OpenBLAS's Haswell (AVX2) kernel: the fit calls no
+    BLAS or LAPACK routine."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ps.__file__))
+    bodies = []
+    for k, setting in enumerate([{}, {"OPENBLAS_NUM_THREADS": "1"},
+                                 {"OPENBLAS_CORETYPE": "Haswell"}]):
+        out = tmp_path / f"out{k}"
+        subprocess.run([sys.executable, "-m", "reachkin.cli", "progress",
+                        "--in", str(small_cohort_dir), "--out", str(out)],
+                       env={**env, **setting}, check=True, timeout=120,
+                       capture_output=True)
+        bodies.append([(out / name).read_bytes().split(b"\n", 1)[1]
+                       for name in ("spline.csv", "progress_curves.csv")])
+    assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
