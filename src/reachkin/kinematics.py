@@ -2,11 +2,14 @@
 velocity profiles, peak speed, and per-participant medians.
 
 Paths are expressed in shoulder-width units so measures are comparable across
-body sizes; speeds are shoulder-widths per second.
+body sizes; speeds are shoulder-widths per second. No norm uses BLAS:
+one vector's is ``math.hypot(*v)``, rows' are ``np.linalg.norm(a, axis=1)``,
+and no 1-D norm (a ``ddot``), ``@``, ``dot``, ``matmul`` or ``einsum`` is used.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,7 +85,7 @@ def directness(path) -> float:
     total = steps.sum()
     if total == 0.0:
         raise ZeroPathLength("hand did not move during the reach")
-    return float(np.linalg.norm(path[-1] - path[0]) / total)
+    return float(math.hypot(*(path[-1] - path[0])) / total)
 
 
 def velocity_profile(path, dt) -> np.ndarray:
@@ -94,12 +97,7 @@ def velocity_profile(path, dt) -> np.ndarray:
     path = np.asarray(path, dtype=float)
     if len(path) < 2:
         raise ZeroPathLength("need at least 2 frames for a velocity profile")
-    steps = np.gradient(path, axis=0)
-    speeds = np.linalg.norm(steps, axis=1) / dt
-    # one vector's norm is a dot product, which rounds the last bit unlike
-    # the batched norm for about a tenth of vectors: the ends keep it
-    speeds[[0, -1]] = [np.linalg.norm(s) / dt for s in steps[[0, -1]]]
-    return speeds
+    return np.linalg.norm(np.gradient(path, axis=0), axis=1) / dt
 
 
 def max_speed(path, dt) -> float:

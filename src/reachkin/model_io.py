@@ -12,10 +12,11 @@ Reconstructed 3D joint files use the columns
 
 Every CSV table, joints, targets, calibration or an artifact such as
 ``metrics.csv``, is read by ``_read_table``: when plain (no quote, carriage
-return or blank line) split into cells a block of lines at a time, else by
-the csv module, to the same result or error. A joints file is converted a
-block at a time, so it is held as its text plus its arrays, and written a
-block of rows at a time. A ParseError names the row of a header that names
+return or blank line) split into cells a block of lines at a time, else
+read by the csv module, a block of rows at a time after a pass that checks
+every row, to the same result or error. A joints file is converted a block
+at a time, so it is held as its text plus its arrays, and written a block
+of rows at a time. A ParseError names the row of a header that names
 a column twice, a row whose field count differs from the header's, a cell
 that is not a finite number, a frame that is not an integer or repeats
 within a joint, or a non-integer target id.
@@ -35,8 +36,9 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -206,6 +208,7 @@ def _float(value, column, row):
 # characters of a plain table split at a time: a block ends at the first line
 # end after this many
 _BLOCK = 1 << 16
+_CSV_ROWS = 1024   # rows of any other table read per block
 
 
 def _split(text, top):
@@ -236,26 +239,38 @@ def _split(text, top):
 
 
 def _csv_table(text, top):
-    """What ``_split`` gives, for any text, by the csv reader, the data rows
-    in one block; None for an empty text. Blank lines are skipped. A row
-    whose field count differs from the header's, or text the reader
-    refuses, raises a ParseError naming the row."""
-    rows, rownum = [], top - 1
+    """What ``_split`` gives, for any text, by the csv reader; None for an
+    empty text. Blank lines are skipped. A first pass keeps only each row's
+    number and field count: text the reader refuses, or else a row whose
+    field count differs from the header's, raises a ParseError naming the
+    row. The blocks, of ``_CSV_ROWS`` rows, are read as they are iterated."""
+    def reader():    # fed one line slice at a time, not a copy of the text
+        return csv.reader(m[0] for m in re.finditer(".*\n|.+", text))
+
+    def kept(row):
+        return len(row) > 1 or (row and row[0].strip())
+
+    rownums, widths, rownum = [], [], top - 1   # the header's first
     try:
-        for rownum, row in enumerate(csv.reader(io.StringIO(text)), top):
-            if not rows or (row and (len(row) > 1 or row[0].strip())):
-                rows.append((rownum, row))
+        for rownum, row in enumerate(reader(), top):
+            if not rownums or kept(row):
+                rownums.append(rownum)
+                widths.append(len(row))
     except csv.Error as exc:
         raise ParseError(f"not csv: {exc}", row=rownum + 1) from None
-    if not rows:
+    if not rownums:
         return None
-    (_, header), *rows = rows
-    for rownum, row in rows:
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+    for rownum, width in zip(rownums[1:], widths[1:]):
+        if width != widths[0]:
+            raise ParseError(f"expected {widths[0]} fields, got {width}",
                              row=rownum)
-    return (header, [rownum for rownum, _ in rows],
-            [[[row[k] for _, row in rows] for k in range(len(header))]])
+
+    def blocks():    # one, empty, for a table with no data rows
+        rows = filter(kept, islice(reader(), 1, None))
+        for _ in range(0, max(len(rownums) - 1, 1), _CSV_ROWS):
+            block = list(islice(rows, _CSV_ROWS))
+            yield [[row[k] for row in block] for k in range(widths[0])]
+    return next(reader()), rownums[1:], blocks()
 
 
 def _read_table(stream, what, expected, artifact=False):
@@ -264,8 +279,8 @@ def _read_table(stream, what, expected, artifact=False):
     into runs; a block lists, for each header column, the cells of its run.
     A row number is the file line. ``expected(header)`` names the columns
     the header must hold, and no column may be named twice. A plain table
-    is split a block at a time (``_split``), any other read whole by the
-    csv reader as one block (``_csv_table``), to the same cells or error.
+    is split a block at a time (``_split``), any other read a block at a
+    time by the csv reader (``_csv_table``), to the same cells or error.
     An artifact may start with one '#' comment line and may hold no data
     rows."""
     text = stream if isinstance(stream, str) else stream.read()

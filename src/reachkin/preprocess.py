@@ -152,10 +152,14 @@ def butterworth_filter(channel, spec: FilterSpec):
 
 def filter_sequence(seq: SkeletonSequence, spec: FilterSpec) -> SkeletonSequence:
     """Apply the zero-phase filter independently to every joint coordinate.
-    An output that is not finite (an input cell near the float limit
-    overflows) raises a NumericalError naming the joint."""
+    A joint of fewer than 3 * order frames raises an InputError, and an
+    output that is not finite (an input cell near the float limit
+    overflows) a NumericalError, each naming the joint."""
     streams = {}
     for joint, s in seq.streams.items():
+        if len(s.pos) < 3 * spec.order:
+            raise InputError(f"joint {joint!r}: {len(s.pos)} frames, the "
+                             f"filter needs {3 * spec.order} (3 * order)")
         pos = butterworth_filter(s.pos, spec)
         if not np.isfinite(pos).all():
             raise NumericalError(f"joint {joint!r}: filter output is not finite")

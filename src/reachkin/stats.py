@@ -6,8 +6,9 @@ command pays the start-up cost of importing scipy (over a second for
 function, summed as a continued fraction (modified Lentz). The studentized
 range survival function is a fixed-order Gauss-Legendre quadrature of its
 double integral over the scaled chi variable and the normal range; the nodes
-are built on the first p-value, not with this module. mpmath and scipy's
-``fdtrc`` and ``studentized_range.sf`` are the tests' oracles.
+are built on the first p-value, not with this module. Its sums are numpy
+reductions, not BLAS products. mpmath and scipy's ``fdtrc`` and
+``studentized_range.sf`` are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -193,11 +194,11 @@ def studentized_range_sf(q: float, k: int, df: int) -> float:
     s, ws = _panels(lo, hi)
     density = _scaled_chi_pdf(s, df)
     z, wz = _panels(*_Z_RANGE)
-    wz = wz * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    cdf_z = _norm_cdf(z)
-    inside = cdf_z[:, None] - _norm_cdf(z[:, None] - q * s)
-    range_sf = k * (wz @ (cdf_z[:, None] ** (k - 1) - inside ** (k - 1)))
-    return float(min(1.0, max(0.0, (ws * density) @ range_sf)))
+    wz = (wz * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))[:, None]
+    cdf_z = _norm_cdf(z)[:, None]
+    inside = cdf_z - _norm_cdf(z[:, None] - q * s)
+    range_sf = k * (wz * (cdf_z ** (k - 1) - inside ** (k - 1))).sum(axis=0)
+    return float(min(1.0, max(0.0, (ws * density * range_sf).sum())))
 
 
 # --- Tukey HSD -------------------------------------------------------------

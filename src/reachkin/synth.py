@@ -11,7 +11,9 @@ parameters are planted monotonically in age, so the generated cohorts act as
 ground-truth oracles for the analysis code.
 
 Simulation coordinates are shoulder-width units with the origin at the
-shoulder midpoint; conversion to screen pixels is isotropic.
+shoulder midpoint; conversion to screen pixels is isotropic. No norm uses BLAS:
+one vector's is ``math.hypot(*v)``, rows' are ``np.linalg.norm(a, axis=1)``,
+and no 1-D norm (a ``ddot``), ``@``, ``dot``, ``matmul`` or ``einsum`` is used.
 
 The written cohort bytes are pinned, so the order of a session's draws is
 part of the contract. Per target pair: the target spawns (left, then right;
@@ -27,6 +29,7 @@ test draw is below 0.01).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -84,10 +87,7 @@ class StrategyParams:
 def minimum_jerk(u):
     """Minimum-jerk position fraction 10u^3 - 15u^4 + 6u^5 on [0, 1]."""
     u = np.clip(u, 0.0, 1.0)
-    # Python's float power is libm's pow, as numpy's scalar power is; the
-    # array power can round the cube differently in the last bit
-    cube = np.reshape([x ** 3 for x in np.ravel(u).tolist()], np.shape(u))
-    return cube * (10.0 - 15.0 * u + 6.0 * u * u)
+    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
 def _bowed_path(start, target, amplitude):
@@ -95,7 +95,7 @@ def _bowed_path(start, target, amplitude):
     start = np.asarray(start, dtype=float)
     target = np.asarray(target, dtype=float)
     delta = target - start
-    length = np.linalg.norm(delta)
+    length = math.hypot(*delta)
     normal = np.array([-delta[1], delta[0]]) / length
 
     def path(u):
@@ -193,16 +193,6 @@ def sim_to_px(pos):
     return (np.asarray(pos, dtype=float) - PLAY_ORIGIN) * PX_PER_UNIT
 
 
-def _inside(offsets):
-    """Whether each (N, 2) offset lies within HIT_RADIUS, as np.linalg.norm
-    of the one 2-vector decides it: the batched norm rounds the last bit
-    differently for a few percent of vectors, so near ones are redone."""
-    dist = np.linalg.norm(offsets, axis=1)
-    near = np.abs(dist - HIT_RADIUS) < 1e-12
-    dist[near] = [np.linalg.norm(d) for d in offsets[near]]
-    return dist < HIT_RADIUS
-
-
 def _first_hit(inside):
     """Index ending the first run of HIT_FRAMES True values, or None."""
     done = np.flatnonzero(np.convolve(inside, np.ones(HIT_FRAMES), "valid")
@@ -252,7 +242,7 @@ def generate_session(params: StrategyParams, age: int, seed,
             for _ in range(50):
                 cand = _spawn_target(s, rng)
                 cand_sim = norm_to_sim(cand)
-                if np.linalg.norm(cand_sim - here) >= 0.8:
+                if math.hypot(*(cand_sim - here)) >= 0.8:
                     break
             tpos_norm.append(cand)
             tpos_sim.append(cand_sim)
@@ -284,8 +274,8 @@ def generate_session(params: StrategyParams, age: int, seed,
                                      track[idx.astype(np.intp)], here)
             if sigma > 0:
                 pos[moved] += rng.normal(0.0, sigma, (moved.sum(), 2))
-            hits = [_first_hit(_inside(pos[:, h] - tpos_sim[h]))
-                    for h in range(2)]
+            hits = [_first_hit(np.linalg.norm(pos[:, h] - tpos_sim[h], axis=1)
+                               < HIT_RADIUS) for h in range(2)]
             if None not in hits or frame + len(t) == n_frames:
                 break
             window *= 2

@@ -4,8 +4,11 @@ array code in ``reachkin.synth`` must match bit for bit.
 ``generate_reach`` walks the burst-and-pause timeline one frame at a time,
 and ``generate_session`` steps both hands frame by frame, drawing each
 frame's noise and confidences one call at a time, so the draw order is
-plain to read here.
+plain to read here. Norms follow ``reachkin.synth``'s rule: ``math.hypot``
+for the spawn distance, and the row norm's arithmetic for the hit test.
 """
+
+import math
 
 import numpy as np
 
@@ -35,7 +38,7 @@ from reachkin.synth import (
 def minimum_jerk(u):
     """Minimum-jerk position fraction 10u^3 - 15u^4 + 6u^5 on [0, 1]."""
     u = np.clip(u, 0.0, 1.0)
-    return u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u)
+    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
 def generate_reach(params: StrategyParams, start, target, dt, rng=None):
@@ -106,6 +109,13 @@ def generate_reach(params: StrategyParams, start, target, dt, rng=None):
     return positions, total
 
 
+def within_hit_radius(offset):
+    """Whether one 2-vector offset lies within HIT_RADIUS: the square root
+    of the summed squares, which has the bits of the row norm."""
+    dx, dy = offset
+    return math.sqrt(dx * dx + dy * dy) < HIT_RADIUS
+
+
 class _HandPlan:
     """Scheduled reach of one hand: delay, then a precomputed path, then dwell."""
 
@@ -147,7 +157,7 @@ def generate_session(params: StrategyParams, age: int, seed,
             for _ in range(50):
                 cand = _spawn_target(s, rng)
                 cand_sim = norm_to_sim(cand)
-                if np.linalg.norm(cand_sim - current[s]) >= 0.8:
+                if math.hypot(*(cand_sim - current[s])) >= 0.8:
                     break
             tpos_norm[s], tpos_sim[s] = cand, cand_sim
 
@@ -170,7 +180,7 @@ def generate_session(params: StrategyParams, age: int, seed,
                 current[s] = p
                 hand_pos[s][frame] = p
                 if t_hit[s] is None:
-                    if np.linalg.norm(p - tpos_sim[s]) < HIT_RADIUS:
+                    if within_hit_radius(p - tpos_sim[s]):
                         overlap[s] += 1
                     else:
                         overlap[s] = 0

@@ -106,10 +106,10 @@ def test_velocity_profile_reversal_symmetry():
 
 def _old_velocity_profile(path, dt):
     """The hand-written differences velocity_profile replaced: one-sided at
-    the ends, |x[t+1] - x[t-1]| / (2 dt) inside."""
+    the ends, |x[t+1] - x[t-1]| / (2 dt) inside, every norm a row norm."""
     speeds = np.empty(len(path))
-    speeds[0] = np.linalg.norm(path[1] - path[0]) / dt
-    speeds[-1] = np.linalg.norm(path[-1] - path[-2]) / dt
+    ends = np.array([path[1] - path[0], path[-1] - path[-2]])
+    speeds[[0, -1]] = np.linalg.norm(ends, axis=1) / dt
     if len(path) > 2:
         speeds[1:-1] = np.linalg.norm(path[2:] - path[:-2], axis=1) / (2 * dt)
     return speeds

@@ -578,11 +578,17 @@ def traced_peak(call, *args):
 
 def test_a_joints_file_is_parsed_a_block_at_a_time():
     # the text plus its arrays, never a string per cell (8.8x the text at a
-    # whole-file split)
-    text = joints_text(3000, 12)
-    seq, peak = traced_peak(model_io.parse_joint_csv, text)
-    assert len(seq.samples) == 36000
-    assert peak < 2 * len(text)
+    # whole-file split), also when the csv reader reads it, for a final
+    # blank line or a quoted cell (11x as one block, 4x for a StringIO)
+    plain = joints_text(3000, 12)
+    want = model_io.parse_joint_csv(plain).streams
+    for text in (plain, plain + "\n",
+                 plain.replace(",joint_05,", ',"joint_05",', 1)):
+        seq, peak = traced_peak(model_io.parse_joint_csv, text)
+        assert len(seq.samples) == 36000
+        for joint, stream in want.items():
+            assert all(map(np.array_equal, seq.streams[joint], stream))
+        assert peak < 2 * len(text)
 
 
 def test_a_joints_file_is_written_a_block_at_a_time():

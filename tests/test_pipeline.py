@@ -11,6 +11,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from blas_settings import same_bytes_under_each_blas
 
 from reachkin import (agenet, cli, kinematics, pipeline, preprocess,
                       progress_spline, reconstruct3d, stats, synth)
@@ -542,11 +543,13 @@ def test_commands_but_synth_leave_synth_unloaded(tmp_path, small_cohort_dir):
 # sha256 of anova.csv and tukey.csv below their config-hash comment line, for
 # `stats` on the `metrics.csv` of the small cohort: they pin the p-values of
 # `reachkin.stats`' own F and studentized range functions to the last bit.
+# Neither the cohort nor the p-values go through BLAS, so the pins hold on
+# any BLAS kernel and thread count.
 STATS_ARTIFACT_SHA256 = {
     "anova.csv":
-        "330426d01e22ed7e794d094785434a47857ff971fee1b1daba3a19c638e72368",
+        "1f5e9402e193cdd176438955cdcc524939c3a2c214c2dafcc8397a4835d4cc53",
     "tukey.csv":
-        "38c59c67fb3eed42118b9af67d8a50ddf1e171c6451ae9a83a9187b9a35b591f",
+        "c3aba39111d188129a300a2ebd75695a54aa16aae4ba164e5df4d98ffa049e52",
 }
 
 
@@ -578,6 +581,32 @@ def test_stage_commands_load_no_scipy(tmp_path, small_cohort_dir):
     for name, want in STATS_ARTIFACT_SHA256.items():
         body = (tmp_path / name).read_bytes().split(b"\n", 1)[1]
         assert hashlib.sha256(body).hexdigest() == want, name
+
+
+def test_artifacts_same_under_default_blas_one_thread_and_avx2(
+        tmp_path, small_cohort_dir):
+    """`synth`, and every stage command on the small cohort but `train`,
+    write the same bytes below line 1 under the default BLAS, one OpenBLAS
+    thread and OpenBLAS's Haswell (AVX2) kernel: no norm or product on their
+    way goes through BLAS or LAPACK."""
+    cohort = str(small_cohort_dir)
+
+    def commands(out):
+        return [["synth", "--n-per-bin", "1", "--duration", "10",
+                 "--out", str(out / "synth")],
+                *([command, "--in", cohort, "--out", str(out / command)]
+                  for command in ("preprocess", "metrics", "progress")),
+                ["stats", "--metrics", str(out / "metrics" / "metrics.csv"),
+                 "--out", str(out / "stats")],
+                ["report", "--in", cohort, "--out", str(out / "report")]]
+
+    files = same_bytes_under_each_blas(tmp_path, commands)
+    assert {name.split("/")[0] for name in files} == {
+        "synth", "preprocess", "metrics", "progress", "stats", "report"}
+    assert {"synth/p000/joints.csv", "preprocess/p000/joints_clean.csv",
+            "metrics/metrics.csv", "progress/spline.csv",
+            "progress/progress_curves.csv", "stats/anova.csv",
+            "stats/tukey.csv", "report/bars.csv"} <= set(files)
 
 
 def test_stage_commands_load_no_openssl(tmp_path, small_cohort_dir):
@@ -1060,6 +1089,23 @@ def test_cli_filter_overflow_names_the_participant_and_joint(
     assert err.startswith("error: stage 'preprocess' failed: participant "
                           "p000: joint 'left_wrist': filter output is not "
                           "finite")
+    assert not out.exists()
+
+
+def test_cli_a_stream_too_short_to_filter_names_the_joint(
+        tmp_path, small_cohort_dir, capsys):
+    # 8 native left_shoulder rows are 4 after decimation; order 2 needs 6
+    cohort, out = tmp_path / "cohort", tmp_path / "out"
+    shutil.copytree(small_cohort_dir, cohort)
+    path = cohort / "p000" / "joints.csv"
+    header, *rows = path.read_text().splitlines()
+    shoulder = [k for k, r in enumerate(rows) if ",left_shoulder," in r]
+    del rows[shoulder[8]:shoulder[-1] + 1]      # a joint's rows are a run
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert cli.main(["metrics", "--in", str(cohort), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage 'preprocess' failed: participant p000: joint "
+        "'left_shoulder': 4 frames, the filter needs 6 (3 * order)\n")
     assert not out.exists()
 
 

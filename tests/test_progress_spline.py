@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -278,25 +274,3 @@ def test_fit_calls_no_lapack(monkeypatch):
     for curves in ([noisy], [straight], [_sampled_curve(control)]):
         fit = ps.fit_cubic_bezier(curves)
         assert np.isfinite(ps.sample_fit(fit)).all()
-
-
-def test_progress_bytes_same_under_default_blas_one_thread_and_avx2(
-        tmp_path, small_cohort_dir):
-    """`reachkin progress` writes the same spline.csv and
-    progress_curves.csv below their headers under the default BLAS, one
-    OpenBLAS thread and OpenBLAS's Haswell (AVX2) kernel: the fit calls no
-    BLAS or LAPACK routine."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ps.__file__))
-    bodies = []
-    for k, setting in enumerate([{}, {"OPENBLAS_NUM_THREADS": "1"},
-                                 {"OPENBLAS_CORETYPE": "Haswell"}]):
-        out = tmp_path / f"out{k}"
-        subprocess.run([sys.executable, "-m", "reachkin.cli", "progress",
-                        "--in", str(small_cohort_dir), "--out", str(out)],
-                       env={**env, **setting}, check=True, timeout=120,
-                       capture_output=True)
-        bodies.append([(out / name).read_bytes().split(b"\n", 1)[1]
-                       for name in ("spline.csv", "progress_curves.csv")])
-    assert bodies[1] == bodies[0] and bodies[2] == bodies[0]

@@ -1,12 +1,10 @@
 import gc
 import io
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
+from blas_settings import same_bytes_under_each_blas
 
 from reachkin import cli
 from reachkin import reconstruct3d as r3d
@@ -472,21 +470,10 @@ def test_reconstruct_bytes_same_under_default_blas_one_thread_and_avx2(
     write_stereo_session(tmp_path / "in", "p000", (cam1, cam2),
                          scene_points(300, seed=20))
     write_calibration(tmp_path / "calib.csv", (cam1, cam2))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(r3d.__file__))
-    rows = []
-    for k, setting in enumerate([{}, {"OPENBLAS_NUM_THREADS": "1"},
-                                 {"OPENBLAS_CORETYPE": "Haswell"}]):
-        out = tmp_path / f"out{k}"
-        subprocess.run([sys.executable, "-m", "reachkin.cli", "reconstruct",
-                        "--in", str(tmp_path / "in"), "--out", str(out),
-                        "--calibration", str(tmp_path / "calib.csv")],
-                       env={**env, **setting}, check=True, timeout=120,
-                       capture_output=True)
-        rows.append((out / "p000" / "joints_3d.csv").read_bytes()
-                    .split(b"\n", 1)[1])
-    assert rows[1] == rows[0] and rows[2] == rows[0]
+    files = same_bytes_under_each_blas(tmp_path, lambda out: [[
+        "reconstruct", "--in", str(tmp_path / "in"), "--out", str(out),
+        "--calibration", str(tmp_path / "calib.csv")]])
+    assert list(files) == ["p000/joints_3d.csv"]
 
 
 def test_reconstruct_holds_one_participants_streams_at_a_time(

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -167,32 +168,33 @@ def test_write_cohort_round_trip(small_cohort_dir):
     assert (small_cohort_dir / "ground_truth.csv").is_file()
 
 
-# sha256 of every file written for generate_cohort(1, seed=0, duration=10.0),
-# recorded from the per-row JointSample implementation of the generator and
-# writer; pins the RNG draw order and the number formatting byte for byte.
+# sha256 of every file written for generate_cohort(1, seed=0, duration=10.0);
+# pins the RNG draw order and the number formatting byte for byte. The joints
+# files were re-recorded when the cube became two products and the norms
+# stopped going through BLAS, so the pins hold on any BLAS kernel.
 PINNED_COHORT_SHA256 = {
     "ground_truth.csv":
         "2535a530a7619d104655446ce58294353ef0ca834d94e4733a289079e808e849",
     "p000/joints.csv":
-        "a88603d196709d25dbcc02091391726b1782c3923b32bcdc346598d2085325d5",
+        "c4fe1f11ad68a7473d10e61ffa02cf5053b6f43e2e82beffc97f03b5ee4685b8",
     "p000/manifest.json":
         "b514a169512d70252252b49fe5880615f037c1c496246550c0f7e2322e3e4f4a",
     "p000/targets.csv":
         "d13e7cf9571b4e01854559f3c3f9fe75cd04d11b2d71c79c5afee1b95a0c37bd",
     "p001/joints.csv":
-        "02a31aa43573ba87b7395872562fb0dfddeb4d4ed34d0d8d3a3efc1f8e7ba440",
+        "dbbf9a9ef312c6802520741fb40d7807bb1deddd6ebbfc0cc28075b2c7e93a2f",
     "p001/manifest.json":
         "68936351ad088771239cba81366abc42b93a05aa750a73b582ca29ea94225823",
     "p001/targets.csv":
         "29b96d713b34a3688919f62b01b514d6649597fe2ebfd2fb120ec88addaafed7",
     "p002/joints.csv":
-        "d5257550ecd5f7ce58307f1b5942274ac08eaccd4998ab6d5e9c25265446f8f3",
+        "f0e5da1e1b0919e4b2ebb207305df07e7628925d644825176629a96bd1344056",
     "p002/manifest.json":
         "cbcaf15114b41bebdae308512e33576d841e6a6ed434adf3e23e4ff082cbebc1",
     "p002/targets.csv":
         "942c2b8c3a2caeb1c238ca9b42333754f29f5a0499599b09c8627b5f0886d76c",
     "p003/joints.csv":
-        "617b77a0ef80db7ea98c60cb1dbd0dfa8f22e8c85dbb0f29feb934cc419d52ba",
+        "a6afba2cf1725b631a6c3e4ce0e0bb99b77d22c13d9fb5596e773563c425b614",
     "p003/manifest.json":
         "e5b80baa4835776d057e70bcbd2964343aac2a86e29985ddefa68c2b26c614b6",
     "p003/targets.csv":
@@ -267,18 +269,20 @@ def test_generate_reach_matches_per_frame_reference(params, seed, start, step):
 
 
 def test_minimum_jerk_array_matches_scalar():
-    # numpy's vectorized pow may round the cube differently from the scalar
+    # the cube is two products, for an array and a scalar alike
     u = np.random.default_rng(0).random(20000)
     scalar = [reference.minimum_jerk(np.float64(v)) for v in u]
     assert np.array_equal(bits(minimum_jerk(u)), bits(scalar))
 
 
-def test_hit_radius_decided_as_the_one_vector_norm():
-    # offsets within a few ulps of the radius, where the batched and the
-    # one-vector norm can disagree in the last bit
+def test_hit_radius_decided_as_the_row_norm():
+    # offsets within a few ulps of the radius, where math.hypot and the row
+    # norm disagree in the last bit: synth's batched hit test and the
+    # reference's per-frame one decide every offset alike
     rng = np.random.default_rng(1)
     angle = rng.uniform(0.0, 2 * np.pi, 20000)
     radius = HIT_RADIUS + rng.integers(-4, 5, angle.size) * np.spacing(HIT_RADIUS)
     offsets = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
-    want = [np.linalg.norm(d) < HIT_RADIUS for d in offsets]
-    assert synth._inside(offsets).tolist() == want
+    batched = (np.linalg.norm(offsets, axis=1) < HIT_RADIUS).tolist()
+    assert batched == [reference.within_hit_radius(d) for d in offsets]
+    assert batched != [math.hypot(*d) < HIT_RADIUS for d in offsets]
